@@ -33,6 +33,7 @@ from .qc import (
     write_alist,
 )
 from .girth import (
+    CycleWitness,
     GirthReport,
     WalkWitness,
     bsg_shortest_closed_walk,

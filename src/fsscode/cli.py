@@ -196,7 +196,7 @@ def cmd_verify_table(args):
                                      for _ in range(row["b"])))
         S = shift_sequence_from_list(fss, row["m"], row["shifts"])
         H = expand(assemble(fss, S))
-        report = tanner_girth(H, cap=row["girth"] + 2)
+        report = tanner_girth(H, cap=row["girth"] + 2, circulant=row["m"])
         ok = report.girth == row["girth"] and H.cols == row["n"]
         status = "PASS" if ok else "FAIL"
         print(f"{status} {row['name']}: girth {report.girth} "

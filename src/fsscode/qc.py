@@ -209,16 +209,75 @@ def write_alist(H: BinaryMatrix, path) -> None:
 
 
 def read_alist(path) -> BinaryMatrix:
+    """Parse an alist file, rejecting any inconsistency with ValueError.
+
+    The header counts must match the degree lists, every adjacency line
+    must hold exactly its degree's worth of distinct in-range indices (zero
+    padding up to the maximum degree is optional), the file must end with
+    the row section, and the column and row sections must describe the
+    same edges.
+    """
     with open(path) as fh:
-        rows = [line.split() for line in fh if line.strip()]
-    nums = [[int(x) for x in row] for row in rows]
-    n, m = nums[0]
-    entries = []
-    for c, adj in enumerate(nums[4 : 4 + n]):
-        for r in adj:
-            if r:
-                entries.append((r - 1, c))
-    return BinaryMatrix(m, n, entries)
+        lines = [(no, line.split()) for no, line in enumerate(fh, 1) if line.strip()]
+    pos = 0
+
+    def take():
+        nonlocal pos
+        if pos == len(lines):
+            raise ValueError(f"alist ends early, after {pos} non-blank lines")
+        no, words = lines[pos]
+        pos += 1
+        try:
+            return no, [int(x) for x in words]
+        except ValueError:
+            raise ValueError(f"alist line {no}: non-integer entry") from None
+
+    _, dims = take()
+    no, maxes = take()
+    if len(dims) != 2 or len(maxes) != 2 or min(dims + maxes) < 0:
+        raise ValueError("alist header must be 'ncols nrows' then 'cmax rmax'")
+    n, m = dims
+    # write_alist writes an empty list as a blank line, and blank lines are
+    # skipped: an empty degree list or a section of width 0 has no lines
+    col_deg = take()[1] if n else []
+    row_deg = take()[1] if m else []
+    if len(col_deg) != n or len(row_deg) != m:
+        raise ValueError(
+            f"alist degree lists hold {len(col_deg)} and {len(row_deg)} "
+            f"entries for {n} columns and {m} rows"
+        )
+    if maxes != [max(col_deg, default=0), max(row_deg, default=0)]:
+        raise ValueError(f"alist line {no}: maximum degrees {maxes} do not "
+                         f"match the degree lists")
+
+    def section(degs, width, bound):
+        if not width:
+            return [[] for _ in degs]
+        out = []
+        for deg in degs:
+            no, adj = take()
+            idx = adj[:deg]
+            if (
+                len(adj) not in (deg, width)
+                or any(adj[deg:])
+                or len(set(idx)) != deg
+                or not all(1 <= x <= bound for x in idx)
+            ):
+                raise ValueError(
+                    f"alist line {no}: expected {deg} distinct indices in "
+                    f"1..{bound}, zero-padded to at most {width} entries"
+                )
+            out.append(idx)
+        return out
+
+    cols = section(col_deg, maxes[0], m)
+    rows = section(row_deg, maxes[1], n)
+    if pos != len(lines):
+        raise ValueError(f"alist line {lines[pos][0]}: text after the row section")
+    entries = {(r - 1, c) for c, adj in enumerate(cols) for r in adj}
+    if entries != {(r, c - 1) for r, adj in enumerate(rows) for c in adj}:
+        raise ValueError("alist column and row sections describe different edges")
+    return BinaryMatrix(m, n, sorted(entries))
 
 
 # ----------------------------------------------------------------------

@@ -28,9 +28,6 @@ __all__ = [
     "check_extension",
 ]
 
-# a practicality limit, not a hard bound
-COMFORT_GIRTH_LIMIT = 20
-
 
 @dataclass(frozen=True)
 class SearchPolicy:
@@ -130,33 +127,6 @@ def _enumerate_templates(fss: SetSystem, max_len: int, pos):
                     continue
                 dfs([i1, i2], [k1], i1, k1)
     return buckets
-
-
-def _forbidden_values(form, prefix, e, m):
-    """Values s for position ``e`` making the template form vanish mod m.
-
-    ``form`` is [(pos, coeff), ...] with every pos <= e.  Returns a set of
-    forbidden residues; a full range means the template is already zero on
-    the prefix alone (balanced template or zero-coefficient tail).
-    """
-    base = 0
-    c_e = 0
-    for p, c in form:
-        if p == e:
-            c_e = c
-        else:
-            base += c * prefix[p]
-    base %= m
-    if c_e % m == 0:
-        return set(range(m)) if base == 0 else set()
-    c = c_e % m
-    d = gcd(c, m)
-    rhs = (-base) % m
-    if rhs % d:
-        return set()
-    md = m // d
-    s0 = (pow(c // d, -1, md) * ((rhs // d) % md)) % md
-    return {s0 + t * md for t in range(d)}
 
 
 @dataclass
@@ -330,7 +300,9 @@ def search_shifts(
     )
     verified = None
     if verify:
-        report = tanner_girth(expand(assemble(fss, shifts)), cap=max(target_girth, 4))
+        report = tanner_girth(
+            expand(assemble(fss, shifts)), cap=max(target_girth, 4), circulant=m
+        )
         verified = report.girth
         if verified is not None and verified < target_girth:
             raise RuntimeError(

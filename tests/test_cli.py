@@ -129,6 +129,34 @@ class TestShiftPipeline:
         assert "error" in json.loads(err)
 
 
+class TestTgirth:
+    ALIST = ("9 6\n2 3\n" + " ".join(["2"] * 9) + "\n" + " ".join(["3"] * 6)
+             + "\n1 4\n2 5\n3 6\n1 6\n2 4\n3 5\n1 5\n2 6\n3 4\n"
+             "1 4 7\n2 5 8\n3 6 9\n1 5 9\n2 6 7\n3 4 8\n")
+
+    def test_json_bytes_pinned(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h.alist").write_text(self.ALIST)
+        code, out, _ = _run(capsys, ["tgirth", "--alist", "h.alist",
+                                     "--cap", "12"])
+        assert code == EXIT_OK
+        witness = "".join(f"\n    {x}," for x in (0, 9, 5, 8, 2, 14, 3, 6))
+        assert out == (
+            '{\n  "girth": 8,\n  "cap": 12,\n  "witness": ['
+            + witness[:-1] + '\n  ],\n  "meta": {\n    "tool": "fsscode",'
+            '\n    "version": "0.1.0",\n    "input": "h.alist",'
+            '\n    "cap": 12\n  }\n}\n'
+        )
+
+    def test_truncated_alist_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "h.alist"
+        path.write_text("\n".join(self.ALIST.splitlines()[:10]) + "\n")
+        code, out, err = _run(capsys, ["tgirth", "--alist", str(path)])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+
 class TestSimulateAndTables:
     def test_simulate_csv(self, capsys, fss_file, tmp_path):
         alist_path = tmp_path / "h.alist"

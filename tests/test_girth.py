@@ -13,7 +13,7 @@ from fsscode.girth import (
     verify_walk_raw,
 )
 from fsscode.qc import assemble, expand, shift_sequence_from_list
-from fsscode.setsystem import validate_fss
+from fsscode.setsystem import BinaryMatrix, validate_fss
 
 
 def _random_system(rng, vmax=8, bmax=12):
@@ -57,6 +57,110 @@ class TestTannerGirth:
         S = shift_sequence_from_list(fss, 1, [0, 0])
         with pytest.raises(ValueError):
             tanner_girth(expand(assemble(fss, S)), cap=5)
+
+
+def _is_cycle(H, nodes):
+    """True iff ``nodes`` is a simple cycle of the Tanner graph of H."""
+    if len(set(nodes)) != len(nodes):
+        return False
+    for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+        r, c = min(a, b), max(a, b) - H.rows
+        if not (r < H.rows <= max(a, b) and c in H.row_support[r]):
+            return False
+    return True
+
+
+class TestCirculantOracle:
+    """The one-root-per-block-row path against the every-check reference."""
+
+    def test_matches_generic_on_random_qc_matrices(self):
+        rng = random.Random(20261018)
+        shapes = {"v<b": 0, "v>b": 0, "v==b": 0}
+        unbounded = 0
+        for case in range(240):
+            shape = list(shapes)[case % 3]
+            v = rng.randint(2, 6)
+            b = {"v<b": rng.randint(v + 1, 8), "v>b": rng.randint(1, v - 1),
+                 "v==b": v}[shape]
+            blocks = [rng.sample(range(1, v + 1), rng.randint(1, min(4, v)))
+                      for _ in range(b)]
+            fss = validate_fss(v, blocks, t=1)
+            m = rng.randint(1, 13)
+            cap = rng.choice(range(4, 17, 2))
+            H = expand(assemble(fss, _random_shifts(rng, fss, m)))
+            assert (H.rows, H.cols) == (min(v, b) * m, max(v, b) * m)
+            ref = tanner_girth(H, cap=cap)
+            fast = tanner_girth(H, cap=cap, circulant=m)
+            assert fast.girth == ref.girth, (case, v, b, m, cap)
+            if fast.unbounded:
+                unbounded += 1
+                assert fast.witness is None
+            else:
+                assert len(fast.witness.nodes) == fast.girth
+                assert _is_cycle(H, list(fast.witness.nodes))
+            shapes[shape] += 1
+        assert min(shapes.values()) >= 80
+        assert 0 < unbounded < 240
+
+    @staticmethod
+    def _code(m=6, shifts=(0, 1, 2)):
+        fss = validate_fss(2, [[1, 2]] * 3)
+        return expand(assemble(fss, shift_sequence_from_list(fss, m, list(shifts))))
+
+    def test_rejects_moved_entry(self):
+        H = self._code()
+        entries = list(H.entries())
+        r, c = entries[0]
+        free = next(x for x in range(H.cols) if x not in H.row_support[r])
+        entries[0] = (r, free)
+        with pytest.raises(ValueError, match="not invariant"):
+            tanner_girth(BinaryMatrix(H.rows, H.cols, entries), circulant=6)
+
+    def test_rejects_size_not_dividing(self):
+        H = self._code(m=2)  # 4 x 6
+        with pytest.raises(ValueError, match="does not divide"):
+            tanner_girth(H, circulant=3)  # rows
+        with pytest.raises(ValueError, match="does not divide"):
+            tanner_girth(H, circulant=4)  # cols
+        with pytest.raises(ValueError):
+            tanner_girth(H, circulant=0)
+
+    def test_rejects_wrong_size_on_valid_code(self):
+        H = self._code()  # 12 x 18, m = 6
+        for wrong in (2, 3):
+            with pytest.raises(ValueError, match="not invariant"):
+                tanner_girth(H, circulant=wrong)
+
+    def test_wrong_size_never_gives_wrong_girth(self):
+        # a size that passes the check is a true automorphism: same girth.
+        # Shifts that are multiples of g make every divisor of g pass.
+        rng = random.Random(7)
+        accepted = 0
+        for _ in range(60):
+            fss = _random_system(rng, vmax=5, bmax=6)
+            m = rng.choice((4, 6, 8, 9, 12))
+            g = rng.choice([d for d in range(1, m + 1) if m % d == 0])
+            vals = [g * rng.randrange(m // g) for _ in fss.incidences]
+            H = expand(assemble(fss, shift_sequence_from_list(fss, m, vals)))
+            ref = tanner_girth(H, cap=12).girth
+            for d in range(2, m):
+                if m % d == 0:
+                    try:
+                        got = tanner_girth(H, cap=12, circulant=d).girth
+                    except ValueError:
+                        continue
+                    accepted += 1
+                    assert got == ref
+        assert accepted >= 20
+
+    def test_cycle_witness_json(self):
+        rep = tanner_girth(self._code(m=3), cap=12)
+        assert rep.to_json() == (
+            '{"girth": 8, "cap": 12, "witness": [0, 9, 5, 8, 2, 14, 3, 6]}'
+        )
+        assert tanner_girth(self._code(m=3), cap=6).to_json() == (
+            '{"girth": "unbounded", "cap": 6}'
+        )
 
 
 class TestBsg:

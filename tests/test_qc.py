@@ -143,10 +143,65 @@ class TestAlist:
         first = path.read_text().splitlines()[0].split()
         assert first == [str(H.cols), str(H.rows)]
 
+    def test_unpadded_irregular_lines(self, tmp_path):
+        from fsscode.setsystem import BinaryMatrix
+
+        path = tmp_path / "h.alist"
+        path.write_text("3 2\n2 3\n1 2 1\n3 1\n1\n1 2\n1\n1 2 3\n2\n")
+        assert read_alist(path) == BinaryMatrix(
+            2, 3, [(0, 0), (0, 1), (1, 1), (0, 2)])
+
+    def test_rejects_truncated_reference_code(self, tmp_path):
+        from fsscode import load_paper_tables
+
+        row = next(r for r in load_paper_tables()["girth_codes"]
+                   if r["name"] == "fss-3-10-m36")
+        fss = validate_fss(3, [[1, 2, 3]] * 10)
+        H = expand(assemble(fss, shift_sequence_from_list(fss, 36, row["shifts"])))
+        path = tmp_path / "h.alist"
+        write_alist(H, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:200]) + "\n")
+        with pytest.raises(ValueError, match="ends early"):
+            read_alist(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("3 2\n", "ends early"),
+        ("3 2 1\n2 3\n", "header"),
+        ("3 2\n2 2\n2 2 2\n3 3\n", "maximum degrees"),
+        ("3 2\n2 3\n2 2\n3 3\n", "degree lists"),
+        ("3 2\n2 3\n2 2 2\n3 3\n1 2\n1 2\n1 2\n1 2 3\n1 2 x\n",
+         "non-integer"),
+        ("3 2\n2 3\n2 2 2\n3 3\n1 2\n1 1\n1 2\n1 2 3\n1 2 3\n",
+         "distinct"),
+        ("3 2\n2 3\n2 2 2\n3 3\n1 2\n1 3\n1 2\n1 2 3\n1 2 3\n",
+         "in 1..2"),
+        ("3 2\n2 3\n2 2 2\n3 3\n1 2\n1 2\n1 2\n1 2 3\n1 2 4\n",
+         "in 1..3"),
+        ("3 2\n2 2\n2 1 1\n2 2\n1 2\n1 0\n2 0\n1 2\n2 3\n",
+         "different edges"),
+        ("3 2\n2 2\n2 1 1\n2 2\n1 2\n1 0\n2 0\n1 2\n1 3\n1 2\n",
+         "after the row section"),
+    ])
+    def test_rejects_inconsistent_files(self, tmp_path, text, match):
+        path = tmp_path / "h.alist"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            read_alist(path)
+
     def test_irregular_padding(self, tmp_path):
         from fsscode.setsystem import BinaryMatrix
 
         H = BinaryMatrix(2, 3, [(0, 0), (0, 1), (1, 1), (0, 2)])
+        path = tmp_path / "h.alist"
+        write_alist(H, path)
+        assert read_alist(path) == H
+
+    @pytest.mark.parametrize("shape", [(2, 3), (0, 3), (0, 0)])
+    def test_roundtrip_empty(self, tmp_path, shape):
+        from fsscode.setsystem import BinaryMatrix
+
+        H = BinaryMatrix(*shape, [])
         path = tmp_path / "h.alist"
         write_alist(H, path)
         assert read_alist(path) == H

@@ -87,6 +87,22 @@ class TestSearchShifts:
         assert res.ok
         assert res.verified_girth is None or res.verified_girth >= 6
 
+    def test_verifies_through_circulant_oracle(self, monkeypatch):
+        import fsscode.shiftsearch as ss
+
+        calls = []
+
+        def recording(H, cap, circulant=1):
+            calls.append(circulant)
+            return tanner_girth(H, cap, circulant=circulant)
+
+        monkeypatch.setattr(ss, "tanner_girth", recording)
+        fss = validate_fss(3, [[1, 2, 3]] * 4)
+        res = search_shifts(fss, 9, 8)
+        assert res.ok and calls == [9]
+        H = expand(assemble(fss, res.shifts))
+        assert res.verified_girth == tanner_girth(H, cap=8).girth
+
     def test_first_of_block_pinned(self):
         fss = validate_fss(2, [[1, 2], [1, 2], [1, 2]])
         res = search_shifts(fss, 5, 8)
