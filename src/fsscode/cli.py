@@ -135,6 +135,8 @@ def cmd_shifts(args):
                       order=args.order, budget=args.budget, seed=args.seed),
         "status": res.status,
         "expansions": res.expansions,
+        "backtracks": res.backtracks,
+        "restarts": res.restarts,
     }
     if res.ok:
         doc.update(json.loads(shifts_to_json(fss, res.shifts)))

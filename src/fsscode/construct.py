@@ -181,9 +181,10 @@ def method2(
             else:
                 cands = [x for x in range(blocks[j][-1] + 1, v + 1)
                          if _accepts(blocks, j, x, max_len)]
+            cands.reverse()  # popped from the end: first candidate first
             stacks.append(cands)
         if stacks[e]:
-            beta = stacks[e].pop(0)
+            beta = stacks[e].pop()
             expansions += 1
             if expansions > policy.budget:
                 return ConstructionResult(status="unknown", expansions=expansions)

@@ -6,15 +6,19 @@ normalization).  Before the search starts, every closed-walk template of the
 mother structure short enough to threaten the target girth is enumerated
 once; each template reduces to a small integer linear form over the shift
 variables, so extending a prefix is a handful of modular evaluations rather
-than a graph search.  Any returned sequence is re-verified against the
-Tanner-girth oracle.
+than a graph search.  The residue tables of those evaluations (forms grouped
+by the gcd of their own coefficient with the modulus, with that coefficient
+inverted) are compiled once per modulus, so filtering the candidates of a
+node is one matrix-vector product and one numpy scatter per group.  Any
+returned sequence is re-verified against the Tanner-girth oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import gcd
+
+import numpy as np
 
 from .setsystem import SetSystem
 from .qc import ShiftSequence, assemble, expand
@@ -25,7 +29,6 @@ __all__ = [
     "SearchResult",
     "ShiftSearchState",
     "search_shifts",
-    "check_extension",
 ]
 
 
@@ -53,6 +56,8 @@ class SearchResult:
     shifts: ShiftSequence | None = None
     expansions: int = 0
     verified_girth: int | None = None
+    backtracks: int = 0
+    restarts: int = 0       # passes run after the first (random order only)
 
     @property
     def ok(self) -> bool:
@@ -84,6 +89,9 @@ def _enumerate_templates(fss: SetSystem, max_len: int, pos):
 
     buckets: dict[int, list[list[tuple[int, int]]]] = {}
     seen_forms: set = set()
+    # one shared (position, coefficient) tuple per distinct term: a girth-10
+    # search keeps tens of thousands of forms over a few hundred terms
+    terms: dict[tuple[int, int], tuple[int, int]] = {}
 
     def emit(points, ks):
         coeffs: dict[int, int] = {}
@@ -98,6 +106,7 @@ def _enumerate_templates(fss: SetSystem, max_len: int, pos):
         if key in seen_forms:
             return
         seen_forms.add(key)
+        form = [terms.setdefault(t, t) for t in form]
         last = form[-1][0] if form else max(pos[(points[j], ks[j])] for j in range(L))
         buckets.setdefault(last, []).append(form)
 
@@ -126,6 +135,9 @@ def _enumerate_templates(fss: SetSystem, max_len: int, pos):
                 if i2 == i1 or i2 < i1:
                     continue
                 dfs([i1, i2], [k1], i1, k1)
+    # the recursive closure ``dfs`` is a reference cycle that keeps this
+    # frame's cells alive until a GC pass; drop the keys now
+    seen_forms.clear()
     return buckets
 
 
@@ -153,65 +165,68 @@ class ShiftSearchState:
         return state
 
     def _compile(self):
-        """Split each bucket into numpy arrays for batch evaluation: one
-        coefficient matrix over the earlier positions plus the coefficient
-        of the bucket's own position."""
-        import numpy as np
+        """Residue tables of every bucket for this state's modulus.
 
+        The form ``base + own * s``, with ``base = C @ prefix``, vanishes
+        mod m exactly when ``own * s == -base``.  With
+        ``d = gcd(own mod m, m)`` that has d solutions ``s0 + k * m/d`` if d
+        divides ``base`` and none otherwise, where
+        ``s0 = -inv * (base/d) mod m/d`` and ``inv = (own/d)^-1 mod m/d``.
+        The rows of ``C`` are reordered so that the forms with
+        ``own == 0 mod m`` (the dead ones, which forbid everything once
+        balanced) come first, followed by one contiguous group per d, each
+        with its ``-inv`` array.  ``C`` is float64 so that the product runs
+        through BLAS; for m below 2**28 every sum and product here is exact
+        in float64 and int64.
+        """
+        m = self.m
         self._compiled = {}
         for e, forms in self.buckets.items():
-            C = np.zeros((len(forms), e), dtype=np.int64)
-            own = np.zeros(len(forms), dtype=np.int64)
-            for r, form in enumerate(forms):
-                for p, c in form:
-                    if p == e:
-                        own[r] = c
-                    else:
+            own = np.array([dict(form).get(e, 0) for form in forms],
+                           dtype=np.int64) % m
+            d = np.where(own == 0, 0, np.gcd(own, m))
+            rows = np.argsort(d, kind="stable")
+            own, d = own[rows], d[rows]
+            C = np.zeros((len(forms), e))
+            for r, f in enumerate(rows.tolist()):
+                for p, c in forms[f]:
+                    if p != e:
                         C[r, p] = c
-            self._compiled[e] = (C, own)
+            n_dead = int(np.count_nonzero(d == 0))
+            groups = []
+            for g in sorted(set(d[n_dead:].tolist())):
+                lo, hi = np.searchsorted(d, [g, g + 1]).tolist()
+                md = m // g
+                units = (own[lo:hi] // g).tolist()
+                neg_inv = {c: -pow(c, -1, md) for c in set(units)}
+                groups.append((g, lo, hi,
+                               np.array([neg_inv[c] for c in units], dtype=np.int64)))
+            self._compiled[e] = (C, n_dead, groups)
 
     def allowed_values(self, e):
-        """Candidate shifts for position ``e`` given the current prefix."""
-        import numpy as np
-
-        if e not in self.buckets:
+        """Candidate shifts for position ``e`` given the current prefix,
+        ascending."""
+        tables = self._compiled.get(e)
+        if tables is None:
             return list(range(self.m))
         m = self.m
-        C, own = self._compiled[e]
-        base = (C @ np.asarray(self.prefix[:e], dtype=np.int64)) % m
-        ok = np.ones(m, dtype=bool)
-        # forms whose own coefficient vanishes mod m constrain nothing
-        # unless their base is already zero, which kills every value
-        dead = own % m == 0
-        if np.any(base[dead] == 0):
+        C, n_dead, groups = tables
+        base = (C @ np.asarray(self.prefix[:e], dtype=np.float64)).astype(np.int64)
+        # a dead form constrains nothing unless its base is already zero,
+        # which kills every value
+        if not (base[:n_dead] % m).all():
             return []
-        for r in np.nonzero(~dead)[0]:
-            c = int(own[r]) % m
-            d = gcd(c, m)
-            rhs = int(-base[r]) % m
-            if rhs % d:
+        ok = np.ones(m, dtype=bool)
+        for d, lo, hi, neg_inv in groups:
+            b = base[lo:hi]
+            if d == 1:
+                ok[neg_inv * b % m] = False
                 continue
+            hit = b % d == 0
             md = m // d
-            s0 = (pow(c // d, -1, md) * ((rhs // d) % md)) % md
-            ok[s0::md] = False
-        return [int(s) for s in np.nonzero(ok)[0]]
-
-
-def check_extension(state: ShiftSearchState, s: int) -> bool:
-    """True iff assigning ``s`` to the next incidence closes no cycle
-    shorter than the target among fully-determined walk templates."""
-    e = len(state.prefix)
-    state.prefix.append(s)
-    try:
-        for form in state.buckets.get(e, ()):
-            total = sum(c * state.prefix[p] for p, c in form)
-            if total % state.m == 0:
-                return False
-            if not form:
-                return False
-        return True
-    finally:
-        state.prefix.pop()
+            s0 = neg_inv[hit] * (b[hit] // d) % md
+            ok[(s0[:, None] + np.arange(0, m, md)).ravel()] = False
+        return np.flatnonzero(ok).tolist()
 
 
 def _run(state: ShiftSearchState, pinned, rng, budget) -> str:
@@ -231,11 +246,12 @@ def _run(state: ShiftSearchState, pinned, rng, budget) -> str:
                 cands = [0] if 0 in cands else []
             elif rng is not None:
                 rng.shuffle(cands)
+            cands.reverse()  # popped from the end: first candidate first
             stacks.append(cands)
         if stacks[e]:
             if spent >= budget:
                 return "budget"
-            s = stacks[e].pop(0)
+            s = stacks[e].pop()
             state.expansions += 1
             spent += 1
             state.prefix.append(s)
@@ -273,6 +289,7 @@ def search_shifts(
             seen_blocks.add(j)
             pinned.add(e)
 
+    restarts = 0
     if policy.order == "ascending":
         status = _run(state, pinned, None, policy.budget)
     else:
@@ -280,20 +297,22 @@ def search_shifts(
         # chronological backtracking; seeds advance deterministically
         status = "unknown"
         tranche = 2_000
-        restart = 0
+        restarts = -1
         while state.expansions < policy.budget:
-            rng = random.Random(policy.seed * 1_000_003 + restart)
+            restarts += 1
+            rng = random.Random(policy.seed * 1_000_003 + restarts)
             left = policy.budget - state.expansions
             status = _run(state, pinned, rng, min(tranche, left))
             if status in ("ok", "infeasible"):
                 break
-            restart += 1
-            if restart % 3 == 0:
+            if (restarts + 1) % 3 == 0:
                 tranche *= 2
+    counts = dict(expansions=state.expansions, backtracks=state.backtracks,
+                  restarts=restarts)
     if status == "infeasible":
-        return SearchResult(status="infeasible", expansions=state.expansions)
+        return SearchResult(status="infeasible", **counts)
     if status != "ok":
-        return SearchResult(status="unknown", expansions=state.expansions)
+        return SearchResult(status="unknown", **counts)
 
     shifts = ShiftSequence(
         m=m, entries={inc: state.prefix[i] for i, inc in enumerate(state.order)}
@@ -308,9 +327,5 @@ def search_shifts(
             raise RuntimeError(
                 f"internal check failed: oracle girth {verified} < {target_girth}"
             )
-    return SearchResult(
-        status="ok",
-        shifts=shifts,
-        expansions=state.expansions,
-        verified_girth=verified,
-    )
+    return SearchResult(status="ok", shifts=shifts, verified_girth=verified,
+                        **counts)

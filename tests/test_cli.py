@@ -108,6 +108,21 @@ class TestShiftPipeline:
         assert code == EXIT_OK
         assert json.loads(out)["girth"] >= 8
 
+    def test_shifts_reports_search_counts(self, capsys, fss_file):
+        from fsscode.shiftsearch import SearchPolicy, search_shifts
+
+        argv = ["shifts", "--fss", fss_file, "--m", "2", "--girth", "8",
+                "--order", "random", "--seed", "3"]
+        code, out, _ = _run(capsys, argv)
+        assert code == EXIT_INFEASIBLE
+        doc = json.loads(out)
+        res = search_shifts(validate_fss(2, [[1, 2]] * 3), 2, 8,
+                            policy=SearchPolicy(order="random", seed=3))
+        assert (doc["expansions"], doc["backtracks"], doc["restarts"]) == (
+            res.expansions, res.backtracks, res.restarts)
+        assert doc["backtracks"] > 0
+        assert _run(capsys, argv)[1] == out
+
     def test_shifts_infeasible(self, capsys, fss_file):
         code, _, _ = _run(capsys, [
             "shifts", "--fss", fss_file, "--m", "2", "--girth", "8",

@@ -1,16 +1,19 @@
+import hashlib
+import random
 from itertools import product
+from math import gcd
 
 import pytest
 
 from fsscode.girth import tanner_girth
-from fsscode.qc import assemble, expand, shift_sequence_from_list
-from fsscode.setsystem import validate_fss
-from fsscode.shiftsearch import (
-    SearchPolicy,
-    ShiftSearchState,
-    check_extension,
-    search_shifts,
+from fsscode.qc import (
+    assemble,
+    expand,
+    shift_sequence_from_list,
+    shifts_to_json,
 )
+from fsscode.setsystem import validate_fss
+from fsscode.shiftsearch import SearchPolicy, ShiftSearchState, search_shifts
 
 
 def _exhaustive_feasible(fss, m, target):
@@ -34,24 +37,29 @@ class TestPolicy:
             SearchPolicy(budget=0)
 
 
+def _accepts(state, s):
+    """Whether ``s`` may extend the current prefix by one position."""
+    return s in state.allowed_values(len(state.prefix))
+
+
 class TestCheckExtension:
+    """Extending a prefix by one shift, as ``allowed_values`` decides it."""
+
     def test_empty_prefix_accepts(self):
         fss = validate_fss(2, [[1, 2], [1, 2]])
         state = ShiftSearchState.create(fss, 4, 6)
-        assert check_extension(state, 0)
+        assert _accepts(state, 0)
 
     def test_detects_forced_four_cycle(self):
         fss = validate_fss(2, [[1, 2], [1, 2]])
         state = ShiftSearchState.create(fss, 4, 6)
         state.prefix.extend([0, 1, 0])  # s[2,1]=1, first shifts 0
-        assert not check_extension(state, 1)  # equal diffs -> 4-cycle
-        assert check_extension(state, 2)
+        assert not _accepts(state, 1)  # equal diffs -> 4-cycle
+        assert _accepts(state, 2)
 
     def test_matches_oracle_on_random_states(self):
-        # at block boundaries, a prefix passing every check_extension step
-        # is clean iff the expansion of the assigned blocks has girth >= target
-        import random
-
+        # at block boundaries, a prefix passing every extension check is
+        # clean iff the expansion of the assigned blocks has girth >= target
         rng = random.Random(5)
         fss = validate_fss(3, [[1, 2], [2, 3], [1, 3], [1, 2, 3]])
         target, m = 6, 4
@@ -68,7 +76,7 @@ class TestCheckExtension:
             state.prefix.clear()
             accepted = True
             for s in vals:
-                if not check_extension(state, s):
+                if not _accepts(state, s):
                     accepted = False
                     break
                 state.prefix.append(s)
@@ -78,6 +86,117 @@ class TestCheckExtension:
             clean = rep.girth is None or rep.girth >= target
             assert accepted == clean, (vals, nb, rep.girth)
         state.prefix.clear()
+
+
+def _reference_allowed(forms, prefix, m):
+    """Scalar filter: ``s`` is allowed iff no form of the bucket sums to
+    zero mod m once ``s`` is appended to the prefix."""
+    allowed = []
+    for s in range(m):
+        vals = prefix + [s]
+        if all(sum(c * vals[p] for p, c in form) % m for form in forms):
+            allowed.append(s)
+    return allowed
+
+
+def _random_system(rng):
+    v = rng.randint(2, 5)
+    blocks = []
+    for _ in range(rng.randint(2, 5)):
+        if blocks and rng.random() < 0.3:
+            blocks.append(list(rng.choice(blocks)))  # a repeated block
+        else:
+            blocks.append(sorted(rng.sample(range(1, v + 1), rng.randint(2, v))))
+    return validate_fss(v, blocks)
+
+
+class TestAllowedValuesDifferential:
+    MODULI = (1, 2, 4, 6, 9, 12, 16, 30)
+
+    def test_matches_scalar_reference(self):
+        rng = random.Random(2024)
+        prefixes = nonunit_hits = repeated = 0
+        while prefixes < 2_000:
+            fss = _random_system(rng)
+            repeated += len(set(fss.blocks)) < len(fss.blocks)
+            target = rng.choice((6, 8, 10))
+            m = rng.choice(self.MODULI)
+            state = ShiftSearchState.create(fss, m, target)
+            positions = sorted(state.buckets)
+            for _ in range(12):
+                if not positions:
+                    break
+                e = rng.choice(positions)
+                prefix = [rng.randrange(m) for _ in range(e)]
+                state.prefix[:] = prefix
+                forms = state.buckets[e]
+                want = _reference_allowed(forms, prefix, m)
+                assert state.allowed_values(e) == want, (fss.blocks, m, e, prefix)
+                prefixes += 1
+                # forms whose own coefficient c has 1 < gcd(c, m) < m and
+                # that forbid some value: the d > 1 tables at work
+                for form in forms:
+                    c = dict(form).get(e, 0) % m
+                    if 1 < gcd(c, m) < m and any(
+                        sum(cf * (prefix + [s])[p] for p, cf in form) % m == 0
+                        for s in range(m)
+                    ):
+                        nonunit_hits += 1
+            state.prefix.clear()
+        assert nonunit_hits > 0
+        assert repeated > 0
+
+    def test_modulus_one_allows_nothing_in_a_bucket(self):
+        fss = validate_fss(3, [[1, 2, 3], [1, 2, 3], [1, 3]])
+        state = ShiftSearchState.create(fss, 1, 8)
+        state.prefix[:] = [0] * len(state.order)
+        for e in range(len(state.order)):
+            want = [] if e in state.buckets else [0]
+            assert state.allowed_values(e) == want
+
+    def test_balanced_form_allows_nothing(self):
+        # three blocks on the same two points close a walk whose form is
+        # identically zero, so its bucket must reject every shift
+        fss = validate_fss(2, [[1, 2], [1, 2], [1, 2]])
+        state = ShiftSearchState.create(fss, 7, 14)
+        balanced = [e for e, forms in state.buckets.items() if [] in forms]
+        assert balanced
+        rng = random.Random(1)
+        for e in balanced:
+            for _ in range(20):
+                state.prefix[:] = [rng.randrange(7) for _ in range(e)]
+                assert state.allowed_values(e) == []
+                assert _reference_allowed(state.buckets[e], state.prefix, 7) == []
+        state.prefix.clear()
+
+
+TEN_TRIPLES = validate_fss(3, [[1, 2, 3]] * 10)
+
+
+class TestTrajectoryPinned:
+    """Search results on ten parallel triples, pinned to the bytes of
+    ``shifts_to_json`` and the counts the scalar filter produced: equal
+    candidate sets in equal order give an equal search."""
+
+    @pytest.mark.parametrize("m, target, policy, counts, free, digest", [
+        (40, 8, None, (1526, 1496, 0),
+         [0, 0, 1, 2, 3, 6, 4, 8, 9, 18, 10, 20, 22, 17, 27, 15, 34, 21, 35, 24],
+         "24e601b76c9faf9dbde0158c08ab490b255ba89136dad0cfb850b0f3a3a9bc25"),
+        (40, 8, SearchPolicy(order="random", seed=5, budget=5000), (4062, 3981, 2),
+         [15, 28, 27, 10, 18, 27, 22, 39, 36, 16, 6, 33, 17, 25, 21, 6, 34, 20, 28, 18],
+         "6a19c84bd92e6ab786ea40e7b73d74a6761b5cd99b94bbab317458e535918359"),
+        (477, 10, None, (1365, 1335, 0),
+         [0, 0, 1, 3, 5, 13, 12, 29, 32, 68, 50, 109, 72, 155, 102, 284, 226,
+          373, 346, 270],
+         "b2db728eea4f1132d710f45a8f120c8e8cb4190e944fe6d5a8c71ac6176072d2"),
+    ], ids=["m40-ascending", "m40-random-seed5", "m477-girth10"])
+    def test_pinned(self, m, target, policy, counts, free, digest):
+        res = search_shifts(TEN_TRIPLES, m, target, policy=policy)
+        assert res.ok
+        assert (res.expansions, res.backtracks, res.restarts) == counts
+        assert res.shifts == shift_sequence_from_list(TEN_TRIPLES, m, free)
+        text = shifts_to_json(TEN_TRIPLES, res.shifts)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestSearchShifts:
@@ -127,6 +246,21 @@ class TestSearchShifts:
         fss = validate_fss(3, [[1, 2, 3]] * 10)
         res = search_shifts(fss, 36, 8, policy=SearchPolicy(budget=100))
         assert res.status == "unknown"
+
+    def test_counts_restarts_of_random_order(self):
+        # tranches of 2000, 2000, 2000, 4000: the budget ends in the fourth
+        policy = SearchPolicy(order="random", seed=0, budget=7000)
+        res = search_shifts(TEN_TRIPLES, 36, 8, policy=policy)
+        assert res.status == "unknown" and res.expansions == 7000
+        assert res.restarts == 3
+        assert 0 < res.backtracks < res.expansions
+        assert search_shifts(TEN_TRIPLES, 36, 8, policy=policy) == res
+
+    def test_infeasible_counts_backtracks(self):
+        fss = validate_fss(2, [[1, 2], [1, 2]])
+        res = search_shifts(fss, 2, 10)
+        assert res.status == "infeasible" and res.restarts == 0
+        assert res.backtracks == res.expansions  # every node is undone
 
     def test_ascending_deterministic(self):
         fss = validate_fss(3, [[1, 2], [2, 3], [1, 3], [1, 2, 3]])
