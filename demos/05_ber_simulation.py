@@ -8,23 +8,18 @@ minutes of runtime.
 
 from fsscode import (
     StopRule,
-    assemble,
     ber_sweep,
     exact_rate,
     expand,
     load_paper_tables,
-    shift_sequence_from_list,
-    validate_fss,
+    reference_code,
 )
 
 rows = {r["name"]: r for r in load_paper_tables()["girth_codes"]}
 
 
 def build(name):
-    row = rows[name]
-    fss = validate_fss(row["v"], [list(range(1, row["v"] + 1))] * row["b"])
-    S = shift_sequence_from_list(fss, row["m"], row["shifts"])
-    return expand(assemble(fss, S)), row
+    return expand(reference_code(name)), rows[name]
 
 
 H6, row6 = build("fss-3-12-m13")   # girth 6, n = 156

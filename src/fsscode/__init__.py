@@ -73,3 +73,17 @@ def load_paper_tables():
 
     with resources.files(__package__).joinpath("data/paper_tables.json").open() as fh:
         return json.load(fh)
+
+
+def reference_code(name: str) -> QCProtoMatrix:
+    """Proto-matrix of the bundled girth code ``name``: ``b`` copies of the
+    block ``{1..v}`` lifted by the published shifts of ``paper_tables.json``.
+    ``expand`` it for the parity-check matrix; raises ``ValueError`` for a
+    name the table does not hold."""
+    row = next((r for r in load_paper_tables()["girth_codes"]
+                if r["name"] == name), None)
+    if row is None:
+        raise ValueError(f"unknown reference code {name!r}")
+    fss = SetSystem(v=row["v"], blocks=tuple(tuple(range(1, row["v"] + 1))
+                                             for _ in range(row["b"])))
+    return assemble(fss, shift_sequence_from_list(fss, row["m"], row["shifts"]))

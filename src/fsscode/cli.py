@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, load_paper_tables
+from . import __version__, load_paper_tables, reference_code
 from .setsystem import SetSystem, block_stats
 from .qc import (
     assemble,
@@ -193,11 +193,7 @@ def cmd_verify_table(args):
             raise ValueError(f"unknown table row {args.row!r}")
     failures = 0
     for row in rows:
-        fss = SetSystem(v=row["v"],
-                        blocks=tuple(tuple(range(1, row["v"] + 1))
-                                     for _ in range(row["b"])))
-        S = shift_sequence_from_list(fss, row["m"], row["shifts"])
-        H = expand(assemble(fss, S))
+        H = expand(reference_code(row["name"]))
         report = tanner_girth(H, cap=row["girth"] + 2, circulant=row["m"])
         ok = report.girth == row["girth"] and H.cols == row["n"]
         status = "PASS" if ok else "FAIL"

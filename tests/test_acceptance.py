@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from fsscode import load_paper_tables
+from fsscode import load_paper_tables, reference_code
 from fsscode.construct import WeightProfile, method1_lift, method2
 from fsscode.girth import (
     bsg_shortest_closed_walk,
@@ -37,10 +37,6 @@ def _report(capsys, num, ok, text):
         print(f"\n[acceptance] criterion {num:02d} "
               f"{'PASS' if ok else 'FAIL'}: {text}")
     assert ok, f"criterion {num} failed: {text}"
-
-
-def _uniform_system(v, b):
-    return validate_fss(v, [list(range(1, v + 1))] * b)
 
 
 def _random_system(rng, vmax, bmax):
@@ -74,9 +70,7 @@ def test_criterion_02_reference_girths(capsys):
     # small enough for the every-check BFS must agree with it as well
     failures = []
     for row in TABLES["girth_codes"]:
-        fss = _uniform_system(row["v"], row["b"])
-        S = shift_sequence_from_list(fss, row["m"], row["shifts"])
-        H = expand(assemble(fss, S))
+        H = expand(reference_code(row["name"]))
         cap = row["girth"] + 2
         rep = tanner_girth(H, cap=cap, circulant=row["m"])
         if rep.girth != row["girth"] or H.cols != row["n"]:
@@ -205,16 +199,8 @@ def test_criterion_08_search_completeness_toy_scale(capsys):
 
 
 def test_criterion_09_simulation_properties(capsys):
-    rows = {r["name"]: r for r in TABLES["girth_codes"]}
-
-    def build(name):
-        row = rows[name]
-        fss = _uniform_system(row["v"], row["b"])
-        S = shift_sequence_from_list(fss, row["m"], row["shifts"])
-        return expand(assemble(fss, S))
-
-    H8 = build("fss-3-10-m36")
-    H12 = build("fss-3-10-m2570")
+    H8 = expand(reference_code("fss-3-10-m36"))
+    H12 = expand(reference_code("fss-3-10-m2570"))
 
     # (a) converged decodes satisfy the parity checks
     dense8 = H8.to_dense()

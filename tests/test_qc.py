@@ -152,12 +152,9 @@ class TestAlist:
             2, 3, [(0, 0), (0, 1), (1, 1), (0, 2)])
 
     def test_rejects_truncated_reference_code(self, tmp_path):
-        from fsscode import load_paper_tables
+        from fsscode import reference_code
 
-        row = next(r for r in load_paper_tables()["girth_codes"]
-                   if r["name"] == "fss-3-10-m36")
-        fss = validate_fss(3, [[1, 2, 3]] * 10)
-        H = expand(assemble(fss, shift_sequence_from_list(fss, 36, row["shifts"])))
+        H = expand(reference_code("fss-3-10-m36"))
         path = tmp_path / "h.alist"
         write_alist(H, path)
         lines = path.read_text().splitlines()
@@ -205,3 +202,20 @@ class TestAlist:
         path = tmp_path / "h.alist"
         write_alist(H, path)
         assert read_alist(path) == H
+
+
+class TestReferenceCode:
+    def test_every_row_matches_a_direct_build(self):
+        from fsscode import load_paper_tables, reference_code
+
+        for row in load_paper_tables()["girth_codes"]:
+            fss = validate_fss(row["v"], [list(range(1, row["v"] + 1))] * row["b"])
+            S = shift_sequence_from_list(fss, row["m"], row["shifts"])
+            assert reference_code(row["name"]) == assemble(fss, S)
+
+    def test_unknown_name(self):
+        from fsscode import reference_code
+
+        with pytest.raises(ValueError, match="unknown reference code"):
+            reference_code("nope")
+

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from fsscode.qc import assemble, expand, shift_sequence_from_list
-from fsscode.setsystem import validate_fss
+from fsscode import reference_code
+from fsscode.cli import main
+from fsscode.qc import assemble, expand, read_alist, shift_sequence_from_list
+from fsscode.setsystem import BinaryMatrix, validate_fss
 from fsscode.sim import (
     BerRecord,
     ChannelConfig,
@@ -16,12 +18,64 @@ from fsscode.sim import (
 TABLE_312_M13 = [0, 0, 1, 2, 2, 1, 3, 5, 4, 8, 5, 10, 7, 3, 8, 11, 6, 12, 9, 4,
                  10, 7, 11, 9]
 
+# 6 x 9, column degree 2, row degree 3, girth 8
+ALIST_6X9 = ("9 6\n2 3\n" + " ".join(["2"] * 9) + "\n" + " ".join(["3"] * 6)
+             + "\n1 4\n2 5\n3 6\n1 6\n2 4\n3 5\n1 5\n2 6\n3 4\n"
+             "1 4 7\n2 5 8\n3 6 9\n1 5 9\n2 6 7\n3 4 8\n")
+
 
 @pytest.fixture(scope="module")
 def code_312():
     fss = validate_fss(3, [[1, 2, 3]] * 12)
     S = shift_sequence_from_list(fss, 13, TABLE_312_M13)
     return expand(assemble(fss, S))
+
+
+@pytest.fixture(scope="module")
+def code_360():
+    return expand(reference_code("fss-3-10-m36"))
+
+
+class _EdgeListWorkspace:
+    """The row-major edge list the decoder used before its slot-major
+    layout; kept here, with ``_edge_list_decode``, as the reference."""
+
+    def __init__(self, H):
+        edges = [(r, c) for r, sup in enumerate(H.row_support) for c in sup]
+        self.rows = np.array([r for r, _ in edges], dtype=np.int64)
+        self.cols = np.array([c for _, c in edges], dtype=np.int64)
+        deg = np.array([len(s) for s in H.row_support], dtype=np.int64)
+        self.row_start = np.concatenate(([0], np.cumsum(deg)[:-1]))
+        self.nonempty = deg > 0
+        self.n = H.cols
+        self.m = H.rows
+
+
+def _edge_list_syndrome_ok(ws, hard):
+    parity = np.zeros(ws.m, dtype=np.int64)
+    np.add.at(parity, ws.rows, hard[ws.cols])
+    return not np.any(parity & 1)
+
+
+def _edge_list_decode(ws, llr, max_iter):
+    hard = (llr < 0).astype(np.int64)
+    if _edge_list_syndrome_ok(ws, hard):
+        return hard, True, 0
+    v2c = llr[ws.cols].copy()
+    for it in range(1, max_iter + 1):
+        t = np.tanh(np.clip(v2c / 2.0, -30.0, 30.0))
+        t = np.clip(t, -0.999999999999, 0.999999999999)
+        t = np.where(np.abs(t) < 1e-300, 1e-300, t)
+        prod = np.ones(ws.m)
+        prod[ws.nonempty] = np.multiply.reduceat(t, ws.row_start)[ws.nonempty]
+        c2v = 2.0 * np.arctanh(np.clip(prod[ws.rows] / t, -0.999999999999,
+                                       0.999999999999))
+        total = llr + np.bincount(ws.cols, weights=c2v, minlength=ws.n)
+        hard = (total < 0).astype(np.int64)
+        if _edge_list_syndrome_ok(ws, hard):
+            return hard, True, it
+        v2c = total[ws.cols] - c2v
+    return hard, False, max_iter
 
 
 class TestChannel:
@@ -77,6 +131,118 @@ class TestSpaDecode:
         with pytest.raises(ValueError):
             spa_decode(code_312, np.zeros(code_312.cols + 1))
 
+    def test_negative_max_iter_rejected(self, code_312):
+        with pytest.raises(ValueError, match="max_iter"):
+            spa_decode(code_312, np.full(code_312.cols, 1.0), max_iter=-1)
+
+
+SPECIAL_LLRS = np.array([0.0, -0.0, 1e-310, -1e-310, 60.0, -60.0,
+                         np.inf, -np.inf])
+MAX_ITERS = (0, 1, 20, 50)
+
+
+def _lifted(v, blocks, m, seed):
+    fss = validate_fss(v, blocks)
+    rng = np.random.default_rng(seed)
+    shifts = rng.integers(m, size=len(fss.incidences)).tolist()
+    return expand(assemble(fss, shift_sequence_from_list(fss, m, shifts)))
+
+
+def _differential_code(name):
+    if name == "n360":
+        return expand(reference_code("fss-3-10-m36"))
+    if name == "irregular":
+        return _lifted(5, [[1, 2, 3], [2, 4], [1, 3, 4, 5], [2, 5], [1, 4],
+                           [3, 5], [1, 2, 4, 5]], 7, seed=1)
+    if name == "transposed":  # v > b, so expand returns the transpose
+        return _lifted(6, [[1, 2, 3, 4], [2, 3, 5, 6], [1, 4, 5, 6],
+                           [1, 2, 6]], 5, seed=2)
+    # row 2 and column 4 are empty
+    return BinaryMatrix(4, 6, [(0, 0), (0, 1), (0, 5), (1, 1), (1, 2),
+                               (1, 3), (3, 0), (3, 2), (3, 3), (3, 5)])
+
+
+def _llr_corpus(n, seed, frames):
+    """Seeded AWGN frames at 1.0-4.5 dB, special values alone and spliced
+    into AWGN frames, and one constant vector per special value."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i, snr in enumerate((1.0, 2.0, 3.0, 4.5)):
+        for f in range(frames):
+            out.append(transmit(n, ChannelConfig(snr, 0.5, seed=100 * i + f)))
+    for _ in range(6):
+        out.append(rng.choice(SPECIAL_LLRS, size=n))
+        llr = transmit(n, ChannelConfig(1.5, 0.5, seed=int(rng.integers(1e9))))
+        hit = rng.random(n) < 0.15
+        llr[hit] = rng.choice(SPECIAL_LLRS, size=int(hit.sum()))
+        out.append(llr)
+    out += [np.full(n, x) for x in SPECIAL_LLRS]
+    return out
+
+
+class TestSlotMajorDifferential:
+    """The slot-major decoder against the edge-list reference: equal bits,
+    ``converged`` and ``iterations`` on every frame of a fixed corpus."""
+
+    @pytest.mark.parametrize("name, frames", [
+        ("n360", 15), ("irregular", 25), ("transposed", 25),
+        ("empty-row-col", 25),
+    ])
+    def test_matches_edge_list_reference(self, name, frames):
+        from fsscode.sim import _SpaWorkspace
+
+        H = _differential_code(name)
+        ref, ws = _EdgeListWorkspace(H), _SpaWorkspace(H)
+        outcomes, mismatches = set(), []
+        for k, llr in enumerate(_llr_corpus(H.cols, 7, frames)):
+            for max_iter in MAX_ITERS:
+                want = _edge_list_decode(ref, llr, max_iter)
+                # alternate a shared workspace and a fresh one per decode
+                got = spa_decode(H, llr, max_iter=max_iter,
+                                 workspace=ws if k % 2 else None)
+                if not (got.bits.dtype == want[0].dtype
+                        and np.array_equal(got.bits, want[0])
+                        and (got.converged, got.iterations) == want[1:]):
+                    mismatches.append((k, max_iter))
+                outcomes.add((want[1], want[2] > 1))
+        assert mismatches == []
+        # the corpus reaches early exits, later convergence and failures
+        assert {(True, False), (True, True), (False, True)} <= outcomes
+
+    def test_corpus_shapes(self):
+        irregular = _differential_code("irregular")
+        assert len({len(s) for s in irregular.row_support}) > 1
+        assert len({len(s) for s in irregular.col_support}) > 1
+        transposed = _differential_code("transposed")
+        assert (transposed.rows, transposed.cols) == (20, 30)
+        empty = _differential_code("empty-row-col")
+        assert empty.row_support[2] == [] and empty.col_support[4] == []
+
+    @pytest.mark.parametrize("name", ["n360", "irregular", "transposed",
+                                      "empty-row-col"])
+    def test_layout_orders(self, name):
+        # slots follow each row's columns; each column lists its slots in
+        # ascending row order, the order bincount summed in
+        from fsscode.sim import _SpaWorkspace
+
+        H = _differential_code(name)
+        ws = _SpaWorkspace(H)
+        for r, sup in enumerate(H.row_support):
+            assert ws.slot_col[:len(sup), r].tolist() == sup
+            assert (ws.slot_col[len(sup):, r] == H.cols).all()
+        for c, sup in enumerate(H.col_support):
+            slots = ws.col_slot[:len(sup), c]
+            assert (slots % H.rows).tolist() == sup
+            assert (ws.slot_col.reshape(-1)[slots] == c).all()
+            assert (ws.col_slot[len(sup):, c] == ws.slot_col.size).all()
+
+    def test_no_edges(self):
+        H = BinaryMatrix(3, 4, [])
+        llr = np.array([1.0, -2.0, 0.0, -0.0])
+        res = spa_decode(H, llr)
+        assert res.converged and res.iterations == 0
+        assert res.bits.tolist() == [0, 1, 0, 0]
+
 
 class TestBerSweep:
     def test_empty_snr_list(self, code_312):
@@ -112,3 +278,97 @@ class TestBerSweep:
                         frame_errors=2)
         assert rec.ber == pytest.approx(0.015)
         assert rec.fer == pytest.approx(0.1)
+
+
+class TestSweepPinned:
+    """Sweep outcomes pinned to values taken before the slot-major decoder."""
+
+    def test_records_at_error_points(self, code_360):
+        recs = ber_sweep(code_360, [2.5, 3.5], rate=0.7,
+                         stop=StopRule(30, 3000), seed=7)
+        got = [(r.bits, r.bit_errors, r.frames, r.frame_errors) for r in recs]
+        assert got == [(67680, 535, 188, 30), (1080000, 216, 3000, 15)]
+        for r in recs:
+            assert sum(r.stats["iterations"]) == r.frames
+            assert len(r.stats["iterations"]) == 51
+
+    def test_simulate_csv_bytes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h.alist").write_text(ALIST_6X9)
+        code = main(["simulate", "--alist", "h.alist", "--snr", "0,2.5,5",
+                     "--rate", "0.34", "--seed", "3",
+                     "--min-frame-errors", "20", "--max-frames", "400",
+                     "--max-iter", "20", "-o", "ber.csv"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            '{"points": 3, "seed": 3, "output": "ber.csv"}\n')
+        assert (tmp_path / "ber.csv").read_bytes() == (
+            b"ebn0_db,bits,bit_errors,frames,frame_errors,ber,fer\r\n"
+            b"0.0,387,76,43,20,1.963824e-01,4.651163e-01\r\n"
+            b"2.5,1710,75,190,20,4.385965e-02,1.052632e-01\r\n"
+            b"5.0,3600,16,400,4,4.444444e-03,1.000000e-02\r\n")
+
+
+class TestSweepStats:
+    def test_counters_match_a_replay(self, tmp_path):
+        path = tmp_path / "h.alist"
+        path.write_text(ALIST_6X9)
+        H = read_alist(path)
+        rec, = ber_sweep(H, [0.0], rate=0.34, stop=StopRule(20, 400), seed=3,
+                         max_iter=20)
+        hist, undetected = [0] * 21, 0
+        cfg = ChannelConfig(0.0, 0.34, seed=3)
+        for f in range(rec.frames):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=3, spawn_key=(0, f)))
+            out = spa_decode(H, transmit(H.cols, cfg, rng=rng), max_iter=20)
+            hist[out.iterations] += 1
+            undetected += bool(out.converged and out.bits.any())
+        assert rec.stats == {"iterations": hist,
+                             "undetected_errors": undetected}
+        assert 0 < undetected <= rec.frame_errors
+
+    def test_stats_stay_out_of_equality_and_csv(self, tmp_path):
+        a = BerRecord(2.0, 100, 3, 10, 2, stats={"undetected_errors": 1})
+        b = BerRecord(2.0, 100, 3, 10, 2)
+        assert a == b
+        write_ber_csv([a], tmp_path / "a.csv")
+        write_ber_csv([b], tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestBoundaries:
+    @pytest.mark.parametrize("kwargs", [
+        {"min_frame_errors": 0}, {"min_frame_errors": -3}, {"max_frames": -1},
+    ])
+    def test_stop_rule_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            StopRule(**kwargs)
+
+    def test_stop_rule_zero_frames_allowed(self, code_312):
+        rec, = ber_sweep(code_312, [2.0], rate=0.75, stop=StopRule(1, 0))
+        assert (rec.frames, rec.bits) == (0, 0)
+
+    def test_sweep_rejects_negative_max_iter(self, code_312):
+        with pytest.raises(ValueError, match="max_iter"):
+            ber_sweep(code_312, [2.0], rate=0.75, max_iter=-1)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--min-frame-errors", "0"), ("--max-frames", "-1"),
+        ("--max-iter", "-1"),
+    ])
+    def test_simulate_exits_1_with_json_error(self, capsys, tmp_path, flag,
+                                              value):
+        import json
+
+        (tmp_path / "h.alist").write_text(ALIST_6X9)
+        out_csv = tmp_path / "ber.csv"
+        code = main(["simulate", "--alist", str(tmp_path / "h.alist"),
+                     "--snr", "2", "--rate", "0.34", flag, value,
+                     "-o", str(out_csv)])
+        out = capsys.readouterr()
+        assert code == 1
+        assert out.out == ""
+        assert json.loads(out.err)["error"] == "ValueError"
+        assert not out_csv.exists()
+
