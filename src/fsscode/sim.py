@@ -6,7 +6,7 @@ so serial and parallel schedules produce identical results.
 
 The decoder stores its messages slot-major: slot k of check row r carries
 the edge to the row's k-th column, so check-node messages form a
-``(max row degree, rows)`` array. The check-node product is one
+``(max row degree, rows)`` array per frame. The check-node product is one
 ``multiply.reduce`` down the slot axis (left to right, as a per-row
 reduction) and the leave-one-out ``prod / t`` is a broadcast. Columns read
 their messages through a ``(max column degree, columns)`` table of slot
@@ -16,13 +16,27 @@ gives both the syndrome (an xor down the slot axis) and the next
 variable-to-check messages. The ``1e-300`` guard and the ``prod / t``
 division are kept on purpose: with them every decode is bit-identical to
 the plain edge-list formulation of the same rule.
+
+Every message buffer has a leading frame axis, so one kernel decodes a
+batch of frames in lockstep and pays numpy's per-call overhead once per
+batch instead of once per frame. Frames still running occupy the leading
+rows; when some finish, their results are written out and the survivors
+are moved up, one copy per buffer, so a finished frame is never iterated
+again. ``spa_decode`` is that kernel on a batch of one. ``ber_sweep`` sizes
+its batches from an edge budget (``_EDGE_BUDGET // edges`` frames, at least
+one), so short codes decode many frames at once while long ones, whose
+per-call overhead is already small, decode one at a time; it counts frames
+in frame order and discards any decoded past its stopping frame.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
+from time import perf_counter
 
 import numpy as np
 
@@ -53,10 +67,16 @@ class ChannelConfig:
     def __post_init__(self):
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {self.rate}")
+        if not math.isfinite(self.ebn0_db):
+            raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
 
-    @property
+    @cached_property
     def noise_var(self) -> float:
         return 1.0 / (2.0 * self.rate * 10.0 ** (self.ebn0_db / 10.0))
+
+    @cached_property
+    def _sigma(self) -> float:
+        return np.sqrt(self.noise_var)
 
 
 @dataclass(frozen=True)
@@ -68,10 +88,11 @@ class DecodeResult:
 
 @dataclass(frozen=True)
 class BerRecord:
-    """Counts of one SNR point. ``stats`` holds counters that stay out of
-    equality and of the CSV: ``iterations``, a histogram of decoder
-    iterations indexed by iteration count, and ``undetected_errors``, the
-    frames that converged to a nonzero codeword."""
+    """Counts of one SNR point. ``stats`` holds counters and timings that
+    stay out of equality and of the CSV: ``iterations``, a histogram of
+    decoder iterations indexed by iteration count; ``undetected_errors``, the
+    frames that converged to a nonzero codeword; and ``noise_s`` and
+    ``decode_s``, the wall seconds spent making LLRs and decoding them."""
 
     ebn0_db: float
     bits: int
@@ -109,27 +130,29 @@ def transmit(n: int, cfg: ChannelConfig, rng=None) -> np.ndarray:
     """Channel LLRs for an all-zero codeword: 2y/sigma^2, y = 1 + noise."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    var = cfg.noise_var
-    y = 1.0 + rng.normal(0.0, np.sqrt(var), size=n)
-    return 2.0 * y / var
+    llr = rng.normal(0.0, cfg._sigma, size=n)
+    llr += 1.0  # in place: one array per frame, the same values
+    llr *= 2.0
+    llr /= cfg.noise_var
+    return llr
 
 
 class _SpaWorkspace:
-    """Slot-major view of H plus the decoder's message buffers.
+    """Slot-major view of H plus message buffers for up to ``frames`` frames.
 
     Slot k of row r holds the k-th column of that row, so check-node
-    messages are ``(max row degree, rows)`` arrays and the check-node update
-    runs down the slot axis without a gather. ``slot_col`` names each slot's
-    column; a padding slot names column n, whose total stays 0.0. Column c
-    reads its messages through ``col_slot[:, c]``, flat slot positions in
-    ascending row order (``bincount``'s order); a padding entry names a
-    trailing 0.0. ``pad`` lists the flat padding slots, or is None.
+    messages are ``(frames, max row degree, rows)`` arrays and the check-node
+    update runs down the slot axis without a gather. ``slot_col`` names each
+    slot's column; a padding slot names column n, whose total stays 0.0.
+    Column c reads its messages through ``col_slot[:, c]``, flat slot
+    positions in ascending row order (``bincount``'s order); a padding entry
+    names a trailing 0.0. ``pad`` lists the flat padding slots, or is None.
 
     The buffers are overwritten by every decode, so a workspace serves one
-    decode at a time.
+    decode call at a time.
     """
 
-    def __init__(self, H: BinaryMatrix):
+    def __init__(self, H: BinaryMatrix, frames: int = 1):
         m, n = H.rows, H.cols
         deg = np.fromiter(map(len, H.row_support), dtype=np.intp, count=m)
         nnz = int(deg.sum())
@@ -151,79 +174,115 @@ class _SpaWorkspace:
 
         self.pad = np.flatnonzero(self.slot_col == n) if nnz < dr * m else None
         self.n, self.m = n, m
-        self.total = np.zeros(n + 1)
-        self.v2c = np.empty((dr, m))
-        self.c2v_ext = np.zeros(dr * m + 1)
-        self.c2v = self.c2v_ext[:-1].reshape(dr, m)
-        self.gathered = np.empty(self.col_slot.shape)
-        self.prod = np.empty(m)
-        self.mask = np.empty((dr, m), dtype=bool)
+        self.llr = np.empty((frames, n))
+        self.total = np.zeros((frames, n + 1))
+        self.v2c = np.empty((frames, dr, m))
+        self.c2v_ext = np.zeros((frames, dr * m + 1))
+        self.c2v = self.c2v_ext[:, :-1].reshape(frames, dr, m)
+        self.gathered = np.empty((frames,) + self.col_slot.shape)
+        self.prod = np.empty((frames, 1, m))
+        self.mask = np.empty((frames, dr, m), dtype=bool)
+        self.bits = np.empty((frames, n), dtype=bool)
+        self.converged = np.empty(frames, dtype=bool)
+        self.iterations = np.empty(frames, dtype=np.intp)
 
 
 _LIM = 0.999999999999
 
-
-def _parity_ok(ws: _SpaWorkspace) -> bool:
-    """Zero syndrome of the hard decisions, read off the gathered totals."""
-    np.less(ws.v2c, 0.0, out=ws.mask)
-    return not np.logical_xor.reduce(ws.mask, axis=0).any()
-
-
-def _check_update(ws: _SpaWorkspace) -> None:
-    """v2c -> c2v by the tanh rule, leave-one-out as prod / t."""
-    t, c2v = ws.v2c, ws.c2v
-    np.multiply(t, 0.5, out=t)
-    np.tanh(t, out=t)
-    t.clip(-_LIM, _LIM, out=t)
-    np.abs(t, out=c2v)
-    np.less(c2v, 1e-300, out=ws.mask)
-    np.copyto(t, 1e-300, where=ws.mask)
-    if ws.pad is not None:
-        t.reshape(-1)[ws.pad] = 1.0
-    np.multiply.reduce(t, axis=0, out=ws.prod)
-    np.divide(ws.prod, t, out=c2v)
-    c2v.clip(-_LIM, _LIM, out=c2v)
-    np.arctanh(c2v, out=c2v)
-    np.multiply(c2v, 2.0, out=c2v)
+# ber_sweep decodes max(1, _EDGE_BUDGET // edges) frames per batch: 24 of
+# the n=360 reference code (1,080 edges), whose batch buffers take ~0.7 MB,
+# and one at a time for any code with more than 12,960 edges (n=25,700 has
+# 77,100), where numpy's per-call overhead is already small.
+_EDGE_BUDGET = 25_920
 
 
-def _variable_update(ws: _SpaWorkspace, llr: np.ndarray) -> None:
-    """c2v -> column totals llr + sum of c2v, summed in ascending row order
-    from 0.0 as ``bincount`` does; then gathers the totals back to slots."""
-    np.take(ws.c2v_ext, ws.col_slot, out=ws.gathered, mode="clip")
-    acc = ws.total[:-1]
-    acc.fill(0.0)
-    for row in ws.gathered:
-        np.add(acc, row, out=acc)
-    np.add(llr, acc, out=acc)
-    np.take(ws.total, ws.slot_col, out=ws.v2c, mode="clip")
+def _decode_frames(ws: _SpaWorkspace, count: int, max_iter: int) -> None:
+    """Decode the LLR rows ``ws.llr[:count]`` in lockstep, writing each
+    frame's hard decisions, convergence flag and iteration count to
+    ``ws.bits``, ``ws.converged`` and ``ws.iterations`` at its row.
+
+    Active frames occupy the leading rows of every buffer. When frames
+    finish (zero syndrome, or ``max_iter`` reached) their results are written
+    out and the survivors are moved up, one copy per buffer, so no finished
+    frame is iterated again. Every frame sees the same element-wise
+    arithmetic as a decode on its own.
+    """
+    ids = np.arange(count)
+    total = ws.total[:count]
+    total[:, :-1] = ws.llr[:count]
+    np.take(total, ws.slot_col, axis=1, out=ws.v2c[:count], mode="clip")
+    it = 0
+    while True:
+        # zero syndrome of the hard decisions, read off the gathered totals
+        mask = ws.mask[:count]
+        np.less(ws.v2c[:count], 0.0, out=mask)
+        bad = np.logical_xor.reduce(mask, axis=1).any(axis=1)
+        done = ~bad if it < max_iter else np.ones(count, dtype=bool)
+        if done.any():
+            fin = ids[done]
+            ws.bits[fin] = (ws.total[:count, :-1] < 0.0)[done]
+            ws.converged[fin] = ~bad[done]
+            ws.iterations[fin] = it
+            keep = np.flatnonzero(~done)
+            count = keep.size
+            if not count:
+                return
+            ids = ids[keep]
+            for buf in (ws.v2c, ws.c2v_ext, ws.llr):
+                buf[:count] = buf[keep]
+        v2c, c2v, mask = ws.v2c[:count], ws.c2v[:count], ws.mask[:count]
+        if it:
+            np.subtract(v2c, c2v, out=v2c)
+        it += 1
+
+        # check nodes: v2c -> c2v by the tanh rule, leave-one-out as prod / t
+        t = v2c
+        np.multiply(t, 0.5, out=t)
+        np.tanh(t, out=t)
+        t.clip(-_LIM, _LIM, out=t)
+        np.abs(t, out=c2v)
+        np.less(c2v, 1e-300, out=mask)
+        np.copyto(t, 1e-300, where=mask)
+        if ws.pad is not None:
+            t.reshape(count, -1)[:, ws.pad] = 1.0
+        prod = ws.prod[:count]
+        np.multiply.reduce(t, axis=1, out=prod, keepdims=True)
+        np.divide(prod, t, out=c2v)
+        c2v.clip(-_LIM, _LIM, out=c2v)
+        np.arctanh(c2v, out=c2v)
+        np.multiply(c2v, 2.0, out=c2v)
+
+        # variable nodes: totals llr + sum of c2v, summed in ascending row
+        # order from 0.0 as bincount does; then gather them back to slots
+        gathered = ws.gathered[:count]
+        np.take(ws.c2v_ext[:count], ws.col_slot, axis=1, out=gathered,
+                mode="clip")
+        total = ws.total[:count]
+        acc = total[:, :-1]
+        acc.fill(0.0)
+        for k in range(gathered.shape[1]):
+            np.add(acc, gathered[:, k], out=acc)
+        np.add(ws.llr[:count], acc, out=acc)
+        np.take(total, ws.slot_col, axis=1, out=v2c, mode="clip")
 
 
 def spa_decode(H: BinaryMatrix, llr, max_iter: int = 50,
                workspace: _SpaWorkspace | None = None) -> DecodeResult:
     """Log-domain sum-product (tanh rule) with a flooding schedule and early
-    exit on a zero syndrome."""
+    exit on a zero syndrome. LLRs may be infinite but not NaN."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     ws = workspace or _SpaWorkspace(H)
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (ws.n,):
         raise ValueError(f"LLR length {llr.shape} != column count {ws.n}")
-
-    ws.total[:-1] = llr
-    np.take(ws.total, ws.slot_col, out=ws.v2c, mode="clip")
-    it = 0
-    while not _parity_ok(ws):
-        if it == max_iter:
-            return DecodeResult(bits=(ws.total[:-1] < 0).astype(np.int64),
-                                converged=False, iterations=it)
-        if it:
-            np.subtract(ws.v2c, ws.c2v, out=ws.v2c)
-        it += 1
-        _check_update(ws)
-        _variable_update(ws, llr)
-    return DecodeResult(bits=(ws.total[:-1] < 0).astype(np.int64),
-                        converged=True, iterations=it)
+    if np.isnan(llr).any():
+        raise ValueError("LLR vector contains NaN")
+    ws.llr[0] = llr
+    _decode_frames(ws, 1, max_iter)
+    return DecodeResult(bits=ws.bits[0].astype(np.int64),
+                        converged=bool(ws.converged[0]),
+                        iterations=int(ws.iterations[0]))
 
 
 def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
@@ -232,33 +291,53 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     """Monte-Carlo BER/FER per SNR point, early-stopping on frame errors.
 
     Frame f of SNR point i draws its noise from
-    SeedSequence(seed, spawn_key=(i, f)), independent of scheduling.
+    SeedSequence(seed, spawn_key=(i, f)), independent of scheduling. Frames
+    are decoded in batches and counted in frame order, so the sweep stops at
+    exactly the frame that brings in the last frame error it needs.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     stop = stop or StopRule()
-    ws = _SpaWorkspace(H)
+    # columns bound the batch too: a workspace holds O(edges + columns)
+    # floats per frame, and H may have few or no edges
+    batch = max(1, _EDGE_BUDGET // max(H.nnz, H.cols, 1))
+    ws = _SpaWorkspace(H, frames=batch)
     records = []
     for snr_idx, ebn0 in enumerate(ebn0_list):
         cfg = ChannelConfig(ebn0_db=ebn0, rate=rate, seed=seed)
         bits = errors = frames = frame_errors = undetected = 0
-        iterations = [0] * (max_iter + 1)
+        iterations = np.zeros(max_iter + 1, dtype=np.int64)
+        noise_s = decode_s = 0.0
         while frame_errors < stop.min_frame_errors and frames < stop.max_frames:
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(snr_idx, frames))
-            llr = transmit(ws.n, cfg, rng=np.random.default_rng(ss))
-            out = spa_decode(H, llr, max_iter=max_iter, workspace=ws)
-            nerr = int(out.bits.sum())
-            bits += ws.n
-            errors += nerr
-            frames += 1
-            iterations[out.iterations] += 1
-            if nerr:
-                frame_errors += 1
-                undetected += out.converged
+            count = min(batch, stop.max_frames - frames)
+            t0 = perf_counter()
+            for f in range(count):
+                ss = np.random.SeedSequence(entropy=seed,
+                                            spawn_key=(snr_idx, frames + f))
+                ws.llr[f] = transmit(ws.n, cfg,
+                                     rng=np.random.Generator(np.random.PCG64(ss)))
+            t1 = perf_counter()
+            _decode_frames(ws, count, max_iter)
+            decode_s += perf_counter() - t1
+            noise_s += t1 - t0
+            nerr = ws.bits[:count].sum(axis=1)
+            # the frame errors still needed; the sweep ends at the last one
+            need = stop.min_frame_errors - frame_errors
+            failed = np.flatnonzero(nerr)[:need]
+            used = int(failed[-1]) + 1 if failed.size == need else count
+            bits += used * ws.n
+            errors += int(nerr[:used].sum())
+            frames += used
+            frame_errors += failed.size
+            undetected += int(ws.converged[failed].sum())
+            iterations += np.bincount(ws.iterations[:used],
+                                      minlength=max_iter + 1)
         records.append(BerRecord(
             ebn0_db=ebn0, bits=bits, bit_errors=errors, frames=frames,
             frame_errors=frame_errors,
-            stats={"iterations": iterations, "undetected_errors": undetected}))
+            stats={"iterations": iterations.tolist(),
+                   "undetected_errors": undetected,
+                   "noise_s": noise_s, "decode_s": decode_s}))
     return records
 
 

@@ -135,6 +135,13 @@ class TestSpaDecode:
         with pytest.raises(ValueError, match="max_iter"):
             spa_decode(code_312, np.full(code_312.cols, 1.0), max_iter=-1)
 
+    def test_nan_llr_rejected(self, code_312):
+        llr = np.full(code_312.cols, 1.0)
+        llr[5] = np.nan
+        for bad in (llr, np.full(code_312.cols, np.nan)):
+            with pytest.raises(ValueError, match="NaN"):
+                spa_decode(code_312, bad)
+
 
 SPECIAL_LLRS = np.array([0.0, -0.0, 1e-310, -1e-310, 60.0, -60.0,
                          np.inf, -np.inf])
@@ -244,6 +251,119 @@ class TestSlotMajorDifferential:
         assert res.bits.tolist() == [0, 1, 0, 0]
 
 
+def _batched(frames, sizes):
+    """Split ``frames`` into consecutive batches whose sizes cycle through
+    ``sizes``."""
+    out, i, k = [], 0, 0
+    while i < len(frames):
+        out.append(frames[i:i + sizes[k % len(sizes)]])
+        i += len(out[-1])
+        k += 1
+    return out
+
+
+class TestBatchDifferential:
+    """The frame-batched kernel against the edge-list reference: batches
+    that mix early exits, later convergence and ``max_iter`` failures give
+    every frame the outcome it has when decoded alone."""
+
+    @pytest.mark.parametrize("name, frames", [
+        ("n360", 15), ("irregular", 25), ("transposed", 25),
+        ("empty-row-col", 25),
+    ])
+    def test_batches_match_edge_list_reference(self, name, frames):
+        from fsscode.sim import _SpaWorkspace, _decode_frames
+
+        H = _differential_code(name)
+        corpus = _llr_corpus(H.cols, 7, frames)
+        # interleave the AWGN frames with the special-value ones
+        order = np.random.default_rng(3).permutation(len(corpus))
+        corpus = [corpus[i] for i in order]
+        ref, ws = _EdgeListWorkspace(H), _SpaWorkspace(H, frames=32)
+        mismatches, mixed = [], 0
+        for max_iter in MAX_ITERS:
+            want = [_edge_list_decode(ref, llr, max_iter) for llr in corpus]
+            pos = 0
+            for batch in _batched(corpus, (32, 1, 7, 13, 2)):
+                ws.llr[:len(batch)] = batch
+                _decode_frames(ws, len(batch), max_iter)
+                kinds = set()
+                for f in range(len(batch)):
+                    bits, conv, its = want[pos + f]
+                    got_bits = ws.bits[f].astype(np.int64)
+                    if not (np.array_equal(got_bits, bits)
+                            and (bool(ws.converged[f]), int(ws.iterations[f]))
+                            == (conv, its)):
+                        mismatches.append((max_iter, pos + f))
+                    kinds.add((conv, its > 0))
+                # converged at iteration 0, converged later, ran to max_iter
+                mixed += {(True, False), (True, True), (False, True)} <= kinds
+                pos += len(batch)
+        assert mismatches == []
+        assert mixed  # some batch held all three kinds of frame
+
+    def test_finished_frames_stay_finished(self):
+        # a frame that converges at iteration 0 next to frames that run to
+        # max_iter keeps its own result
+        from fsscode.sim import _SpaWorkspace, _decode_frames
+
+        H = _differential_code("n360")
+        noisy = [transmit(H.cols, ChannelConfig(-3.0, 0.5, seed=s))
+                 for s in (1, 2)]
+        ws = _SpaWorkspace(H, frames=3)
+        ws.llr[:3] = [noisy[0], np.full(H.cols, 5.0), noisy[1]]
+        _decode_frames(ws, 3, 4)
+        assert ws.converged.tolist() == [False, True, False]
+        assert ws.iterations.tolist() == [4, 0, 4]
+        assert not ws.bits[1].any()
+        ref = _EdgeListWorkspace(H)
+        for f in (0, 2):
+            assert np.array_equal(ws.bits[f],
+                                  _edge_list_decode(ref, noisy[f // 2], 4)[0])
+
+
+class TestBatchSize:
+    """``ber_sweep`` counts frames in frame order whatever the batch size,
+    so records and counters do not depend on it."""
+
+    @staticmethod
+    def _sweeps(H, batch, monkeypatch):
+        from fsscode import sim
+
+        if batch is not None:
+            monkeypatch.setattr(sim, "_EDGE_BUDGET", batch * max(H.nnz, H.cols))
+        out = []
+        for stop in (StopRule(23, 400), StopRule(9, 131)):
+            recs = ber_sweep(H, [1.0, 2.5, 4.0], rate=0.75, stop=stop,
+                             seed=11, max_iter=20)
+            for r in recs:
+                assert r.stats.pop("noise_s") >= 0.0
+                assert r.stats.pop("decode_s") >= 0.0
+            out.append(recs)
+        return out
+
+    def test_records_and_stats_equal_across_batch_sizes(self, code_312,
+                                                        monkeypatch):
+        from fsscode import sim
+
+        default = sim._EDGE_BUDGET // code_312.nnz
+        base = self._sweeps(code_312, 1, monkeypatch)
+        for batch in (2, 7, None, 64):
+            got = self._sweeps(code_312, batch, monkeypatch)
+            assert got == base
+            assert [[r.stats for r in recs] for recs in got] == \
+                [[r.stats for r in recs] for recs in base]
+        # the parameters stop some points at the k-th error and some at
+        # max_frames, in the middle of a batch for every size above 1
+        recs = [r for sweep in base for r in sweep]
+        by_errors = [r.frames for r in recs if r.frame_errors in (23, 9)]
+        by_cap = [r.frames for r in recs if r.frames in (400, 131)]
+        assert by_errors and by_cap
+        for batch in (2, 7, default, 64):
+            assert any(f % batch for f in by_errors)
+            assert any(f % batch for f in by_cap)
+
+
 class TestBerSweep:
     def test_empty_snr_list(self, code_312):
         assert ber_sweep(code_312, [], rate=0.75) == []
@@ -324,6 +444,8 @@ class TestSweepStats:
             out = spa_decode(H, transmit(H.cols, cfg, rng=rng), max_iter=20)
             hist[out.iterations] += 1
             undetected += bool(out.converged and out.bits.any())
+        phases = [rec.stats.pop("noise_s"), rec.stats.pop("decode_s")]
+        assert all(isinstance(t, float) and t > 0.0 for t in phases)
         assert rec.stats == {"iterations": hist,
                              "undetected_errors": undetected}
         assert 0 < undetected <= rec.frame_errors
@@ -353,9 +475,22 @@ class TestBoundaries:
         with pytest.raises(ValueError, match="max_iter"):
             ber_sweep(code_312, [2.0], rate=0.75, max_iter=-1)
 
+    @pytest.mark.parametrize("ebn0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snr_rejected(self, code_312, ebn0):
+        with pytest.raises(ValueError, match="ebn0_db"):
+            ChannelConfig(ebn0_db=ebn0, rate=0.5)
+        with pytest.raises(ValueError, match="ebn0_db"):
+            ber_sweep(code_312, [2.0, ebn0], rate=0.75, stop=StopRule(1, 5))
+
+    def test_infinite_llrs_allowed(self, code_312):
+        llr = np.full(code_312.cols, np.inf)
+        llr[3] = -np.inf
+        res = spa_decode(code_312, llr, max_iter=5)
+        assert res.iterations >= 1
+
     @pytest.mark.parametrize("flag, value", [
         ("--min-frame-errors", "0"), ("--max-frames", "-1"),
-        ("--max-iter", "-1"),
+        ("--max-iter", "-1"), ("--snr", "nan"), ("--snr", "2,inf"),
     ])
     def test_simulate_exits_1_with_json_error(self, capsys, tmp_path, flag,
                                               value):
