@@ -11,8 +11,6 @@ from .setsystem import (
     SetSystemError,
     SystemStats,
     block_stats,
-    co_block,
-    from_incidence,
     incidence_matrix,
     validate_fss,
 )
@@ -38,7 +36,6 @@ from .girth import (
     WalkWitness,
     bsg_shortest_closed_walk,
     build_bsg,
-    edge_girth,
     inevitable_girth,
     tanner_girth,
     verify_walk,

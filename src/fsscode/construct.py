@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass
 from math import ceil
 
-from .setsystem import BinaryMatrix, SetSystem, validate_fss
-from .girth import GirthReport, inevitable_girth, min_edge_walk
-from .qc import ShiftSequence, assemble
+from .setsystem import SetSystem, validate_fss
+from .girth import GirthReport, WalkScaffold, inevitable_girth, min_edge_walk
+from .qc import ShiftSequence, _lift, assemble
 from .shiftsearch import SearchPolicy, search_shifts
 
 __all__ = [
@@ -77,16 +77,9 @@ def method1_lift(primitive: SetSystem, m: int, S: ShiftSequence) -> SetSystem:
     the new blocks, giving v*m points and b*m blocks.  Block sizes equal the
     originating block sizes.
     """
-    q = assemble(primitive, S)
-    entries = []
-    for (i, j), s in q.cells.items():
-        rbase = (i - 1) * q.m
-        cbase = (j - 1) * q.m
-        for r in range(q.m):
-            entries.append((rbase + r, cbase + (r + s) % q.m))
-    H = BinaryMatrix(q.v * q.m, q.b * q.m, entries)
-    blocks = [[r + 1 for r in H.col_support[c]] for c in range(H.cols)]
-    return validate_fss(q.v * q.m, blocks, primitive.t)
+    H = _lift(assemble(primitive, S))
+    blocks = [[r + 1 for r in sup] for sup in H.col_support]
+    return validate_fss(H.rows, blocks, primitive.t)
 
 
 def method1(
@@ -215,7 +208,8 @@ def _accepts(blocks, j, beta, max_len):
     step (x, block j+1, beta)."""
     trial = [tuple(b) for b in blocks[: j]] + [tuple(blocks[j] + [beta])]
     k0 = len(trial)
+    scaffold = WalkScaffold(trial)
     for x in blocks[j]:
-        if min_edge_walk(trial, x, k0, beta, max_len) is not None:
+        if min_edge_walk(trial, x, k0, beta, max_len, scaffold=scaffold) is not None:
             return False
     return True

@@ -6,16 +6,17 @@
 * Exact Tanner-graph girth by truncated per-vertex BFS -- the ground-truth
   oracle everything else is checked against; quasi-cyclic input needs only
   one BFS root per block-row.
-* Inevitable walks in a set system: closed index walks whose symbolic shift
-  sum vanishes for every shift assignment.  The smallest length L of such a
-  walk gives the maximum girth 2L achievable over all moduli and shift
-  sequences.
-
-The partition condition on inevitable walks is implemented as per-block
-degree balance: the symbolic shift sum telescopes to
-sum_k sum_x (in_k(x) - out_k(x)) * s_{x,k}, which vanishes for every shift
-assignment iff each coefficient is zero, and a balanced multigraph always
-decomposes into per-block cycles (the verifier performs the decomposition).
+* Closed walks in a set system: alternating point/block walks whose
+  symbolic shift sum telescopes to sum_k sum_x (in_k(x) - out_k(x)) s_{x,k},
+  a linear form over the incidences.  One scaffold (``WalkScaffold``) and
+  one depth-first search (``closed_walks``) serve every caller.  A walk is
+  inevitable when its form is identically zero (per-block degree balance;
+  a balanced multigraph always decomposes into per-block cycles, which the
+  verifier performs); the smallest length L of such a walk gives the
+  maximum girth 2L achievable over all moduli and shift sequences
+  (``inevitable_girth``), and ``min_edge_walk`` asks the same through one
+  pinned step for ``method2``.  The shift search keeps the forms of all
+  short closed walks as the templates a shift sequence must not zero.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "bsg_shortest_closed_walk",
     "tanner_girth",
     "inevitable_girth",
-    "edge_girth",
     "verify_walk",
 ]
 
@@ -295,188 +295,170 @@ def _cycle_nodes(u, w, parent, dist):
 
 
 # ----------------------------------------------------------------------
-# Inevitable walks
+# Closed walks of a set system
 # ----------------------------------------------------------------------
 
-def _system_maps(blocks):
-    """Adjacency scaffolding for walk search on 1-based blocks."""
-    point_blocks: dict[int, list[int]] = {}
-    for j, blk in enumerate(blocks, start=1):
-        for x in blk:
-            point_blocks.setdefault(x, []).append(j)
-    return point_blocks
+class WalkScaffold:
+    """Adjacency of an ordered block list for closed-walk search.
 
-
-def _coblock_distances(blocks, points, source):
-    """BFS distances to ``source`` in the co-block graph; unreachable = big."""
-    inf = 1 << 20
-    dist = {x: inf for x in points}
-    dist[source] = 0
-    queue = deque([source])
-    neigh: dict[int, set[int]] = {x: set() for x in points}
-    for blk in blocks:
-        for a in blk:
-            for b in blk:
-                if a != b:
-                    neigh.setdefault(a, set()).add(b)
-    while queue:
-        u = queue.popleft()
-        for w in neigh.get(u, ()):
-            if dist.get(w, inf) > dist[u] + 1:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
-def _find_walk(blocks, length, first=None, min_point=None, strict=True,
-               point_blocks=None, dist_home=None):
-    """Depth-first search for one balanced closed walk of exactly ``length``
-    steps.  ``first`` pins the opening step (i1, k1, i2); ``min_point``
-    restricts all visited points (canonical form for full searches).
-    ``point_blocks`` / ``dist_home`` allow callers that probe several lengths
-    to reuse the adjacency scaffolding.
-
-    Returns (points, block_idx) or None.
+    ``point_blocks[x]`` lists the 1-based blocks through point x in block
+    order.  ``pos[(x, j)]`` numbers the incidences block-major, points in
+    the order their block lists them: the order of ``SetSystem.incidences``
+    and of the shift search's assignment.  Co-block distances to a start
+    point are computed on first use and cached.
     """
-    if point_blocks is None:
-        point_blocks = _system_maps(blocks)
+
+    def __init__(self, blocks):
+        self.blocks = [tuple(b) for b in blocks]
+        self.point_blocks: dict[int, list[int]] = {}
+        self.pos: dict[tuple[int, int], int] = {}
+        self.base = [0]  # base[j] = position of block j's first point
+        for j, blk in enumerate(self.blocks, start=1):
+            self.base.append(len(self.pos))
+            for x in blk:
+                self.point_blocks.setdefault(x, []).append(j)
+                self.pos[(x, j)] = len(self.pos)
+        self._dist: dict[int, dict[int, int]] = {}
+
+    def distances(self, source):
+        """BFS distances to ``source`` in the co-block graph; unreachable
+        points are absent."""
+        dist = self._dist.get(source)
+        if dist is None:
+            dist = self._dist[source] = {source: 0}
+            queue = deque([source])
+            while queue:
+                u = queue.popleft()
+                for k in self.point_blocks[u]:
+                    for w in self.blocks[k - 1]:
+                        if w not in dist:
+                            dist[w] = dist[u] + 1
+                            queue.append(w)
+        return dist
+
+
+def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
+    """Depth-first search over the closed walks of 2..``max_len`` steps.
+
+    A step goes from a point to another point of one block; successive
+    steps use different blocks, and so do the last step and the first.
+    ``first`` = (i1, k1, i2) pins the opening step.  Without it each walk
+    opens at its smallest point i1, with a larger i2, and visits no point
+    below i1, so every closed walk appears in at least one rotation.
+    Children are visited in block order, then in the order the block lists
+    its points.
+
+    As the walk grows, its coefficient vector over incidence positions (-1
+    where a step leaves a point, +1 where it arrives) is kept with its L1
+    norm.  The walk is balanced, its symbolic shift sum vanishing for every
+    shift assignment, exactly when the norm is 0.
+
+    ``visit(points, ks, touched, coef)`` gets each closed walk: its points
+    without the final return to i1, its blocks, the flat list of the
+    positions each step leaves and reaches, and the coefficient vector.  A
+    true value from ``visit`` ends the search and is returned; otherwise the
+    result is None.  With ``balanced`` only balanced walks of exactly
+    ``max_len`` steps are visited, and a branch is cut once its norm exceeds
+    twice the steps left (a step changes it by at most 2).  Every branch is
+    cut once its point is further from i1 than the steps left.
+    """
+    blocks, point_blocks, pos, base = sc.blocks, sc.point_blocks, sc.pos, sc.base
+    coef = [0] * len(pos)
+    points: list[int] = []
+    ks: list[int] = []
+    touched: list[int] = []
+
+    def extend(u, norm):
+        left = max_len - len(ks)
+        if (u == i1 and len(ks) >= 2 and ks[-1] != k1
+                and (not balanced or (norm == 0 and left == 0))):
+            found = visit(points[:-1], ks, touched, coef)
+            if found:
+                return found
+        if left == 0:
+            return None
+        prev = ks[-1]
+        for k in point_blocks[u]:
+            if k == prev or (left == 1 and k == k1):
+                continue
+            a = pos[(u, k)]
+            ca = coef[a]
+            if left > 1:
+                steps = enumerate(blocks[k - 1], base[k])
+            elif (i1, k) in pos:  # the last step can only close the walk
+                steps = ((pos[(i1, k)], i1),)
+            else:
+                continue
+            for b, w in steps:
+                # unreachable points count as too far to close the walk
+                if w == u or w < lo or dist.get(w, left) >= left:
+                    continue
+                cb = coef[b]
+                n = norm + abs(ca - 1) - abs(ca) + abs(cb + 1) - abs(cb)
+                if balanced and n > 2 * (left - 1):
+                    continue
+                coef[a], coef[b] = ca - 1, cb + 1
+                points.append(w)
+                ks.append(k)
+                touched.extend((a, b))
+                found = extend(w, n)
+                coef[a], coef[b] = ca, cb
+                del points[-1], ks[-1], touched[-2:]
+                if found:
+                    return found
+        return None
+
     if first is not None:
         starts = [first]
     else:
-        starts = []
-        for i1 in sorted(point_blocks):
-            if min_point is not None and i1 < min_point:
-                continue
-            for k1 in point_blocks[i1]:
-                for i2 in blocks[k1 - 1]:
-                    if i2 != i1:
-                        starts.append((i1, k1, i2))
-
-    shared_dist = dist_home
+        starts = [(i1, k1, i2) for i1 in sorted(point_blocks)
+                  for k1 in point_blocks[i1] for i2 in blocks[k1 - 1] if i2 > i1]
+    found = None
     for i1, k1, i2 in starts:
-        lo = min_point if min_point is not None else (i1 if first is None else None)
-        if lo is not None and (i1 < lo or i2 < lo):
-            continue
-        dist_home = (
-            shared_dist
-            if shared_dist is not None
-            else _coblock_distances(blocks, list(point_blocks), i1)
-        )
-        imb: dict[int, int] = {}
-        # step encoding for the imbalance map: key = block * stride + point
-        stride = max(point_blocks) + 1
-
-        def bump(k, u, w, sign):
-            nonlocal deficit
-            for key, delta in ((k * stride + u, sign), (k * stride + w, -sign)):
-                old = imb.get(key, 0)
-                new = old + delta
-                imb[key] = new
-                deficit += abs(new) - abs(old)
-
-        deficit = 0
-        points = [i1, i2]
-        ks = [k1]
-        bump(k1, i1, i2, +1)
-
-        def dfs(depth):
-            # depth = number of steps taken so far
-            u = points[-1]
-            remaining = length - depth
-            if deficit > 2 * remaining:
-                return False
-            if dist_home.get(u, 1 << 20) > remaining:
-                return False
-            if remaining == 0:
-                return deficit == 0 and u == i1
-            prev_k = ks[-1]
-            last = remaining == 1
-            for k in point_blocks[u]:
-                if strict:
-                    if k == prev_k:
-                        continue
-                    if last and k == k1:
-                        continue
-                cands = (i1,) if last else blocks[k - 1]
-                for w in cands:
-                    if w == u:
-                        continue
-                    if last and w not in blocks[k - 1]:
-                        continue
-                    if lo is not None and w < lo:
-                        continue
-                    if not strict:
-                        if k == prev_k and points[-2] == w:
-                            continue
-                    points.append(w)
-                    ks.append(k)
-                    bump(k, u, w, +1)
-                    if dfs(depth + 1):
-                        return True
-                    bump(k, u, w, -1)
-                    points.pop()
-                    ks.pop()
-            return False
-
-        if dfs(1):
-            walk = (tuple(points[:-1]), tuple(ks))
-            if not strict:
-                # local moves only enforce the open-chain conditions; check
-                # the wrap-around ones on the completed walk
-                if not verify_walk_raw(blocks, walk[0], walk[1], strict=False):
-                    continue
-            return walk
-    return None
+        lo = 0 if first is not None else i1
+        dist = sc.distances(i1)
+        a, b = pos[(i1, k1)], pos[(i2, k1)]
+        coef[a], coef[b] = -1, 1
+        points[:], ks[:], touched[:] = [i1, i2], [k1], [a, b]
+        found = extend(i2, 2)
+        coef[a] = coef[b] = 0
+        if found:
+            break
+    del extend  # it refers to itself: free the cycle, and visit's state, now
+    return found
 
 
-def inevitable_girth(
-    fss: SetSystem, cap: int = DEFAULT_WALK_CAP, strict: bool = True
-) -> GirthReport:
+def _first_balanced(sc, length, first=None):
+    """(points, block_idx) of the first balanced closed walk of exactly
+    ``length`` steps in ``closed_walks`` order, or None."""
+    def witness(points, ks, *_):
+        return tuple(points), tuple(ks)
+
+    return closed_walks(sc, length, witness, first, balanced=True)
+
+
+def inevitable_girth(fss: SetSystem, cap: int = DEFAULT_WALK_CAP) -> GirthReport:
     """Maximum achievable girth 2L of liftings of ``fss``: L is the smallest
     walk length admitting a balanced closed walk, found by iterative
     deepening.  Unbounded means no walk of length <= cap."""
     if cap < 2:
         raise ValueError("cap must be >= 2")
+    sc = WalkScaffold(fss.blocks)
     for L in range(2, cap + 1):
-        found = _find_walk(list(fss.blocks), L, strict=strict)
+        found = _first_balanced(sc, L)
         if found is not None:
-            pts, ks = found
-            return GirthReport(girth=2 * L, cap=cap, witness=WalkWitness(pts, ks))
+            return GirthReport(girth=2 * L, cap=cap, witness=WalkWitness(*found))
     return GirthReport(girth=None, cap=cap)
 
 
-def edge_girth(
-    fss_partial: SetSystem, x: int, y: int, cap: int, strict: bool = True
-) -> int:
-    """Smallest 2L over balanced closed walks through the incidence step
-    (x, last block, y) after appending ``y`` to the last block; 2*cap when no
-    such walk of length < cap exists."""
-    if not fss_partial.blocks:
-        return 2 * cap
-    blocks = [list(b) for b in fss_partial.blocks]
-    last = blocks[-1]
-    if x == y:
-        raise ValueError("edge endpoints must differ")
-    if x not in last:
-        raise ValueError(f"point {x} is not in the last block")
-    if y not in last:
-        blocks[-1] = sorted(last + [y])
-    blocks = [tuple(b) for b in blocks]
-    L = min_edge_walk(blocks, x, len(blocks), y, cap - 1, strict=strict)
-    return 2 * cap if L is None else 2 * L
-
-
-def min_edge_walk(blocks, x, k0, y, max_len, strict=True):
+def min_edge_walk(blocks, x, k0, y, max_len, scaffold=None):
     """Length of the shortest balanced closed walk opening with the step
-    (x, block k0, y), or None when no walk of length <= max_len exists."""
-    point_blocks = _system_maps(blocks)
-    dist_home = _coblock_distances(blocks, list(point_blocks), x)
+    (x, block k0, y), or None when no walk of length <= max_len exists.
+    Callers probing several steps of one block list pass its
+    ``WalkScaffold`` as ``scaffold``, which keeps the distances it caches."""
+    sc = scaffold or WalkScaffold(blocks)
     for L in range(2, max_len + 1):
-        found = _find_walk(
-            blocks, L, first=(x, k0, y), strict=strict,
-            point_blocks=point_blocks, dist_home=dist_home,
-        )
-        if found is not None:
+        if _first_balanced(sc, L, first=(x, k0, y)) is not None:
             return L
     return None
 
@@ -485,7 +467,7 @@ def min_edge_walk(blocks, x, k0, y, max_len, strict=True):
 # Witness verification
 # ----------------------------------------------------------------------
 
-def verify_walk_raw(blocks, points, block_idx, strict=True):
+def verify_walk_raw(blocks, points, block_idx):
     """Re-check a walk against the raw conditions plus degree balance, then
     decompose it into per-block cycles by greedy peeling."""
     L = len(points)
@@ -501,11 +483,7 @@ def verify_walk_raw(blocks, points, block_idx, strict=True):
             return False
         if i_j not in block_sets[k - 1] or i_n not in block_sets[k - 1]:
             return False
-        k_next = block_idx[(j + 1) % L]
-        if strict:
-            if k == k_next:
-                return False
-        elif k == k_next and i_j == points[(j + 2) % L]:
+        if k == block_idx[(j + 1) % L]:
             return False
     # balance and cycle peeling per block
     from collections import defaultdict
@@ -541,5 +519,5 @@ def verify_walk_raw(blocks, points, block_idx, strict=True):
     return True
 
 
-def verify_walk(fss: SetSystem, witness: WalkWitness, strict: bool = True) -> bool:
-    return verify_walk_raw(list(fss.blocks), witness.points, witness.block_idx, strict)
+def verify_walk(fss: SetSystem, witness: WalkWitness) -> bool:
+    return verify_walk_raw(list(fss.blocks), witness.points, witness.block_idx)

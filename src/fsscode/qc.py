@@ -127,6 +127,13 @@ def expand(q: QCProtoMatrix) -> BinaryMatrix:
     returned so the check matrix always has at least as many columns as
     rows; the square case is left untransposed.
     """
+    H = _lift(q)
+    return H.transpose() if q.v > q.b else H
+
+
+def _lift(q: QCProtoMatrix) -> BinaryMatrix:
+    """The (v*m) x (b*m) circulant expansion: one row group per point, one
+    column group per block, never transposed."""
     m = q.m
     entries = []
     for (i, j), s in q.cells.items():
@@ -134,10 +141,7 @@ def expand(q: QCProtoMatrix) -> BinaryMatrix:
         cbase = (j - 1) * m
         for r in range(m):
             entries.append((rbase + r, cbase + (r + s) % m))
-    H = BinaryMatrix(q.v * m, q.b * m, entries)
-    if q.v > q.b:
-        H = H.transpose()
-    return H
+    return BinaryMatrix(q.v * m, q.b * m, entries)
 
 
 def rate_bound(fss: SetSystem) -> float:
@@ -293,9 +297,33 @@ def shifts_to_json(fss: SetSystem, S: ShiftSequence) -> str:
 
 
 def shifts_from_json(fss: SetSystem, text: str) -> ShiftSequence:
+    """Parse the form ``shifts_to_json`` writes; other top-level keys, such
+    as those of ``fsscode shifts`` output, are ignored.
+
+    Raises ValueError for a missing ``m``, ``shifts`` or record key, a value
+    that is not an integer, or two records for one (point, block).
+    """
     doc = json.loads(text)
-    entries = {(rec["point"], rec["block"]): rec["s"] for rec in doc["shifts"]}
+    if not isinstance(doc, dict) or "m" not in doc or "shifts" not in doc:
+        raise ValueError("shift JSON must be an object with keys 'm' and 'shifts'")
+    if not _is_int(doc["m"]) or not isinstance(doc["shifts"], list):
+        raise ValueError("shift JSON needs an integer 'm' and a list 'shifts'")
+    entries = {}
+    for n, rec in enumerate(doc["shifts"]):
+        if not isinstance(rec, dict) or not rec.keys() >= {"point", "block", "s"}:
+            raise ValueError(f"shift record {n} needs keys 'point', 'block' and 's'")
+        key = (rec["point"], rec["block"])
+        if not all(map(_is_int, (*key, rec["s"]))):
+            raise ValueError(f"shift record {n}: point, block and s must be integers")
+        if key in entries:
+            raise ValueError(
+                f"shift record {n} repeats point {key[0]} of block {key[1]}")
+        entries[key] = rec["s"]
     return ShiftSequence(m=doc["m"], entries=entries)
+
+
+def _is_int(x) -> bool:
+    return type(x) is int  # JSON true/false parse as bool, a subclass of int
 
 
 def shift_sequence_from_list(fss: SetSystem, m: int, values) -> ShiftSequence:

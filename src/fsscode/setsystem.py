@@ -21,9 +21,7 @@ __all__ = [
     "BinaryMatrix",
     "validate_fss",
     "block_stats",
-    "co_block",
     "incidence_matrix",
-    "from_incidence",
 ]
 
 
@@ -146,12 +144,6 @@ def _binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def co_block(fss: SetSystem, points) -> bool:
-    """True iff some block contains every given point."""
-    pts = set(points)
-    return any(pts <= set(blk) for blk in fss.blocks)
-
-
 class BinaryMatrix:
     """Sparse 0/1 matrix with row- and column-adjacency views.
 
@@ -216,7 +208,7 @@ def incidence_matrix(fss: SetSystem, min_replication: int = 2) -> BinaryMatrix:
     """Block-by-subset incidence matrix.
 
     Rows follow block order; columns are the (t-1)-subsets of the point set
-    in lexicographic order, restricted to subsets contained in at least
+    in lexicographic order, keeping only the subsets contained in at least
     ``min_replication`` blocks.  The default 2 keeps only subsets shared by
     two distinct blocks; ``min_replication=1`` keeps every covered subset.
     """
@@ -235,18 +227,3 @@ def incidence_matrix(fss: SetSystem, min_replication: int = 2) -> BinaryMatrix:
             if set(sub) <= bs:
                 entries.append((i, j))
     return BinaryMatrix(fss.b, len(labels), entries, col_labels=labels)
-
-
-def from_incidence(H: BinaryMatrix) -> SetSystem:
-    """Read a binary matrix back as a t=2 set system.
-
-    Block ``i`` is the 1-based column support of row ``i``; the point count is
-    the column count.  Inverse of ``incidence_matrix(fss, 1)`` up to column
-    relabeling.
-    """
-    blocks = []
-    for i, sup in enumerate(H.row_support):
-        if not sup:
-            raise SetSystemError(f"row {i} is empty; blocks must be nonempty")
-        blocks.append([c + 1 for c in sup])
-    return validate_fss(H.cols, blocks, 2)

@@ -2,15 +2,17 @@
 
 The shifts are assigned block-major, points ascending within each block,
 with the first shift of every block pinned to zero (a code-equivalence
-normalization).  Before the search starts, every closed-walk template of the
-mother structure short enough to threaten the target girth is enumerated
-once; each template reduces to a small integer linear form over the shift
-variables, so extending a prefix is a handful of modular evaluations rather
-than a graph search.  The residue tables of those evaluations (forms grouped
-by the gcd of their own coefficient with the modulus, with that coefficient
-inverted) are compiled once per modulus, so filtering the candidates of a
-node is one matrix-vector product and one numpy scatter per group.  Any
-returned sequence is re-verified against the Tanner-girth oracle.
+normalization).  Before the search starts, every closed walk of the mother
+structure short enough to threaten the target girth is enumerated once, by
+the closed-walk search of ``girth`` that also finds inevitable walks.  Each
+walk carries its shift sum as a small integer linear form over the shift
+variables (a template), so extending a prefix is a handful of modular
+evaluations rather than a graph search.  The residue tables of those
+evaluations (forms grouped by the gcd of their own coefficient with the
+modulus, with that coefficient inverted) are compiled once per modulus, so
+filtering the candidates of a node is one matrix-vector product and one
+numpy scatter per group.  Any returned sequence is re-verified against the
+Tanner-girth oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .setsystem import SetSystem
 from .qc import ShiftSequence, assemble, expand
-from .girth import tanner_girth
+from .girth import WalkScaffold, closed_walks, tanner_girth
 
 __all__ = [
     "SearchPolicy",
@@ -64,83 +66,6 @@ class SearchResult:
         return self.status == "ok"
 
 
-def _assignment_order(fss: SetSystem):
-    """Incidence positions in block-major, point-ascending order, plus a map
-    from (point, block) to position."""
-    order = fss.incidences
-    pos = {inc: e for e, inc in enumerate(order)}
-    return order, pos
-
-
-def _enumerate_templates(fss: SetSystem, max_len: int, pos):
-    """All closed-walk templates of length <= max_len, reduced to linear
-    forms and bucketed by the last incidence position they touch.
-
-    A template with an identically-zero form is a balanced (inevitable)
-    walk; its bucket entry has an empty coefficient list and poisons every
-    candidate once all its incidences exist, which is the correct behaviour
-    when the target exceeds the maximum achievable girth.
-    """
-    blocks = list(fss.blocks)
-    point_blocks: dict[int, list[int]] = {}
-    for j, blk in enumerate(blocks, start=1):
-        for x in blk:
-            point_blocks.setdefault(x, []).append(j)
-
-    buckets: dict[int, list[list[tuple[int, int]]]] = {}
-    seen_forms: set = set()
-    # one shared (position, coefficient) tuple per distinct term: a girth-10
-    # search keeps tens of thousands of forms over a few hundred terms
-    terms: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def emit(points, ks):
-        coeffs: dict[int, int] = {}
-        L = len(points)
-        for j in range(L):
-            u, w, k = points[j], points[(j + 1) % L], ks[j]
-            coeffs[pos[(u, k)]] = coeffs.get(pos[(u, k)], 0) - 1
-            coeffs[pos[(w, k)]] = coeffs.get(pos[(w, k)], 0) + 1
-        form = sorted((p, c) for p, c in coeffs.items() if c)
-        # rotations and reversals of one cycle yield the same form up to sign
-        key = min(tuple(form), tuple((p, -c) for p, c in form))
-        if key in seen_forms:
-            return
-        seen_forms.add(key)
-        form = [terms.setdefault(t, t) for t in form]
-        last = form[-1][0] if form else max(pos[(points[j], ks[j])] for j in range(L))
-        buckets.setdefault(last, []).append(form)
-
-    def dfs(points, ks, i1, k1):
-        u = points[-1]
-        depth = len(ks)
-        if depth >= 2 and u == i1 and ks[-1] != k1:
-            emit(points[:-1], ks)
-        if depth == max_len:
-            return
-        for k in point_blocks.get(u, ()):
-            if k == ks[-1]:
-                continue
-            for w in blocks[k - 1]:
-                if w == u or w < i1:
-                    continue
-                points.append(w)
-                ks.append(k)
-                dfs(points, ks, i1, k1)
-                points.pop()
-                ks.pop()
-
-    for i1 in sorted(point_blocks):
-        for k1 in point_blocks[i1]:
-            for i2 in blocks[k1 - 1]:
-                if i2 == i1 or i2 < i1:
-                    continue
-                dfs([i1, i2], [k1], i1, k1)
-    # the recursive closure ``dfs`` is a reference cycle that keeps this
-    # frame's cells alive until a GC pass; drop the keys now
-    seen_forms.clear()
-    return buckets
-
-
 @dataclass
 class ShiftSearchState:
     """Assigned prefix plus the precomputed template buckets."""
@@ -149,7 +74,6 @@ class ShiftSearchState:
     m: int
     target_girth: int
     order: list = field(default_factory=list)
-    pos: dict = field(default_factory=dict)
     buckets: dict = field(default_factory=dict)
     prefix: list = field(default_factory=list)
     expansions: int = 0
@@ -157,10 +81,35 @@ class ShiftSearchState:
 
     @classmethod
     def create(cls, fss, m, target_girth):
-        order, pos = _assignment_order(fss)
-        buckets = _enumerate_templates(fss, target_girth // 2 - 1, pos)
+        """Collect the distinct forms of the closed walks shorter than
+        ``target_girth``/2, bucketed by the last incidence position they
+        touch, and compile them for ``m``.
+
+        A form and its negation (a reversed walk) are one template.  A
+        balanced walk has the empty form; its bucket is the largest
+        position it leaves from, and it forbids every value once its
+        incidences exist, which is right when the target exceeds the
+        maximum achievable girth.
+        """
+        buckets: dict[int, list[list[tuple[int, int]]]] = {}
+        seen: set = set()
+        # one shared (position, coefficient) tuple per distinct term: a
+        # girth-10 search keeps tens of thousands of forms over a few
+        # hundred terms
+        terms: dict[tuple[int, int], tuple[int, int]] = {}
+
+        def collect(points, ks, touched, coef):
+            form = sorted((p, coef[p]) for p in set(touched) if coef[p])
+            key = min(tuple(form), tuple((p, -c) for p, c in form))
+            if key not in seen:
+                seen.add(key)
+                last = form[-1][0] if form else max(touched[::2])
+                buckets.setdefault(last, []).append(
+                    [terms.setdefault(t, t) for t in form])
+
+        closed_walks(WalkScaffold(fss.blocks), target_girth // 2 - 1, collect)
         state = cls(fss=fss, m=m, target_girth=target_girth,
-                    order=order, pos=pos, buckets=buckets)
+                    order=fss.incidences, buckets=buckets)
         state._compile()
         return state
 

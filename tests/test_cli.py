@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fsscode import load_paper_tables
 from fsscode.cli import (
     EXIT_ERROR,
     EXIT_INFEASIBLE,
@@ -142,6 +143,91 @@ class TestShiftPipeline:
         code, _, err = _run(capsys, ["expand", "--fss", fss_file, "-o", "x"])
         assert code == EXIT_ERROR
         assert "error" in json.loads(err)
+
+    def test_expand_rejects_repeated_shift_record(self, capsys, fss_file, tmp_path):
+        shifts_path = tmp_path / "s.json"
+        shifts_path.write_text(json.dumps({"m": 5, "shifts": [
+            {"point": 1, "block": 1, "s": 0}, {"point": 1, "block": 1, "s": 3}]}))
+        alist_path = tmp_path / "h.alist"
+        code, out, err = _run(capsys, [
+            "expand", "--fss", fss_file, "--shifts", str(shifts_path),
+            "-o", str(alist_path),
+        ])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert json.loads(err)["error"] == "ValueError"
+        assert not alist_path.exists()
+
+
+DESIGN_6_3_2 = [
+    [1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
+    [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6],
+]
+
+
+def _walk(points, blocks):
+    return {"points": points, "blocks": blocks}
+
+
+class TestWalkSearchBytesPinned:
+    """Stdout bytes of the commands that search balanced walks, witnesses
+    included: the witness is the first walk the search meets, so these pin
+    its visiting order as well as its result."""
+
+    @pytest.mark.parametrize("v, blocks, cap, girth, witness", [
+        (2, [[1, 2]] * 3, 12, 12,
+         _walk([1, 2, 1, 2, 1, 2], [1, 2, 3, 1, 2, 3])),
+        (3, [[1, 2, 3]] * 10, 12, 12,
+         _walk([1, 2, 1, 2, 1, 2], [1, 2, 3, 1, 2, 3])),
+        (6, DESIGN_6_3_2, 7, 14,
+         _walk([1, 2, 1, 3, 1, 2, 3], [1, 2, 3, 1, 2, 1, 3])),
+    ])
+    def test_girth(self, capsys, tmp_path, monkeypatch, v, blocks, cap, girth,
+                   witness):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fss.json").write_text(validate_fss(v, blocks).to_json())
+        argv = ["girth", "--fss", "fss.json"]
+        if cap != 12:
+            argv += ["--cap", str(cap)]
+        code, out, _ = _run(capsys, argv)
+        assert code == EXIT_OK
+        assert out == json.dumps({
+            "girth": girth, "cap": cap, "witness": witness,
+            "meta": {"tool": "fsscode", "version": "0.1.0", "input": "fss.json",
+                     "cap": cap},
+        }, indent=2) + "\n"
+
+    @pytest.mark.parametrize("name, expansions, blocks, witness", [
+        ("v10-b13-g16", 60,
+         [[1, 2, 3], [1, 2, 4], [1, 5, 6], [1, 5, 7], [1, 8, 9], [1, 8, 10],
+          [2, 5, 9, 10], [2, 5, 8], [2, 6, 7], [3, 4, 5], [3, 4, 6],
+          [3, 7, 8], [3, 7, 9]],
+         _walk([1, 2, 1, 5, 1, 2, 1, 5], [1, 2, 3, 4, 2, 1, 4, 3])),
+        ("v10-b19-g14", 110,
+         [[1, 2, 3], [1, 2, 4], [1, 3, 4], [1, 5, 6, 7], [1, 5, 8], [1, 6, 8],
+          [1, 7, 9], [2, 3, 4, 5], [2, 5, 6, 8], [1, 9, 10], [2, 6, 7],
+          [2, 7, 8], [2, 9, 10], [3, 5, 7, 9], [3, 6, 9], [3, 6, 10],
+          [3, 7, 8, 10], [4, 5, 9], [4, 6, 9]],
+         _walk([1, 2, 1, 3, 1, 2, 3], [1, 2, 3, 1, 2, 1, 3])),
+    ])
+    def test_method2_bundled_profiles(self, capsys, name, expansions, blocks,
+                                      witness):
+        p = next(p for p in load_paper_tables()["weight_profiles"]
+                 if p["name"] == name)
+        g = p["target_girth"]
+        code, out, _ = _run(capsys, [
+            "method2", "--v", str(p["v"]), "--K", ",".join(map(str, p["K"])),
+            "--girth", str(g),
+        ])
+        assert code == EXIT_OK
+        assert out == json.dumps({
+            "meta": {"tool": "fsscode", "version": "0.1.0", "v": p["v"],
+                     "K": p["K"], "girth": g, "order": "ascending",
+                     "budget": 10_000_000, "seed": 0},
+            "status": "ok",
+            "expansions": expansions,
+            "system": {"v": p["v"], "t": 2, "blocks": blocks},
+            "verification": {"girth": g, "cap": g // 2, "witness": witness},
+        }, indent=2) + "\n"
 
 
 class TestTgirth:

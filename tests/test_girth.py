@@ -1,11 +1,13 @@
 import random
+from collections import deque
 
 import pytest
 
 from fsscode.girth import (
+    WalkScaffold,
+    _first_balanced,
     bsg_shortest_closed_walk,
     build_bsg,
-    edge_girth,
     inevitable_girth,
     min_edge_walk,
     tanner_girth,
@@ -14,6 +16,7 @@ from fsscode.girth import (
 )
 from fsscode.qc import assemble, expand, shift_sequence_from_list
 from fsscode.setsystem import BinaryMatrix, validate_fss
+from fsscode.shiftsearch import ShiftSearchState
 
 
 def _random_system(rng, vmax=8, bmax=12):
@@ -245,25 +248,21 @@ class TestInevitableGirth:
 
 
 class TestEdgeGirth:
+    """Shortest balanced walk through one pinned step (x, block k0, y)."""
+
     def test_parallel_pair_step(self):
-        # two parallel blocks plus the step closing the double traversal
-        fss = validate_fss(2, [[1, 2], [1, 2]])
-        assert edge_girth(fss, 1, 2, cap=12) == 24  # no walk below cap
+        # two parallel blocks admit no balanced walk at all
+        assert min_edge_walk([(1, 2), (1, 2)], 1, 2, 2, max_len=11) is None
 
     def test_appending_third_parallel_block(self):
-        fss = validate_fss(2, [[1, 2], [1, 2], [1]])
-        assert edge_girth(fss, 1, 2, cap=7) == 12
+        assert min_edge_walk([(1, 2), (1, 2), (1, 2)], 1, 3, 2, max_len=6) == 6
 
     def test_min_edge_walk_agrees(self):
         blocks = [(1, 2), (1, 2), (1, 2)]
         assert min_edge_walk(blocks, 1, 3, 2, max_len=7) == 6
-
-    def test_endpoint_validation(self):
-        fss = validate_fss(2, [[1, 2]])
-        with pytest.raises(ValueError):
-            edge_girth(fss, 1, 1, cap=6)
-        with pytest.raises(ValueError):
-            edge_girth(fss, 3, 2, cap=6)
+        assert min_edge_walk(blocks, 1, 3, 2, max_len=5) is None
+        sc = WalkScaffold(blocks)
+        assert min_edge_walk(blocks, 2, 1, 1, 7, scaffold=sc) == 6
 
 
 class TestVerifyWalk:
@@ -281,3 +280,184 @@ class TestVerifyWalk:
         points = (1, 2, 1, 2, 1, 2)
         ks = (1, 2, 3, 1, 2, 3)
         assert verify_walk_raw(blocks, points, ks)
+
+
+# ----------------------------------------------------------------------
+# Slow references: the two closed-walk enumerators the engine replaced
+# ----------------------------------------------------------------------
+
+def _ref_coblock_distances(blocks, points, source):
+    inf = 1 << 20
+    dist = {x: inf for x in points}
+    dist[source] = 0
+    queue = deque([source])
+    neigh = {x: set() for x in points}
+    for blk in blocks:
+        for a in blk:
+            for b in blk:
+                if a != b:
+                    neigh[a].add(b)
+    while queue:
+        u = queue.popleft()
+        for w in neigh[u]:
+            if dist[w] > dist[u] + 1:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def _ref_find_walk(blocks, length, first=None):
+    """First balanced closed walk of exactly ``length`` steps, by a DFS that
+    tracks per-(block, point) degree imbalance in a dict."""
+    point_blocks = {}
+    for j, blk in enumerate(blocks, start=1):
+        for x in blk:
+            point_blocks.setdefault(x, []).append(j)
+    if first is not None:
+        starts = [first]
+    else:
+        starts = [(i1, k1, i2) for i1 in sorted(point_blocks)
+                  for k1 in point_blocks[i1] for i2 in blocks[k1 - 1] if i2 != i1]
+    for i1, k1, i2 in starts:
+        lo = i1 if first is None else None
+        if lo is not None and i2 < lo:
+            continue
+        dist_home = _ref_coblock_distances(blocks, list(point_blocks), i1)
+        imb = {}
+        stride = max(point_blocks) + 1
+        deficit = 0
+
+        def bump(k, u, w, sign):
+            nonlocal deficit
+            for key, delta in ((k * stride + u, sign), (k * stride + w, -sign)):
+                old = imb.get(key, 0)
+                imb[key] = old + delta
+                deficit += abs(old + delta) - abs(old)
+
+        points, ks = [i1, i2], [k1]
+        bump(k1, i1, i2, +1)
+
+        def dfs(depth):
+            u = points[-1]
+            remaining = length - depth
+            if deficit > 2 * remaining or dist_home[u] > remaining:
+                return False
+            if remaining == 0:
+                return deficit == 0 and u == i1
+            last = remaining == 1
+            for k in point_blocks[u]:
+                if k == ks[-1] or (last and k == k1):
+                    continue
+                for w in (i1,) if last else blocks[k - 1]:
+                    if w == u or (last and w not in blocks[k - 1]):
+                        continue
+                    if lo is not None and w < lo:
+                        continue
+                    points.append(w)
+                    ks.append(k)
+                    bump(k, u, w, +1)
+                    if dfs(depth + 1):
+                        return True
+                    bump(k, u, w, -1)
+                    points.pop()
+                    ks.pop()
+            return False
+
+        if dfs(1):
+            return tuple(points[:-1]), tuple(ks)
+    return None
+
+
+def _ref_enumerate_templates(fss, max_len):
+    """Forms of all closed walks of length <= max_len, deduplicated up to
+    sign and bucketed by the last incidence position they touch."""
+    blocks = list(fss.blocks)
+    pos = {inc: e for e, inc in enumerate(fss.incidences)}
+    point_blocks = {}
+    for j, blk in enumerate(blocks, start=1):
+        for x in blk:
+            point_blocks.setdefault(x, []).append(j)
+    buckets, seen = {}, set()
+
+    def emit(points, ks):
+        coeffs = {}
+        L = len(points)
+        for j in range(L):
+            u, w, k = points[j], points[(j + 1) % L], ks[j]
+            coeffs[pos[(u, k)]] = coeffs.get(pos[(u, k)], 0) - 1
+            coeffs[pos[(w, k)]] = coeffs.get(pos[(w, k)], 0) + 1
+        form = sorted((p, c) for p, c in coeffs.items() if c)
+        key = min(tuple(form), tuple((p, -c) for p, c in form))
+        if key in seen:
+            return
+        seen.add(key)
+        last = form[-1][0] if form else max(pos[(points[j], ks[j])] for j in range(L))
+        buckets.setdefault(last, []).append(form)
+
+    def dfs(points, ks, i1, k1):
+        u = points[-1]
+        if len(ks) >= 2 and u == i1 and ks[-1] != k1:
+            emit(points[:-1], ks)
+        if len(ks) == max_len:
+            return
+        for k in point_blocks[u]:
+            if k == ks[-1]:
+                continue
+            for w in blocks[k - 1]:
+                if w == u or w < i1:
+                    continue
+                dfs(points + [w], ks + [k], i1, k1)
+
+    for i1 in sorted(point_blocks):
+        for k1 in point_blocks[i1]:
+            for i2 in blocks[k1 - 1]:
+                if i2 > i1:
+                    dfs([i1, i2], [k1], i1, k1)
+    return buckets
+
+
+def _random_system_with_repeats(rng, vmax, bmax):
+    v = rng.randint(2, vmax)
+    blocks = []
+    for _ in range(rng.randint(2, bmax)):
+        if blocks and rng.random() < 0.3:
+            blocks.append(list(rng.choice(blocks)))
+        else:
+            blocks.append(rng.sample(range(1, v + 1), rng.randint(2, min(4, v))))
+    return validate_fss(v, blocks)
+
+
+class TestWalkEngineDifferential:
+    """``closed_walks`` against the enumerators it replaced."""
+
+    def test_first_balanced_walk_matches_reference(self):
+        rng = random.Random(20261018)
+        found = repeated = pinned = 0
+        for _ in range(60):
+            fss = _random_system_with_repeats(rng, vmax=6, bmax=8)
+            repeated += len(set(fss.blocks)) < len(fss.blocks)
+            blocks = list(fss.blocks)
+            sc = WalkScaffold(blocks)
+            steps = [(x, k, y) for k, blk in enumerate(blocks, start=1)
+                     for x in blk for y in blk if x != y]
+            firsts = rng.sample(steps, min(4, len(steps)))
+            for L in range(2, 7):
+                want = _ref_find_walk(blocks, L)
+                assert _first_balanced(sc, L) == want, (blocks, L)
+                found += want is not None
+                for first in firsts:
+                    want = _ref_find_walk(blocks, L, first=first)
+                    assert _first_balanced(sc, L, first=first) == want
+                    pinned += want is not None
+        assert repeated > 0 and found > 20 and pinned > 20
+
+    def test_templates_match_reference(self):
+        rng = random.Random(7)
+        repeated = 0
+        for _ in range(40):
+            fss = _random_system_with_repeats(rng, vmax=5, bmax=6)
+            repeated += len(set(fss.blocks)) < len(fss.blocks)
+            for max_len in (3, 4):
+                got = ShiftSearchState.create(fss, 5, 2 * max_len + 2).buckets
+                assert got == _ref_enumerate_templates(fss, max_len), fss.blocks
+        assert repeated > 0

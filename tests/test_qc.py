@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,31 @@ class TestShiftSequence:
         S = shift_sequence_from_list(pair_system, 5, [1, 2, 3])
         again = shifts_from_json(pair_system, shifts_to_json(pair_system, S))
         assert again == S
+
+    def test_json_extra_keys_allowed(self, pair_system):
+        # ``fsscode shifts`` output carries meta and counts around the shifts
+        S = shift_sequence_from_list(pair_system, 5, [1, 2, 3])
+        doc = json.loads(shifts_to_json(pair_system, S))
+        doc.update(meta={"tool": "fsscode"}, status="ok", expansions=3)
+        assert shifts_from_json(pair_system, json.dumps(doc)) == S
+
+    @pytest.mark.parametrize("text, match", [
+        ('{"m": 5, "shifts": [{"point": 1, "block": 1, "s": 0},'
+         ' {"point": 1, "block": 1, "s": 3}]}', "repeats point 1 of block 1"),
+        ('{"shifts": []}', "keys 'm' and 'shifts'"),
+        ('{"m": 5}', "keys 'm' and 'shifts'"),
+        ('[5]', "keys 'm' and 'shifts'"),
+        ('{"m": 5, "shifts": {}}', "integer 'm' and a list"),
+        ('{"m": "5", "shifts": []}', "integer 'm' and a list"),
+        ('{"m": 5, "shifts": [{"point": 1, "s": 0}]}', "record 0 needs keys"),
+        ('{"m": 5, "shifts": [7]}', "record 0 needs keys"),
+        ('{"m": 5, "shifts": [{"point": 1, "block": 1, "s": 1.5}]}', "integers"),
+        ('{"m": 5, "shifts": [{"point": "1", "block": 1, "s": 0}]}', "integers"),
+        ('{"m": 5, "shifts": [{"point": 1, "block": true, "s": 0}]}', "integers"),
+    ])
+    def test_json_rejects_malformed(self, pair_system, text, match):
+        with pytest.raises(ValueError, match=match):
+            shifts_from_json(pair_system, text)
 
 
 class TestNormalize:

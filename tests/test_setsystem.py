@@ -4,8 +4,6 @@ from fsscode.setsystem import (
     BinaryMatrix,
     SetSystemError,
     block_stats,
-    co_block,
-    from_incidence,
     incidence_matrix,
     validate_fss,
 )
@@ -78,10 +76,6 @@ class TestStats:
         assert 0 in st.coverage[2]
         assert st.coverage_hist[2][0] == 2  # {1,3} and {2,3}
 
-    def test_co_block(self, example):
-        assert co_block(example, [1, 2, 4])
-        assert not co_block(example, [1, 2, 8])
-
 
 class TestBinaryMatrix:
     def test_supports_sorted_and_consistent(self):
@@ -131,16 +125,11 @@ class TestIncidenceMatrix:
     def test_t2_identity(self):
         fss = validate_fss(4, [[1, 2], [3, 4], [1, 3]])
         H = incidence_matrix(fss, min_replication=1)
-        assert H.cols == 4
-        assert from_incidence(H) == fss
+        assert H.col_labels == [(1,), (2,), (3,), (4,)]
+        assert [[c + 1 for c in sup] for sup in H.row_support] == [
+            list(b) for b in fss.blocks]
 
     def test_bad_min_replication(self, example):
         with pytest.raises(ValueError):
             incidence_matrix(example, min_replication=3)
 
-
-class TestFromIncidence:
-    def test_empty_row_rejected(self):
-        H = BinaryMatrix(2, 2, [(0, 0)])
-        with pytest.raises(SetSystemError):
-            from_incidence(H)
