@@ -18,12 +18,9 @@ from .qc import (
     QCProtoMatrix,
     ShiftSequence,
     assemble,
-    circulant,
     exact_rate,
     expand,
     gf2_rank,
-    normalize_shifts,
-    rate_bound,
     read_alist,
     shift_sequence_from_list,
     shifts_from_json,

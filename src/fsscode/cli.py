@@ -31,6 +31,9 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_UNKNOWN = 3
 
+# the exit code of a search or construction status: shifts, method1, method2
+EXIT_CODES = {"ok": EXIT_OK, "infeasible": EXIT_INFEASIBLE, "unknown": EXIT_UNKNOWN}
+
 
 def _load_fss(path) -> SetSystem:
     with open(path) as fh:
@@ -104,7 +107,7 @@ def cmd_method1(args):
         },
         args.output,
     )
-    return EXIT_OK
+    return EXIT_CODES[res.status]
 
 
 def cmd_method2(args):
@@ -120,11 +123,7 @@ def cmd_method2(args):
         doc["system"] = json.loads(res.system.to_json())
         doc["verification"] = json.loads(res.report.to_json())
     _emit(doc, args.output)
-    if res.status == "infeasible":
-        return EXIT_INFEASIBLE
-    if res.status == "unknown":
-        return EXIT_UNKNOWN
-    return EXIT_OK
+    return EXIT_CODES[res.status]
 
 
 def cmd_shifts(args):
@@ -142,11 +141,7 @@ def cmd_shifts(args):
         doc.update(json.loads(shifts_to_json(fss, res.shifts)))
         doc["verified_girth"] = res.verified_girth
     _emit(doc, args.output)
-    if res.status == "infeasible":
-        return EXIT_INFEASIBLE
-    if res.status == "unknown":
-        return EXIT_UNKNOWN
-    return EXIT_OK
+    return EXIT_CODES[res.status]
 
 
 def cmd_expand(args):

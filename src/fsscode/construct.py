@@ -5,19 +5,21 @@ a circulant expansion and reads the result back as a new, larger system; the
 lifted Tanner girth multiplies up, so a few rounds reach large girths.
 ``method2`` grows a system point-by-point under a prescribed block-size
 profile, accepting a point only when no balanced closed walk shorter than
-the target appears, with chronological backtracking.
+the target appears, with the chronological backtracking loop
+``shiftsearch.backtrack`` that the shift search also runs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from math import ceil
 
 from .setsystem import SetSystem, validate_fss
 from .girth import GirthReport, WalkScaffold, inevitable_girth, min_edge_walk
 from .qc import ShiftSequence, _lift, assemble
-from .shiftsearch import SearchPolicy, search_shifts
+from .shiftsearch import SearchPolicy, backtrack, search_shifts
 
 __all__ = [
     "ConstructionError",
@@ -160,37 +162,24 @@ def method2(
 
     K = profile.K
     slots = [(j, i) for j, k in enumerate(K) for i in range(k)]
-    blocks: list[list[int]] = [[] for _ in K]
-    stacks: list[list[int]] = []
-    expansions = 0
-    e = 0
-    while e < len(slots):
+    starts = [0, *accumulate(K)]  # block j is points[starts[j]:starts[j + 1]]
+    points: list[int] = []
+
+    def candidates(e):
         j, i = slots[e]
-        if len(stacks) == e:
-            if i == 0:
-                cands = list(range(1, v + 1))
-                if policy.order == "random":
-                    rng.shuffle(cands)
-            else:
-                cands = [x for x in range(blocks[j][-1] + 1, v + 1)
-                         if _accepts(blocks, j, x, max_len)]
-            cands.reverse()  # popped from the end: first candidate first
-            stacks.append(cands)
-        if stacks[e]:
-            beta = stacks[e].pop()
-            expansions += 1
-            if expansions > policy.budget:
-                return ConstructionResult(status="unknown", expansions=expansions)
-            blocks[j].append(beta)
-            e += 1
-        else:
-            stacks.pop()
-            if e == 0:
-                return ConstructionResult(status="infeasible", expansions=expansions)
-            e -= 1
-            jj, _ = slots[e]
-            blocks[jj].pop()
-    system = validate_fss(v, blocks)
+        if i == 0:
+            cands = list(range(1, v + 1))
+            if policy.order == "random":
+                rng.shuffle(cands)
+            return cands
+        return [x for x in range(points[-1] + 1, v + 1)
+                if _accepts(points, starts[:j + 1], x, max_len)]
+
+    status, expansions, _ = backtrack(len(slots), candidates, points,
+                                      policy.budget)
+    if status != "ok":
+        return ConstructionResult(status=status, expansions=expansions)
+    system = validate_fss(v, [points[a:b] for a, b in zip(starts, starts[1:])])
     report = inevitable_girth(system, cap=target_g // 2)
     if not report.unbounded and report.girth < target_g:
         raise ConstructionError(
@@ -202,14 +191,15 @@ def method2(
     )
 
 
-def _accepts(blocks, j, beta, max_len):
-    """True iff appending ``beta`` to block ``j`` (the block being grown)
-    closes no balanced walk of length <= max_len through any new incidence
-    step (x, block j+1, beta)."""
-    trial = [tuple(b) for b in blocks[: j]] + [tuple(blocks[j] + [beta])]
+def _accepts(points, starts, beta, max_len):
+    """True iff appending ``beta`` to ``points``, whose blocks begin at
+    ``starts`` (the last one being grown), closes no balanced walk of length
+    <= max_len through any new incidence step (x, last block, beta)."""
+    trial = [tuple(points[a:b]) for a, b in zip(starts, [*starts[1:], len(points)])]
+    trial[-1] += (beta,)
     k0 = len(trial)
     scaffold = WalkScaffold(trial)
-    for x in blocks[j]:
+    for x in trial[-1][:-1]:
         if min_edge_walk(trial, x, k0, beta, max_len, scaffold=scaffold) is not None:
             return False
     return True

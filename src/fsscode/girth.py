@@ -11,9 +11,9 @@
   a linear form over the incidences.  One scaffold (``WalkScaffold``) and
   one depth-first search (``closed_walks``) serve every caller.  A walk is
   inevitable when its form is identically zero (per-block degree balance;
-  a balanced multigraph always decomposes into per-block cycles, which the
-  verifier performs); the smallest length L of such a walk gives the
-  maximum girth 2L achievable over all moduli and shift sequences
+  a balanced multigraph always decomposes into per-block cycles, so the
+  verifier checks the balance alone); the smallest length L of such a walk
+  gives the maximum girth 2L achievable over all moduli and shift sequences
   (``inevitable_girth``), and ``min_edge_walk`` asks the same through one
   pinned step for ``method2``.  The shift search keeps the forms of all
   short closed walks as the templates a shift sequence must not zero.
@@ -22,7 +22,7 @@
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .setsystem import BinaryMatrix, SetSystem
@@ -468,8 +468,18 @@ def min_edge_walk(blocks, x, k0, y, max_len, scaffold=None):
 # ----------------------------------------------------------------------
 
 def verify_walk_raw(blocks, points, block_idx):
-    """Re-check a walk against the raw conditions plus degree balance, then
-    decompose it into per-block cycles by greedy peeling."""
+    """Re-check a closed walk against the raw conditions and balance.
+
+    Step j goes from ``points[j]`` to ``points[j+1]`` (cyclically) through
+    block ``block_idx[j]``: two distinct points of that block, in a block
+    other than the next step's.  The walk is balanced when every block
+    leaves each point as often as it enters it, which is one multiset test
+    on (point, block) pairs.  Balance is all the per-block cycle
+    decomposition needs: a directed multigraph in which every vertex has
+    equal in- and out-degree splits into edge-disjoint directed cycles
+    (Euler), since a walk along unused edges can only get stuck back at
+    its start, so peeling cycles off each block's steps cannot fail.
+    """
     L = len(points)
     if L < 2 or len(block_idx) != L:
         return False
@@ -485,38 +495,8 @@ def verify_walk_raw(blocks, points, block_idx):
             return False
         if k == block_idx[(j + 1) % L]:
             return False
-    # balance and cycle peeling per block
-    from collections import defaultdict
-
-    per_block: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
-    for j in range(L):
-        per_block[block_idx[j]][points[j]].append(points[(j + 1) % L])
-    for k, out in per_block.items():
-        indeg: dict[int, int] = defaultdict(int)
-        for u, ws in out.items():
-            for w in ws:
-                indeg[w] += 1
-        for u in set(out) | set(indeg):
-            if len(out.get(u, [])) != indeg.get(u, 0):
-                return False
-        # peel directed cycles; balanced multigraphs always decompose
-        remaining = {u: list(ws) for u, ws in out.items()}
-        total = sum(len(ws) for ws in remaining.values())
-        while total:
-            start = next(u for u, ws in remaining.items() if ws)
-            u = start
-            steps = 0
-            while True:
-                if not remaining.get(u):
-                    return False
-                u = remaining[u].pop()
-                steps += 1
-                if u == start:
-                    break
-                if steps > total:
-                    return False
-            total -= steps
-    return True
+    return Counter(zip(points, block_idx)) == Counter(
+        zip(points[1:] + points[:1], block_idx))
 
 
 def verify_walk(fss: SetSystem, witness: WalkWitness) -> bool:

@@ -16,14 +16,10 @@ import numpy as np
 from .setsystem import BinaryMatrix, SetSystem
 
 __all__ = [
-    "EMPTY",
     "ShiftSequence",
     "QCProtoMatrix",
-    "circulant",
     "assemble",
-    "normalize_shifts",
     "expand",
-    "rate_bound",
     "exact_rate",
     "gf2_rank",
     "write_alist",
@@ -32,8 +28,6 @@ __all__ = [
     "shifts_from_json",
     "shift_sequence_from_list",
 ]
-
-EMPTY = None
 
 
 @dataclass(frozen=True)
@@ -52,17 +46,14 @@ class ShiftSequence:
 
 
 class QCProtoMatrix:
-    """v x b grid over {EMPTY} union Z_m; cell (i,j) is the shift of point i
-    in block j when i belongs to block j."""
+    """v x b grid of shifts in Z_m; cell (i,j) is the shift of point i in
+    block j, present only when i belongs to block j."""
 
     def __init__(self, v, b, m, cells):
         self.v = v
         self.b = b
         self.m = m
         self.cells = cells  # dict (i, j) -> shift, 1-based indices
-
-    def cell(self, i, j):
-        return self.cells.get((i, j), EMPTY)
 
     def column_cells(self, j):
         """Sorted (point, shift) pairs of block-column j."""
@@ -79,13 +70,6 @@ class QCProtoMatrix:
         return f"QCProtoMatrix(v={self.v}, b={self.b}, m={self.m})"
 
 
-def circulant(m: int, s: int) -> BinaryMatrix:
-    """m x m permutation matrix with entry (i, j) = 1 iff j = i + s (mod m)."""
-    if not 0 <= s <= m - 1:
-        raise ValueError(f"shift {s} outside 0..{m - 1}")
-    return BinaryMatrix(m, m, [(i, (i + s) % m) for i in range(m)])
-
-
 def assemble(fss: SetSystem, S: ShiftSequence) -> QCProtoMatrix:
     """Place the shifts of ``S`` on the incidence pattern of ``fss``.
 
@@ -100,23 +84,6 @@ def assemble(fss: SetSystem, S: ShiftSequence) -> QCProtoMatrix:
             f"shift sequence mismatch: missing {missing[:5]}, extraneous {extra[:5]}"
         )
     return QCProtoMatrix(fss.v, fss.b, S.m, dict(S.entries))
-
-
-def normalize_shifts(q: QCProtoMatrix) -> QCProtoMatrix:
-    """Reduce each block-column so its lowest-indexed cell has shift zero.
-
-    The expansion of the result is code-equivalent (same Tanner girth).
-    Idempotent.
-    """
-    cells = {}
-    for j in range(1, q.b + 1):
-        col = q.column_cells(j)
-        if not col:
-            continue
-        base = col[0][1]
-        for i, s in col:
-            cells[(i, j)] = (s - base) % q.m
-    return QCProtoMatrix(q.v, q.b, q.m, cells)
 
 
 def expand(q: QCProtoMatrix) -> BinaryMatrix:
@@ -142,12 +109,6 @@ def _lift(q: QCProtoMatrix) -> BinaryMatrix:
         for r in range(m):
             entries.append((rbase + r, cbase + (r + s) % m))
     return BinaryMatrix(q.v * m, q.b * m, entries)
-
-
-def rate_bound(fss: SetSystem) -> float:
-    """Lower bound 1 - min(b, v)/max(b, v) on the lifted code rate."""
-    lo, hi = sorted((fss.v, fss.b))
-    return 1.0 - lo / hi
 
 
 def gf2_rank(H: BinaryMatrix) -> int:

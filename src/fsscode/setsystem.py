@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 __all__ = [
     "SetSystemError",
@@ -53,10 +54,6 @@ class SetSystem:
         Block indices are 1-based to match block labels elsewhere.
         """
         return [(i, j + 1) for j, blk in enumerate(self.blocks) for i in blk]
-
-    def point_blocks(self, x: int) -> list[int]:
-        """1-based indices of the blocks containing point ``x``."""
-        return [j + 1 for j, blk in enumerate(self.blocks) if x in blk]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -102,14 +99,13 @@ def validate_fss(v, blocks, t=2) -> SetSystem:
 class SystemStats:
     """Block-size / replication / coverage statistics of a set system.
 
-    ``coverage[i]`` is the set of distinct i-subset coverage counts and
-    ``coverage_hist[i]`` the full count histogram, for 0 <= i <= t.
+    ``coverage[i]`` is the set of distinct i-subset coverage counts, for
+    0 <= i <= t.
     """
 
     K: tuple[int, ...]
     R: tuple[int, ...]
     coverage: dict[int, frozenset[int]]
-    coverage_hist: dict[int, dict[int, int]] = field(default_factory=dict)
 
 
 def block_stats(fss: SetSystem) -> SystemStats:
@@ -121,27 +117,16 @@ def block_stats(fss: SetSystem) -> SystemStats:
     K = tuple(len(b) for b in fss.blocks)
     R = tuple(sum(1 for b in fss.blocks if x in b) for x in range(1, fss.v + 1))
     coverage: dict[int, frozenset[int]] = {}
-    hist: dict[int, dict[int, int]] = {}
     for i in range(fss.t + 1):
         counts: Counter = Counter()
         for blk in fss.blocks:
             for sub in combinations(blk, i):
                 counts[sub] += 1
         values = set(counts.values())
-        n_possible = _binom(fss.v, i)
-        if len(counts) < n_possible:
+        if len(counts) < comb(fss.v, i):
             values.add(0)
         coverage[i] = frozenset(values)
-        hist[i] = dict(Counter(counts.values()))
-        if len(counts) < n_possible:
-            hist[i][0] = n_possible - len(counts)
-    return SystemStats(K=K, R=R, coverage=coverage, coverage_hist=hist)
-
-
-def _binom(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
+    return SystemStats(K=K, R=R, coverage=coverage)
 
 
 class BinaryMatrix:

@@ -2,12 +2,14 @@
 
 The shifts are assigned block-major, points ascending within each block,
 with the first shift of every block pinned to zero (a code-equivalence
-normalization).  Before the search starts, every closed walk of the mother
-structure short enough to threaten the target girth is enumerated once, by
-the closed-walk search of ``girth`` that also finds inevitable walks.  Each
-walk carries its shift sum as a small integer linear form over the shift
-variables (a template), so extending a prefix is a handful of modular
-evaluations rather than a graph search.  The residue tables of those
+normalization), by ``backtrack``: one chronological backtracking loop
+over per-position candidate lists, which ``construct.method2`` shares.
+Before the search starts, every closed walk of the mother structure short
+enough to threaten the target girth is enumerated once, by the closed-walk
+search of ``girth`` that also finds inevitable walks.  Each walk carries
+its shift sum as a small integer linear form over the shift variables (a
+template), so extending a prefix is a handful of modular evaluations
+rather than a graph search.  The residue tables of those
 evaluations (forms grouped by the gcd of their own coefficient with the
 modulus, with that coefficient inverted) are compiled once per modulus, so
 filtering the candidates of a node is one matrix-vector product and one
@@ -178,42 +180,38 @@ class ShiftSearchState:
         return np.flatnonzero(ok).tolist()
 
 
-def _run(state: ShiftSearchState, pinned, rng, budget) -> str:
-    """One backtracking pass; returns 'ok', 'infeasible' or 'budget'.
+def backtrack(n, candidates, prefix, budget):
+    """Chronological backtracking over positions ``0..n-1``, shared by the
+    shift search and ``construct.method2``.
 
-    ``rng`` of None means ascending candidate order.  The pass stops after
-    ``budget`` further expansions.
+    ``candidates(e)`` returns position ``e``'s values in trial order; it is
+    called each time the search enters ``e``, with ``prefix`` then holding
+    the values of positions ``0..e-1``.  It fills ``prefix`` in place and
+    makes at most ``budget`` expansions (values appended).
+    Returns ``(status, expansions, backtracks)``: status is ``'ok'`` with
+    ``prefix`` complete, ``'infeasible'`` once the first position runs out
+    of values, or ``'unknown'`` when the budget stops the search first.
     """
-    state.prefix.clear()
-    stacks: list[list[int]] = []
-    spent = 0
-    e = 0
-    while e < len(state.order):
+    prefix.clear()
+    stacks: list[list] = []
+    expansions = backtracks = e = 0
+    while e < n:
         if len(stacks) == e:
-            cands = state.allowed_values(e)
-            if e in pinned:
-                cands = [0] if 0 in cands else []
-            elif rng is not None:
-                rng.shuffle(cands)
-            cands.reverse()  # popped from the end: first candidate first
-            stacks.append(cands)
+            stacks.append(candidates(e)[::-1])  # popped from the end
         if stacks[e]:
-            if spent >= budget:
-                return "budget"
-            s = stacks[e].pop()
-            state.expansions += 1
-            spent += 1
-            state.prefix.append(s)
+            if expansions == budget:
+                return "unknown", expansions, backtracks
+            prefix.append(stacks[e].pop())
+            expansions += 1
             e += 1
         else:
             stacks.pop()
             if e == 0:
-                return "infeasible"
+                return "infeasible", expansions, backtracks
+            prefix.pop()
+            backtracks += 1
             e -= 1
-            state.prefix.pop()
-            state.backtracks += 1
-
-    return "ok"
+    return "ok", expansions, backtracks
 
 
 def search_shifts(
@@ -221,7 +219,6 @@ def search_shifts(
     m: int,
     target_girth: int,
     policy: SearchPolicy | None = None,
-    verify: bool = True,
 ) -> SearchResult:
     """Find a shift sequence of order ``m`` whose expansion has Tanner girth
     at least ``target_girth``, or prove none exists for this modulus."""
@@ -231,16 +228,28 @@ def search_shifts(
         raise ValueError("modulus must be >= 1")
     policy = policy or SearchPolicy()
     state = ShiftSearchState.create(fss, m, target_girth)
-    pinned = set()
-    seen_blocks = set()
-    for e, (_, j) in enumerate(state.order):
-        if j not in seen_blocks:
-            seen_blocks.add(j)
-            pinned.add(e)
+    # the first incidence of every block
+    pinned = {e for e, (i, j) in enumerate(state.order) if i == fss.blocks[j - 1][0]}
+    rng = None
+
+    def candidates(e):
+        cands = state.allowed_values(e)
+        if e in pinned:
+            return [0] if 0 in cands else []
+        if rng is not None:
+            rng.shuffle(cands)
+        return cands
+
+    def run(budget):
+        status, spent, undone = backtrack(len(state.order), candidates,
+                                          state.prefix, budget)
+        state.expansions += spent
+        state.backtracks += undone
+        return status
 
     restarts = 0
     if policy.order == "ascending":
-        status = _run(state, pinned, None, policy.budget)
+        status = run(policy.budget)
     else:
         # geometric restarts tame the heavy-tailed runtime distribution of
         # chronological backtracking; seeds advance deterministically
@@ -250,31 +259,25 @@ def search_shifts(
         while state.expansions < policy.budget:
             restarts += 1
             rng = random.Random(policy.seed * 1_000_003 + restarts)
-            left = policy.budget - state.expansions
-            status = _run(state, pinned, rng, min(tranche, left))
-            if status in ("ok", "infeasible"):
+            status = run(min(tranche, policy.budget - state.expansions))
+            if status != "unknown":
                 break
             if (restarts + 1) % 3 == 0:
                 tranche *= 2
     counts = dict(expansions=state.expansions, backtracks=state.backtracks,
                   restarts=restarts)
-    if status == "infeasible":
-        return SearchResult(status="infeasible", **counts)
     if status != "ok":
-        return SearchResult(status="unknown", **counts)
+        return SearchResult(status=status, **counts)
 
     shifts = ShiftSequence(
         m=m, entries={inc: state.prefix[i] for i, inc in enumerate(state.order)}
     )
-    verified = None
-    if verify:
-        report = tanner_girth(
-            expand(assemble(fss, shifts)), cap=max(target_girth, 4), circulant=m
+    report = tanner_girth(
+        expand(assemble(fss, shifts)), cap=max(target_girth, 4), circulant=m
+    )
+    if report.girth is not None and report.girth < target_girth:
+        raise RuntimeError(
+            f"internal check failed: oracle girth {report.girth} < {target_girth}"
         )
-        verified = report.girth
-        if verified is not None and verified < target_girth:
-            raise RuntimeError(
-                f"internal check failed: oracle girth {verified} < {target_girth}"
-            )
-    return SearchResult(status="ok", shifts=shifts, verified_girth=verified,
+    return SearchResult(status="ok", shifts=shifts, verified_girth=report.girth,
                         **counts)

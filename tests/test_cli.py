@@ -87,6 +87,59 @@ class TestConstructors:
             "--girth", "16", "--budget", "5",
         ])
         assert code == EXIT_UNKNOWN
+        assert json.loads(out)["expansions"] == 5
+
+    def test_method2_random_order_bytes_pinned(self, capsys):
+        code, out, _ = _run(capsys, [
+            "method2", "--v", "8", "--K", "3,3,3,3", "--girth", "12",
+            "--order", "random", "--seed", "1",
+        ])
+        assert code == EXIT_OK
+        assert out == json.dumps({
+            "meta": {"tool": "fsscode", "version": "0.1.0", "v": 8,
+                     "K": [3, 3, 3, 3], "girth": 12, "order": "random",
+                     "budget": 10_000_000, "seed": 1},
+            "status": "ok",
+            "expansions": 13,
+            "system": {"v": 8, "t": 2,
+                       "blocks": [[4, 5, 6], [3, 4, 5], [3, 4, 5], [4, 5, 6]]},
+            "verification": {"girth": 12, "cap": 6,
+                             "witness": _walk([3, 4, 5, 3, 4, 5],
+                                              [2, 3, 2, 3, 2, 3])},
+        }, indent=2) + "\n"
+
+
+class TestExitCodes:
+    """Every status a search or construction subcommand can end in, and
+    the exit code it maps to."""
+
+    @pytest.mark.parametrize("argv, status, code", [
+        (["shifts", "--m", "5", "--girth", "8"], "ok", EXIT_OK),
+        (["shifts", "--m", "2", "--girth", "8"], "infeasible", EXIT_INFEASIBLE),
+        (["shifts", "--m", "5", "--girth", "8", "--budget", "1"], "unknown",
+         EXIT_UNKNOWN),
+        (["method1", "--girth", "24", "--m-schedule", "3"], "ok", EXIT_OK),
+        # method1 raises ConstructionError instead of returning a status
+        (["method1", "--girth", "24", "--m-schedule", "2"], None, EXIT_ERROR),
+        (["method2", "--v", "6", "--K", "3,3,2,2", "--girth", "8"], "ok",
+         EXIT_OK),
+        (["method2", "--v", "2", "--K", "2,2,2,2", "--girth", "14"],
+         "infeasible", EXIT_INFEASIBLE),
+        (["method2", "--v", "6", "--K", "3,3,2,2", "--girth", "8",
+          "--budget", "3"], "unknown", EXIT_UNKNOWN),
+    ], ids=["shifts-ok", "shifts-infeasible", "shifts-unknown", "method1-ok",
+            "method1-error", "method2-ok", "method2-infeasible",
+            "method2-unknown"])
+    def test_status_exit_code(self, capsys, fss_file, argv, status, code):
+        if argv[0] != "method2":
+            argv = [argv[0], "--fss", fss_file, *argv[1:]]
+        got, out, err = _run(capsys, argv)
+        assert got == code
+        if status is None:
+            assert out == ""
+            assert json.loads(err)["error"] == "ConstructionError"
+        else:
+            assert json.loads(out)["status"] == status
 
 
 class TestShiftPipeline:

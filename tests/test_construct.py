@@ -112,6 +112,7 @@ class TestMethod2:
         res = method2(10, WeightProfile((3,) * 13), 16,
                       policy=SearchPolicy(budget=5))
         assert res.status == "unknown"
+        assert res.expansions == 5
 
     def test_deterministic(self):
         r1 = method2(8, WeightProfile((3, 3, 3, 3)), 12)

@@ -281,6 +281,111 @@ class TestVerifyWalk:
         ks = (1, 2, 3, 1, 2, 3)
         assert verify_walk_raw(blocks, points, ks)
 
+    def test_matches_peeling_reference(self):
+        # on small systems with repeated blocks: rotated balanced walks from
+        # the engine, the same with one entry changed, raw-valid random
+        # closed walks, and unconstrained sequences
+        rng = random.Random(11)
+        verdicts = {True: 0, False: 0}
+        for _ in range(2_000):
+            fss = _random_system(rng, vmax=4, bmax=5)
+            blocks = fss.blocks
+            kind = rng.randrange(4)
+            walk = None
+            if kind < 2:
+                sc = WalkScaffold(blocks)
+                walk = next((w for L in range(rng.randint(2, 6), 9)
+                             if (w := _first_balanced(sc, L))), None)
+            elif kind == 2:
+                walk = _random_closed_walk(rng, blocks, rng.randint(2, 8))
+            if walk is None:
+                L = rng.randint(1, 6)
+                walk = ([rng.randint(1, fss.v) for _ in range(L)],
+                        [rng.randint(1, len(blocks) + 1) for _ in range(L)])
+            points, ks = list(walk[0]), list(walk[1])
+            r = rng.randrange(len(points))
+            points, ks = points[r:] + points[:r], ks[r:] + ks[:r]
+            if kind == 1:
+                j = rng.randrange(len(points))
+                if rng.random() < 0.5:
+                    points[j] = rng.randint(1, fss.v)
+                else:
+                    ks[j] = rng.randint(1, len(blocks))
+            want = _ref_verify_walk_raw(blocks, points, ks)
+            assert verify_walk_raw(blocks, points, ks) == want, (blocks, points, ks)
+            verdicts[want] += 1
+        assert min(verdicts.values()) >= 300, verdicts
+
+
+def _random_closed_walk(rng, blocks, L):
+    """A closed walk of length L obeying the raw conditions, or None when
+    the random steps do not close."""
+    points = [rng.choice(rng.choice(blocks))]
+    ks = []
+    for j in range(L):
+        u = points[-1]
+        last = j == L - 1
+        options = [(k, w) for k, blk in enumerate(blocks, 1) if u in blk
+                   for w in blk if w != u and (not ks or k != ks[-1])
+                   and (not last or (w == points[0] and k != ks[0]))]
+        if not options:
+            return None
+        k, w = rng.choice(options)
+        ks.append(k)
+        points.append(w)
+    return points[:-1], ks
+
+
+def _ref_verify_walk_raw(blocks, points, block_idx):
+    """The verifier before the multiset balance test: per-block degree
+    counts, then greedy peeling of each block's steps into directed
+    cycles."""
+    L = len(points)
+    if L < 2 or len(block_idx) != L:
+        return False
+    block_sets = [set(b) for b in blocks]
+    for j in range(L):
+        i_j, i_n = points[j], points[(j + 1) % L]
+        k = block_idx[j]
+        if not 1 <= k <= len(blocks):
+            return False
+        if i_j == i_n:
+            return False
+        if i_j not in block_sets[k - 1] or i_n not in block_sets[k - 1]:
+            return False
+        if k == block_idx[(j + 1) % L]:
+            return False
+    from collections import defaultdict
+
+    per_block: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
+    for j in range(L):
+        per_block[block_idx[j]][points[j]].append(points[(j + 1) % L])
+    for k, out in per_block.items():
+        indeg: dict[int, int] = defaultdict(int)
+        for u, ws in out.items():
+            for w in ws:
+                indeg[w] += 1
+        for u in set(out) | set(indeg):
+            if len(out.get(u, [])) != indeg.get(u, 0):
+                return False
+        remaining = {u: list(ws) for u, ws in out.items()}
+        total = sum(len(ws) for ws in remaining.values())
+        while total:
+            start = next(u for u, ws in remaining.items() if ws)
+            u = start
+            steps = 0
+            while True:
+                if not remaining.get(u):
+                    return False
+                u = remaining[u].pop()
+                steps += 1
+                if u == start:
+                    break
+                if steps > total:
+                    return False
+            total -= steps
+    return True
+
 
 # ----------------------------------------------------------------------
 # Slow references: the two closed-walk enumerators the engine replaced

@@ -56,9 +56,6 @@ class TestValidate:
         fss = validate_fss(3, [[1, 3], [2, 3]])
         assert fss.incidences == [(1, 1), (3, 1), (2, 2), (3, 2)]
 
-    def test_point_blocks(self, example):
-        assert example.point_blocks(1) == [1, 2, 3, 8, 9]
-
 
 class TestStats:
     def test_example_stats(self, example):
@@ -68,13 +65,11 @@ class TestStats:
         # near-uniform pair coverage: 24 pairs twice, 4 pairs three times
         assert st.coverage[1] == frozenset({5})
         assert st.coverage[2] == frozenset({2, 3})
-        assert st.coverage_hist[2] == {2: 24, 3: 4}
         assert st.coverage[3] == frozenset({0, 1})
 
     def test_uncovered_subset_contributes_zero(self):
         st = block_stats(validate_fss(3, [[1, 2]]))
         assert 0 in st.coverage[2]
-        assert st.coverage_hist[2][0] == 2  # {1,3} and {2,3}
 
 
 class TestBinaryMatrix:

@@ -13,7 +13,12 @@ from fsscode.qc import (
     shifts_to_json,
 )
 from fsscode.setsystem import validate_fss
-from fsscode.shiftsearch import SearchPolicy, ShiftSearchState, search_shifts
+from fsscode.shiftsearch import (
+    SearchPolicy,
+    ShiftSearchState,
+    backtrack,
+    search_shifts,
+)
 
 
 def _exhaustive_feasible(fss, m, target):
@@ -168,6 +173,79 @@ class TestAllowedValuesDifferential:
                 assert state.allowed_values(e) == []
                 assert _reference_allowed(state.buckets[e], state.prefix, 7) == []
         state.prefix.clear()
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+def _ref_backtrack(n, candidates, budget):
+    """Recursive reference for ``backtrack``: (status, expansions,
+    backtracks, prefix)."""
+    prefix = []
+    count = {"expansions": 0, "backtracks": 0}
+
+    def extend():
+        if len(prefix) == n:
+            return True
+        for x in candidates(len(prefix), prefix):
+            if count["expansions"] == budget:
+                raise _BudgetSpent
+            prefix.append(x)
+            count["expansions"] += 1
+            if extend():
+                return True
+            prefix.pop()
+            count["backtracks"] += 1
+        return False
+
+    try:
+        status = "ok" if extend() else "infeasible"
+    except _BudgetSpent:
+        status = "unknown"
+    return status, count["expansions"], count["backtracks"], prefix
+
+
+class TestBacktrack:
+    """``backtrack`` against the recursive reference on toy candidate
+    functions: random value lists in random order, seeded by the prefix."""
+
+    @staticmethod
+    def _toy(seed, width, calls):
+        def candidates(e, prefix):
+            calls.append((e, tuple(prefix)))
+            rng = random.Random(hash((seed, tuple(prefix))))
+            values = [x for x in range(width) if rng.random() < 0.55]
+            rng.shuffle(values)
+            return values
+        return candidates
+
+    def test_matches_recursive_reference(self):
+        statuses = set()
+        for seed in range(150):
+            n = seed % 6
+            width = 1 + seed % 4
+            full = _ref_backtrack(n, self._toy(seed, width, []), 10**9)
+            budgets = sorted({1, 2, full[1], full[1] + 1,
+                              max(1, full[1] - 1), max(1, full[1] // 2)})
+            for budget in budgets:
+                want_calls, got_calls = [], []
+                want = _ref_backtrack(n, self._toy(seed, width, want_calls), budget)
+                toy = self._toy(seed, width, got_calls)
+                prefix = [99]
+                got = backtrack(n, lambda e: toy(e, prefix), prefix, budget)
+                assert (*got, prefix) == want, (seed, budget)
+                assert got_calls == want_calls
+                assert got[1] <= budget
+                statuses.add(got[0])
+        assert statuses == {"ok", "infeasible", "unknown"}
+
+    def test_budget_cuts_before_the_next_expansion(self):
+        prefix = []
+        got = backtrack(3, lambda e: [0, 1], prefix, 2)
+        assert got == ("unknown", 2, 0) and prefix == [0, 0]
+        assert backtrack(3, lambda e: [0, 1], prefix, 3) == ("ok", 3, 0)
+        assert prefix == [0, 0, 0]
 
 
 TEN_TRIPLES = validate_fss(3, [[1, 2, 3]] * 10)
