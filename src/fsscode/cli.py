@@ -97,16 +97,15 @@ def cmd_girth(args):
 def cmd_method1(args):
     fss = _load_fss(args.fss)
     res = method1(fss, args.girth, _int_list(args.m_schedule), policy=_policy(args))
-    _emit(
-        {
-            "meta": _meta(args, input=args.fss, girth=args.girth,
-                          m_schedule=_int_list(args.m_schedule), seed=args.seed),
-            "status": res.status,
-            "system": json.loads(res.system.to_json()),
-            "verification": json.loads(res.report.to_json()),
-        },
-        args.output,
-    )
+    doc = {
+        "meta": _meta(args, input=args.fss, girth=args.girth,
+                      m_schedule=_int_list(args.m_schedule), seed=args.seed),
+        "status": res.status,
+    }
+    if res.ok:
+        doc["system"] = json.loads(res.system.to_json())
+        doc["verification"] = json.loads(res.report.to_json())
+    _emit(doc, args.output)
     return EXIT_CODES[res.status]
 
 
@@ -146,9 +145,11 @@ def cmd_shifts(args):
 
 def cmd_expand(args):
     fss = _load_fss(args.fss)
-    if args.shifts:
+    if args.shifts is not None:
         with open(args.shifts) as fh:
             S = shifts_from_json(fss, fh.read())
+    elif args.m is None:
+        raise ValueError("--shift-list requires --m")
     else:
         S = shift_sequence_from_list(fss, args.m, _int_list(args.shift_list))
     H = expand(assemble(fss, S))
@@ -189,7 +190,7 @@ def cmd_verify_table(args):
     failures = 0
     for row in rows:
         H = expand(reference_code(row["name"]))
-        report = tanner_girth(H, cap=row["girth"] + 2, circulant=row["m"])
+        report = tanner_girth(H, cap=row["girth"] + 2)
         ok = report.girth == row["girth"] and H.cols == row["n"]
         status = "PASS" if ok else "FAIL"
         print(f"{status} {row['name']}: girth {report.girth} "
@@ -198,8 +199,16 @@ def cmd_verify_table(args):
     return EXIT_OK if failures == 0 else EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise into ``main``'s error boundary (exit 1, JSON on
+    stderr) instead of printing usage and exiting 2, which means infeasible."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="fsscode",
         description="Quasi-cyclic LDPC codes from finite set systems",
     )
@@ -209,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kw):
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
-        sp.add_argument("-o", "--output", default=None)
+        sp.add_argument("-o", "--output", required=name in ("expand", "simulate"))
         return sp
 
     def add_policy(sp):
@@ -245,11 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("expand", cmd_expand, help="expand a system + shifts to alist")
     sp.add_argument("--fss", required=True)
-    sp.add_argument("--shifts", default=None, help="shift JSON file")
-    sp.add_argument("--shift-list", default=None,
-                    help="comma-separated shifts (explicit or compressed)")
-    sp.add_argument("--m", type=int, default=None)
-    sp.set_defaults(fn=cmd_expand)
+    given = sp.add_mutually_exclusive_group(required=True)
+    given.add_argument("--shifts", help="shift JSON file")
+    given.add_argument("--shift-list",
+                       help="comma-separated shifts (explicit or compressed)")
+    sp.add_argument("--m", type=int)
 
     sp = add("tgirth", cmd_tgirth, help="Tanner girth of an alist matrix")
     sp.add_argument("--alist", required=True)
@@ -271,25 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "expand":
-        if bool(args.shifts) == bool(args.shift_list):
-            print(json.dumps({"error": "expand needs exactly one of "
-                              "--shifts or --shift-list"}), file=sys.stderr)
-            return EXIT_ERROR
-        if args.shift_list and args.m is None:
-            print(json.dumps({"error": "--shift-list requires --m"}),
-                  file=sys.stderr)
-            return EXIT_ERROR
-        if not args.output:
-            print(json.dumps({"error": "expand requires -o OUTPUT.alist"}),
-                  file=sys.stderr)
-            return EXIT_ERROR
-    if args.command == "simulate" and not args.output:
-        print(json.dumps({"error": "simulate requires -o OUTPUT.csv"}),
-              file=sys.stderr)
-        return EXIT_ERROR
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except Exception as ex:  # noqa: BLE001 - single CLI boundary
         print(json.dumps({"error": type(ex).__name__, "message": str(ex)}),

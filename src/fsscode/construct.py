@@ -12,7 +12,7 @@ the target appears, with the chronological backtracking loop
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import ceil
 
@@ -97,6 +97,11 @@ def method1(
     The lifted girth triples under the re-reading, so a round is only worth
     taking when the primitive admits a lifted girth of at least
     2*ceil(target_g/6); a primitive below that bound is rejected up front.
+
+    A round tries lower lifted girths down to that bound, so its last
+    search decides: status 'infeasible' when even the bound has no shift
+    sequence of order m, 'unknown' when ``policy.budget``, shared by every
+    search of the run, ran out first.
     """
     if target_g % 2 or target_g < 6:
         raise ValueError("target girth must be even and >= 6")
@@ -114,19 +119,17 @@ def method1(
                 f"maximum achievable girth {report.girth} is below the "
                 f"required intermediate girth {needed}"
             )
-        lifted = None
         for g_try in range(report.girth, needed - 2, -2):
-            res = search_shifts(current, m, g_try, policy=policy)
+            if total_exp == policy.budget:  # spent: lower targets stay open
+                return ConstructionResult(status="unknown", expansions=total_exp)
+            res = search_shifts(current, m, g_try, policy=replace(
+                policy, budget=policy.budget - total_exp))
             total_exp += res.expansions
-            if res.status == "ok":
-                lifted = res.shifts
+            if res.status != "infeasible":
                 break
-        if lifted is None:
-            raise ConstructionError(
-                f"no shift sequence of order {m} reaches lifted girth "
-                f">= {needed} for the current system"
-            )
-        current = method1_lift(current, m, lifted)
+        if not res.ok:
+            return ConstructionResult(status=res.status, expansions=total_exp)
+        current = method1_lift(current, m, res.shifts)
         report = inevitable_girth(current, cap=cap)
     if not report.unbounded and report.girth < target_g:
         raise ConstructionError(
@@ -197,9 +200,8 @@ def _accepts(points, starts, beta, max_len):
     <= max_len through any new incidence step (x, last block, beta)."""
     trial = [tuple(points[a:b]) for a, b in zip(starts, [*starts[1:], len(points)])]
     trial[-1] += (beta,)
-    k0 = len(trial)
     scaffold = WalkScaffold(trial)
     for x in trial[-1][:-1]:
-        if min_edge_walk(trial, x, k0, beta, max_len, scaffold=scaffold) is not None:
+        if min_edge_walk(scaffold, x, len(trial), beta, max_len) is not None:
             return False
     return True

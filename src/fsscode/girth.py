@@ -4,8 +4,9 @@
   matrix: length-L walks there correspond to length-2L cycles in the Tanner
   graph of the expansion.
 * Exact Tanner-graph girth by truncated per-vertex BFS -- the ground-truth
-  oracle everything else is checked against; quasi-cyclic input needs only
-  one BFS root per block-row.
+  oracle everything else is checked against.  It finds the circulant block
+  size of H itself, so quasi-cyclic input needs only one BFS root per
+  block-row and no caller declares the size.
 * Closed walks in a set system: alternating point/block walks whose
   symbolic shift sum telescopes to sum_k sum_x (in_k(x) - out_k(x)) s_{x,k},
   a linear form over the incidences.  One scaffold (``WalkScaffold``) and
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass
+from math import gcd
 
 from .setsystem import BinaryMatrix, SetSystem
 from .qc import QCProtoMatrix
@@ -188,30 +190,23 @@ def bsg_shortest_closed_walk(g: BlockStructureGraph, cap: int) -> GirthReport:
 # Tanner-graph girth (oracle)
 # ----------------------------------------------------------------------
 
-def tanner_girth(H: BinaryMatrix, cap: int = 16, circulant: int = 1) -> GirthReport:
+def tanner_girth(H: BinaryMatrix, cap: int = 16) -> GirthReport:
     """Exact girth of the bipartite Tanner graph of H, or unbounded if no
     cycle of length <= cap exists.
 
     Truncated BFS from check nodes; vertices 0..rows-1 are checks,
     rows..rows+cols-1 are bits.  A BFS rooted on a vertex of a shortest
     cycle finds that cycle, so it is enough that the roots meet every
-    shortest cycle.
-
-    ``circulant=1`` roots a BFS at every check.  ``circulant=m`` declares H
-    quasi-cyclic with m x m circulant blocks: the block-wise shift (row r
-    and column c each to the next index inside their own block of m) is
-    then a Tanner-graph automorphism.  Every cycle contains a check, and a
-    power of the shift carries that check to the first row of its
-    block-row, so the BFS roots only at rows 0, m, 2m, ... and the girth is
-    unchanged.  The declaration is verified first, in O(nnz): ValueError
-    when m does not divide both dimensions or H is not invariant under the
-    shift, so a wrong m never yields a wrong girth.  ``expand`` output is
-    invariant for its own m, transposed or not.
+    shortest cycle.  When H is quasi-cyclic with d x d circulant blocks,
+    d = ``_circulant_size(H)``, the block-wise shift is a Tanner-graph
+    automorphism: every cycle contains a check, and a power of the shift
+    carries that check to the first row of its block-row, so the BFS roots
+    only at rows 0, d, 2d, ... and the girth is unchanged.  The witness is
+    unchanged too: it comes from the first block-row holding a girth cycle,
+    as it does when every check is a root.
     """
     if cap < 4 or cap % 2:
         raise ValueError("cap must be even and >= 4")
-    if circulant != 1:
-        _check_circulant(H, circulant)
     m, n = H.rows, H.cols
     adj: list[list[int]] = [[m + c for c in sup] for sup in H.row_support]
     adj += [list(sup) for sup in H.col_support]
@@ -220,7 +215,7 @@ def tanner_girth(H: BinaryMatrix, cap: int = 16, circulant: int = 1) -> GirthRep
     parent = [-1] * nv
     best = None
     best_nodes = None
-    for root in range(0, m, circulant):
+    for root in range(0, m, _circulant_size(H)):
         limit = cap if best is None else min(cap, best - 2)
         maxdepth = limit // 2
         dist[root] = 0
@@ -256,24 +251,32 @@ def tanner_girth(H: BinaryMatrix, cap: int = 16, circulant: int = 1) -> GirthRep
     return GirthReport(girth=best, cap=cap, witness=CycleWitness(tuple(best_nodes)))
 
 
-def _check_circulant(H: BinaryMatrix, m: int) -> None:
-    """Raise ValueError unless H is invariant under the block-wise shift of
-    order ``m`` on both its rows and its columns."""
-    if m < 1:
-        raise ValueError(f"circulant size must be >= 1, got {m}")
-    if H.rows % m or H.cols % m:
-        raise ValueError(
-            f"circulant size {m} does not divide the {H.rows}x{H.cols} matrix"
-        )
-    nxt = [c + 1 if (c + 1) % m else c + 1 - m for c in range(H.cols)]
+def _circulant_size(H: BinaryMatrix) -> int:
+    """Largest d > 1 dividing both dimensions of H such that H is invariant
+    under the block-wise shift of order d (row r and column c each to the
+    next index inside their own block of d), or 1 when there is none.
+
+    Sizes are tried from the largest down.  Row 0 must map onto row 1,
+    which rejects most wrong sizes at once; only then does the full test
+    run, in O(nnz).  ``expand`` output passes for its own m, transposed or
+    not, and for no larger size unless its shifts allow one.
+    """
+    g = gcd(H.rows, H.cols) if H.rows and H.cols else 1
     sup = H.row_support
-    for r in range(H.rows):
-        r2 = r + 1 if (r + 1) % m else r + 1 - m
-        if sup[r2] != sorted(map(nxt.__getitem__, sup[r])):
-            raise ValueError(
-                f"matrix is not invariant under the circulant shift of size "
-                f"{m}: row {r} does not map onto row {r2}"
-            )
+    for d in range(g, 1, -1):
+        if g % d:
+            continue
+
+        def shift(i):
+            return i + 1 if (i + 1) % d else i + 1 - d
+
+        if sup[1] != sorted(map(shift, sup[0])):
+            continue
+        nxt = list(map(shift, range(max(H.rows, H.cols))))
+        if all(sup[nxt[r]] == sorted(map(nxt.__getitem__, row))
+               for r, row in enumerate(sup)):
+            return d
+    return 1
 
 
 def _cycle_nodes(u, w, parent, dist):
@@ -451,14 +454,13 @@ def inevitable_girth(fss: SetSystem, cap: int = DEFAULT_WALK_CAP) -> GirthReport
     return GirthReport(girth=None, cap=cap)
 
 
-def min_edge_walk(blocks, x, k0, y, max_len, scaffold=None):
-    """Length of the shortest balanced closed walk opening with the step
-    (x, block k0, y), or None when no walk of length <= max_len exists.
-    Callers probing several steps of one block list pass its
-    ``WalkScaffold`` as ``scaffold``, which keeps the distances it caches."""
-    sc = scaffold or WalkScaffold(blocks)
+def min_edge_walk(scaffold: WalkScaffold, x, k0, y, max_len):
+    """Length of the shortest balanced closed walk of ``scaffold``'s blocks
+    opening with the step (x, block k0, y), or None when no walk of length
+    <= max_len exists.  Probing several steps through one scaffold keeps
+    the distances it caches."""
     for L in range(2, max_len + 1):
-        if _first_balanced(sc, L, first=(x, k0, y)) is not None:
+        if _first_balanced(scaffold, L, first=(x, k0, y)) is not None:
             return L
     return None
 

@@ -272,9 +272,7 @@ def search_shifts(
     shifts = ShiftSequence(
         m=m, entries={inc: state.prefix[i] for i, inc in enumerate(state.order)}
     )
-    report = tanner_girth(
-        expand(assemble(fss, shifts)), cap=max(target_girth, 4), circulant=m
-    )
+    report = tanner_girth(expand(assemble(fss, shifts)), cap=max(target_girth, 4))
     if report.girth is not None and report.girth < target_girth:
         raise RuntimeError(
             f"internal check failed: oracle girth {report.girth} < {target_girth}"

@@ -10,7 +10,7 @@ from itertools import product
 
 import pytest
 
-from fsscode import load_paper_tables, reference_code
+from fsscode import girth, load_paper_tables, reference_code
 from fsscode.construct import WeightProfile, method1_lift, method2
 from fsscode.girth import (
     bsg_shortest_closed_walk,
@@ -65,18 +65,25 @@ def test_criterion_01_incidence_fidelity(capsys):
             "bit-exact against the published 10x28 matrix")
 
 
-def test_criterion_02_reference_girths(capsys):
-    # every row through the circulant oracle that verify-table uses; rows
-    # small enough for the every-check BFS must agree with it as well
+def test_criterion_02_reference_girths(capsys, monkeypatch):
+    # every row through the oracle that verify-table uses, which must find
+    # the row's circulant size; rows small enough for the every-check BFS
+    # must agree with it as well
     failures = []
     for row in TABLES["girth_codes"]:
         H = expand(reference_code(row["name"]))
         cap = row["girth"] + 2
-        rep = tanner_girth(H, cap=cap, circulant=row["m"])
+        rep = tanner_girth(H, cap=cap)
+        size = girth._circulant_size(H)
         if rep.girth != row["girth"] or H.cols != row["n"]:
             failures.append((row["name"], rep.girth, H.cols))
-        elif row["m"] <= 1000 and tanner_girth(H, cap=cap).girth != rep.girth:
-            failures.append((row["name"], "generic path disagrees"))
+        elif size != row["m"]:
+            failures.append((row["name"], "circulant size", size))
+        elif row["m"] <= 1000:
+            with monkeypatch.context() as mp:
+                mp.setattr(girth, "_circulant_size", lambda H: 1)
+                if tanner_girth(H, cap=cap).to_json() != rep.to_json():
+                    failures.append((row["name"], "generic path disagrees"))
     _report(capsys, 2, not failures,
             f"compressed-shift importer reproduces published girths "
             f"(failures: {failures or 'none'})")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fsscode import load_paper_tables
+from fsscode import load_paper_tables, reference_code
 from fsscode.cli import (
     EXIT_ERROR,
     EXIT_INFEASIBLE,
@@ -10,6 +10,7 @@ from fsscode.cli import (
     EXIT_UNKNOWN,
     main,
 )
+from fsscode.qc import expand, write_alist
 from fsscode.setsystem import validate_fss
 
 
@@ -119,8 +120,10 @@ class TestExitCodes:
         (["shifts", "--m", "5", "--girth", "8", "--budget", "1"], "unknown",
          EXIT_UNKNOWN),
         (["method1", "--girth", "24", "--m-schedule", "3"], "ok", EXIT_OK),
-        # method1 raises ConstructionError instead of returning a status
-        (["method1", "--girth", "24", "--m-schedule", "2"], None, EXIT_ERROR),
+        (["method1", "--girth", "24", "--m-schedule", "2"], "infeasible",
+         EXIT_INFEASIBLE),
+        (["method1", "--girth", "24", "--m-schedule", "3", "--budget", "2"],
+         "unknown", EXIT_UNKNOWN),
         (["method2", "--v", "6", "--K", "3,3,2,2", "--girth", "8"], "ok",
          EXIT_OK),
         (["method2", "--v", "2", "--K", "2,2,2,2", "--girth", "14"],
@@ -128,18 +131,42 @@ class TestExitCodes:
         (["method2", "--v", "6", "--K", "3,3,2,2", "--girth", "8",
           "--budget", "3"], "unknown", EXIT_UNKNOWN),
     ], ids=["shifts-ok", "shifts-infeasible", "shifts-unknown", "method1-ok",
-            "method1-error", "method2-ok", "method2-infeasible",
-            "method2-unknown"])
+            "method1-infeasible", "method1-unknown", "method2-ok",
+            "method2-infeasible", "method2-unknown"])
     def test_status_exit_code(self, capsys, fss_file, argv, status, code):
         if argv[0] != "method2":
             argv = [argv[0], "--fss", fss_file, *argv[1:]]
-        got, out, err = _run(capsys, argv)
+        got, out, _ = _run(capsys, argv)
         assert got == code
-        if status is None:
-            assert out == ""
-            assert json.loads(err)["error"] == "ConstructionError"
-        else:
-            assert json.loads(out)["status"] == status
+        doc = json.loads(out)
+        assert doc["status"] == status
+        if argv[0] != "shifts":  # a system only comes with status ok
+            assert ("system" in doc) == ("verification" in doc) == (status == "ok")
+
+    @pytest.mark.parametrize("argv", [
+        ["shifts", "--fss", "FSS", "--m", "abc", "--girth", "8"],
+        ["bogus"],
+        ["shifts", "--m", "5", "--girth", "8"],
+        ["expand", "--fss", "FSS", "--shift-list", "0,1,2", "--m", "3"],
+        ["simulate", "--alist", "h.alist", "--snr", "4", "--rate", "0.5"],
+        ["expand", "--fss", "FSS", "--shifts", "s.json", "--shift-list", "0",
+         "--m", "3", "-o", "h.alist"],
+        ["expand", "--fss", "FSS", "--m", "3", "-o", "h.alist"],
+    ], ids=["bad-int", "unknown-subcommand", "missing-fss", "expand-no-output",
+            "simulate-no-output", "expand-both-shift-flags",
+            "expand-no-shift-flag"])
+    def test_usage_error_exits_1_with_json(self, capsys, fss_file, argv):
+        got, out, err = _run(capsys, [fss_file if a == "FSS" else a for a in argv])
+        assert (got, out) == (EXIT_ERROR, "")
+        assert json.loads(err)["error"] == "ArgumentError"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["shifts", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestShiftPipeline:
@@ -192,10 +219,16 @@ class TestShiftPipeline:
         assert code == EXIT_OK
         assert json.loads(out)["cols"] == 9
 
-    def test_expand_flag_validation(self, capsys, fss_file):
-        code, _, err = _run(capsys, ["expand", "--fss", fss_file, "-o", "x"])
-        assert code == EXIT_ERROR
+    def test_expand_flag_validation(self, capsys, fss_file, tmp_path):
+        code, out, err = _run(capsys, ["expand", "--fss", fss_file, "-o", "x"])
+        assert (code, out) == (EXIT_ERROR, "")
         assert "error" in json.loads(err)
+        alist_path = tmp_path / "h.alist"
+        code, out, err = _run(capsys, ["expand", "--fss", fss_file,
+                                       "--shift-list", "0,1,2", "-o", str(alist_path)])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert json.loads(err)["message"] == "--shift-list requires --m"
+        assert not alist_path.exists()
 
     def test_expand_rejects_repeated_shift_record(self, capsys, fss_file, tmp_path):
         shifts_path = tmp_path / "s.json"
@@ -300,6 +333,22 @@ class TestTgirth:
             + witness[:-1] + '\n  ],\n  "meta": {\n    "tool": "fsscode",'
             '\n    "version": "0.1.0",\n    "input": "h.alist",'
             '\n    "cap": 12\n  }\n}\n'
+        )
+
+    def test_json_bytes_pinned_reference_code(self, capsys, tmp_path,
+                                              monkeypatch):
+        # the n=360 reference code: the oracle finds its circulant size 36
+        # in the alist and roots one BFS per block-row
+        monkeypatch.chdir(tmp_path)
+        write_alist(expand(reference_code("fss-3-10-m36")), "h.alist")
+        code, out, _ = _run(capsys, ["tgirth", "--alist", "h.alist"])
+        assert code == EXIT_OK
+        witness = "".join(f"\n    {x}," for x in (0, 144, 71, 143, 35, 251, 72, 108))
+        assert out == (
+            '{\n  "girth": 8,\n  "cap": 16,\n  "witness": ['
+            + witness[:-1] + '\n  ],\n  "meta": {\n    "tool": "fsscode",'
+            '\n    "version": "0.1.0",\n    "input": "h.alist",'
+            '\n    "cap": 16\n  }\n}\n'
         )
 
     def test_truncated_alist_is_an_error(self, capsys, tmp_path):

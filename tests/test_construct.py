@@ -79,6 +79,20 @@ class TestMethod1:
         res = method1(three_pairs, 6, [])
         assert res.system == three_pairs
 
+    def test_one_budget_covers_the_run(self, three_pairs):
+        # the round searches lifted girths 12, 10 (both infeasible) and 8 at
+        # m=3: 19 + 19 + 6 expansions; each search gets what is left
+        for budget in (2, 19, 20, 38, 43, 44, 45):
+            res = method1(three_pairs, 24, [3], policy=SearchPolicy(budget=budget))
+            assert res.expansions <= budget
+            assert res.status == ("ok" if budget >= 44 else "unknown")
+            assert (res.system is None) == (budget < 44)
+
+    def test_exhausted_round_is_infeasible(self, three_pairs):
+        # no order-2 shifts separate three parallel pairs: lifted girth 4 only
+        res = method1(three_pairs, 24, [2, 3])
+        assert (res.status, res.system) == ("infeasible", None)
+
     def test_exhausted_schedule_raises(self, three_pairs):
         with pytest.raises(ConstructionError):
             method1(three_pairs, 24, [])

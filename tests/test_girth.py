@@ -3,8 +3,10 @@ from collections import deque
 
 import pytest
 
+from fsscode import girth
 from fsscode.girth import (
     WalkScaffold,
+    _circulant_size,
     _first_balanced,
     bsg_shortest_closed_walk,
     build_bsg,
@@ -73,10 +75,22 @@ def _is_cycle(H, nodes):
     return True
 
 
-class TestCirculantOracle:
-    """The one-root-per-block-row path against the every-check reference."""
+@pytest.fixture
+def every_check(monkeypatch):
+    """The reference oracle: ``tanner_girth`` rooted at every check, its
+    detected circulant size forced to 1."""
+    def run(H, cap):
+        with monkeypatch.context() as mp:
+            mp.setattr(girth, "_circulant_size", lambda H: 1)
+            return tanner_girth(H, cap=cap)
+    return run
 
-    def test_matches_generic_on_random_qc_matrices(self):
+
+class TestCirculantOracle:
+    """The one-root-per-block-row path, at the size the oracle detects,
+    against the every-check BFS: equal girth and witness."""
+
+    def test_matches_generic_on_random_qc_matrices(self, every_check):
         rng = random.Random(20261018)
         shapes = {"v<b": 0, "v>b": 0, "v==b": 0}
         unbounded = 0
@@ -92,9 +106,9 @@ class TestCirculantOracle:
             cap = rng.choice(range(4, 17, 2))
             H = expand(assemble(fss, _random_shifts(rng, fss, m)))
             assert (H.rows, H.cols) == (min(v, b) * m, max(v, b) * m)
-            ref = tanner_girth(H, cap=cap)
-            fast = tanner_girth(H, cap=cap, circulant=m)
-            assert fast.girth == ref.girth, (case, v, b, m, cap)
+            assert _circulant_size(H) >= m, (case, v, b, m)  # m itself passes
+            fast = tanner_girth(H, cap=cap)
+            assert fast.to_json() == every_check(H, cap).to_json(), (case, cap)
             if fast.unbounded:
                 unbounded += 1
                 assert fast.witness is None
@@ -110,51 +124,65 @@ class TestCirculantOracle:
         fss = validate_fss(2, [[1, 2]] * 3)
         return expand(assemble(fss, shift_sequence_from_list(fss, m, list(shifts))))
 
-    def test_rejects_moved_entry(self):
-        H = self._code()
-        entries = list(H.entries())
-        r, c = entries[0]
-        free = next(x for x in range(H.cols) if x not in H.row_support[r])
-        entries[0] = (r, free)
-        with pytest.raises(ValueError, match="not invariant"):
-            tanner_girth(BinaryMatrix(H.rows, H.cols, entries), circulant=6)
-
-    def test_rejects_size_not_dividing(self):
-        H = self._code(m=2)  # 4 x 6
-        with pytest.raises(ValueError, match="does not divide"):
-            tanner_girth(H, circulant=3)  # rows
-        with pytest.raises(ValueError, match="does not divide"):
-            tanner_girth(H, circulant=4)  # cols
-        with pytest.raises(ValueError):
-            tanner_girth(H, circulant=0)
-
-    def test_rejects_wrong_size_on_valid_code(self):
-        H = self._code()  # 12 x 18, m = 6
-        for wrong in (2, 3):
-            with pytest.raises(ValueError, match="not invariant"):
-                tanner_girth(H, circulant=wrong)
-
-    def test_wrong_size_never_gives_wrong_girth(self):
-        # a size that passes the check is a true automorphism: same girth.
-        # Shifts that are multiples of g make every divisor of g pass.
-        rng = random.Random(7)
-        accepted = 0
+    def test_rejects_moved_entry(self, every_check):
+        # moving one entry breaks every shift of order >= 2
+        rng = random.Random(11)
         for _ in range(60):
             fss = _random_system(rng, vmax=5, bmax=6)
-            m = rng.choice((4, 6, 8, 9, 12))
+            m = rng.randint(2, 6)
+            H = expand(assemble(fss, _random_shifts(rng, fss, m)))
+            entries = list(H.entries())
+            i = rng.randrange(len(entries))
+            r = entries[i][0]
+            entries[i] = (r, rng.choice(
+                [c for c in range(H.cols) if c not in H.row_support[r]]))
+            H = BinaryMatrix(H.rows, H.cols, entries)
+            assert _circulant_size(H) == 1
+            cap = rng.choice((8, 12, 16))
+            assert tanner_girth(H, cap=cap).to_json() == every_check(H, cap).to_json()
+
+    def test_rejects_size_not_dividing(self):
+        # invariant under order 3 on rows and 4 on columns, but no size
+        # divides both dimensions
+        ones = BinaryMatrix(3, 4, [(r, c) for r in range(3) for c in range(4)])
+        assert _circulant_size(ones) == 1
+        assert tanner_girth(ones).girth == 4
+        for rows, cols in ((0, 0), (0, 4), (4, 0)):  # gcd(0, 0) == 0
+            H = BinaryMatrix(rows, cols, [])
+            assert _circulant_size(H) == 1
+            assert tanner_girth(H).unbounded
+        assert _circulant_size(self._code(m=2)) == 2  # 4 x 6
+
+    def test_rejects_wrong_size_on_valid_code(self):
+        fss = validate_fss(2, [[1, 2]] * 4)
+        for shifts, size in (((0, 1, 2, 0), 3), ((0, 0, 0, 0), 6)):
+            H = expand(assemble(fss, shift_sequence_from_list(fss, 3, list(shifts))))
+            assert (H.rows, H.cols) == (6, 12)
+            assert _circulant_size(H) == size  # 6 fails unless the shifts allow it
+        assert _circulant_size(self._code()) == 6  # 12 x 18: 6 passes first
+
+    def test_wrong_size_never_gives_wrong_girth(self, every_check):
+        # a detected size other than the m the code was built with is still a
+        # true automorphism: same girth and witness.  Shifts that are
+        # multiples of g on shapes whose dimensions share factors beyond m
+        # make such sizes common.
+        rng = random.Random(7)
+        larger = 0
+        for _ in range(120):
+            v = rng.randint(2, 4)
+            b = rng.choice((v, 2 * v))
+            fss = validate_fss(v, [rng.sample(range(1, v + 1), rng.randint(2, v))
+                                   for _ in range(b)])
+            m = rng.choice((2, 3, 4, 6))
             g = rng.choice([d for d in range(1, m + 1) if m % d == 0])
             vals = [g * rng.randrange(m // g) for _ in fss.incidences]
             H = expand(assemble(fss, shift_sequence_from_list(fss, m, vals)))
-            ref = tanner_girth(H, cap=12).girth
-            for d in range(2, m):
-                if m % d == 0:
-                    try:
-                        got = tanner_girth(H, cap=12, circulant=d).girth
-                    except ValueError:
-                        continue
-                    accepted += 1
-                    assert got == ref
-        assert accepted >= 20
+            size = _circulant_size(H)
+            assert size >= m
+            larger += size > m
+            cap = rng.choice((8, 12, 16))
+            assert tanner_girth(H, cap=cap).to_json() == every_check(H, cap).to_json()
+        assert larger >= 10
 
     def test_cycle_witness_json(self):
         rep = tanner_girth(self._code(m=3), cap=12)
@@ -252,17 +280,18 @@ class TestEdgeGirth:
 
     def test_parallel_pair_step(self):
         # two parallel blocks admit no balanced walk at all
-        assert min_edge_walk([(1, 2), (1, 2)], 1, 2, 2, max_len=11) is None
+        sc = WalkScaffold([(1, 2), (1, 2)])
+        assert min_edge_walk(sc, 1, 2, 2, max_len=11) is None
 
     def test_appending_third_parallel_block(self):
-        assert min_edge_walk([(1, 2), (1, 2), (1, 2)], 1, 3, 2, max_len=6) == 6
+        sc = WalkScaffold([(1, 2), (1, 2), (1, 2)])
+        assert min_edge_walk(sc, 1, 3, 2, max_len=6) == 6
 
     def test_min_edge_walk_agrees(self):
-        blocks = [(1, 2), (1, 2), (1, 2)]
-        assert min_edge_walk(blocks, 1, 3, 2, max_len=7) == 6
-        assert min_edge_walk(blocks, 1, 3, 2, max_len=5) is None
-        sc = WalkScaffold(blocks)
-        assert min_edge_walk(blocks, 2, 1, 1, 7, scaffold=sc) == 6
+        sc = WalkScaffold([(1, 2), (1, 2), (1, 2)])
+        assert min_edge_walk(sc, 1, 3, 2, max_len=7) == 6
+        assert min_edge_walk(sc, 1, 3, 2, max_len=5) is None
+        assert min_edge_walk(sc, 2, 1, 1, 7) == 6
 
 
 class TestVerifyWalk:

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from fsscode.girth import tanner_girth
+from fsscode.girth import _circulant_size, tanner_girth
 from fsscode.qc import (
     assemble,
     expand,
@@ -289,9 +289,9 @@ class TestSearchShifts:
 
         calls = []
 
-        def recording(H, cap, circulant=1):
-            calls.append(circulant)
-            return tanner_girth(H, cap, circulant=circulant)
+        def recording(H, cap):
+            calls.append(_circulant_size(H))
+            return tanner_girth(H, cap)
 
         monkeypatch.setattr(ss, "tanner_girth", recording)
         fss = validate_fss(3, [[1, 2, 3]] * 4)
