@@ -3,14 +3,14 @@
 Each (point, block) incidence gets a shift in Z_m; expanding every shift
 into an m x m circulant permutation yields a quasi-cyclic parity-check
 matrix.  Girth can then be measured three ways: exactly on the Tanner graph,
-as twice the shortest closed walk of the block-structure graph (always the
-same number), and as the shift-independent ceiling of the system itself.
+as twice the shortest closed walk of the block-structure graph, read off
+the proto matrix (always the same number), and as the shift-independent
+ceiling of the system itself.
 """
 
 from fsscode import (
     assemble,
     bsg_shortest_closed_walk,
-    build_bsg,
     expand,
     inevitable_girth,
     shift_sequence_from_list,
@@ -34,7 +34,7 @@ print(f"lifted matrix: {H.rows} x {H.cols} ({H.nnz} ones)")
 exact = tanner_girth(H, cap=12)
 print("Tanner girth:", exact.girth)
 
-walk = bsg_shortest_closed_walk(build_bsg(q), cap=8)
+walk = bsg_shortest_closed_walk(q, cap=8)
 print("shortest block-structure walk:", walk.girth,
       "-> girth", 2 * walk.girth)
 print("walk witness:", walk.witness.to_dict())

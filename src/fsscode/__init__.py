@@ -32,7 +32,6 @@ from .girth import (
     GirthReport,
     WalkWitness,
     bsg_shortest_closed_walk,
-    build_bsg,
     inevitable_girth,
     tanner_girth,
     verify_walk,

@@ -49,22 +49,25 @@ def _emit(doc, path=None):
         print(text)
 
 
-def _meta(args, **params):
-    out = {"tool": "fsscode", "version": __version__}
-    out.update(params)
-    return out
+def _meta(**params):
+    return {"tool": "fsscode", "version": __version__, **params}
 
 
 def _policy(args) -> SearchPolicy:
     return SearchPolicy(order=args.order, budget=args.budget, seed=args.seed)
 
 
-def _int_list(text):
-    return [int(x) for x in text.replace(" ", "").split(",") if x]
-
-
-def _float_list(text):
-    return [float(x) for x in text.replace(" ", "").split(",") if x]
+def _list_of(kind):
+    """argparse ``type`` for a comma-separated list of ``kind`` values: an
+    empty list, an empty item or a bad value is a usage error."""
+    def parse(text):
+        try:  # int("") and float("") raise too
+            return [kind(x) for x in text.replace(" ", "").split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}"
+            ) from None
+    return parse
 
 
 def cmd_stats(args):
@@ -72,7 +75,7 @@ def cmd_stats(args):
     st = block_stats(fss)
     _emit(
         {
-            "meta": _meta(args, input=args.fss),
+            "meta": _meta(input=args.fss),
             "v": fss.v,
             "b": fss.b,
             "t": fss.t,
@@ -89,17 +92,17 @@ def cmd_girth(args):
     fss = _load_fss(args.fss)
     report = inevitable_girth(fss, cap=args.cap)
     doc = json.loads(report.to_json())
-    doc["meta"] = _meta(args, input=args.fss, cap=args.cap)
+    doc["meta"] = _meta(input=args.fss, cap=args.cap)
     _emit(doc, args.output)
     return EXIT_OK
 
 
 def cmd_method1(args):
     fss = _load_fss(args.fss)
-    res = method1(fss, args.girth, _int_list(args.m_schedule), policy=_policy(args))
+    res = method1(fss, args.girth, args.m_schedule, policy=_policy(args))
     doc = {
-        "meta": _meta(args, input=args.fss, girth=args.girth,
-                      m_schedule=_int_list(args.m_schedule), seed=args.seed),
+        "meta": _meta(input=args.fss, girth=args.girth,
+                      m_schedule=args.m_schedule, seed=args.seed),
         "status": res.status,
     }
     if res.ok:
@@ -110,10 +113,10 @@ def cmd_method1(args):
 
 
 def cmd_method2(args):
-    profile = WeightProfile.parse(args.K)
+    profile = WeightProfile(tuple(args.K))
     res = method2(args.v, profile, args.girth, policy=_policy(args))
     doc = {
-        "meta": _meta(args, v=args.v, K=list(profile.K), girth=args.girth,
+        "meta": _meta(v=args.v, K=list(profile.K), girth=args.girth,
                       order=args.order, budget=args.budget, seed=args.seed),
         "status": res.status,
         "expansions": res.expansions,
@@ -129,7 +132,7 @@ def cmd_shifts(args):
     fss = _load_fss(args.fss)
     res = search_shifts(fss, args.m, args.girth, policy=_policy(args))
     doc = {
-        "meta": _meta(args, input=args.fss, m=args.m, girth=args.girth,
+        "meta": _meta(input=args.fss, m=args.m, girth=args.girth,
                       order=args.order, budget=args.budget, seed=args.seed),
         "status": res.status,
         "expansions": res.expansions,
@@ -151,7 +154,7 @@ def cmd_expand(args):
     elif args.m is None:
         raise ValueError("--shift-list requires --m")
     else:
-        S = shift_sequence_from_list(fss, args.m, _int_list(args.shift_list))
+        S = shift_sequence_from_list(fss, args.m, args.shift_list)
     H = expand(assemble(fss, S))
     write_alist(H, args.output)
     print(json.dumps({"rows": H.rows, "cols": H.cols, "nnz": H.nnz,
@@ -163,7 +166,7 @@ def cmd_tgirth(args):
     H = read_alist(args.alist)
     report = tanner_girth(H, cap=args.cap)
     doc = json.loads(report.to_json())
-    doc["meta"] = _meta(args, input=args.alist, cap=args.cap)
+    doc["meta"] = _meta(input=args.alist, cap=args.cap)
     _emit(doc, args.output)
     return EXIT_OK
 
@@ -172,7 +175,7 @@ def cmd_simulate(args):
     H = read_alist(args.alist)
     stop = StopRule(min_frame_errors=args.min_frame_errors,
                     max_frames=args.max_frames)
-    records = ber_sweep(H, _float_list(args.snr), rate=args.rate, stop=stop,
+    records = ber_sweep(H, args.snr, rate=args.rate, stop=stop,
                         seed=args.seed, max_iter=args.max_iter)
     write_ber_csv(records, args.output)
     print(json.dumps({"points": len(records), "seed": args.seed,
@@ -237,12 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("method1", cmd_method1, help="iterated-lifting construction")
     sp.add_argument("--fss", required=True)
     sp.add_argument("--girth", type=int, required=True)
-    sp.add_argument("--m-schedule", required=True)
+    sp.add_argument("--m-schedule", type=_list_of(int), required=True)
     add_policy(sp)
 
     sp = add("method2", cmd_method2, help="profile-driven backtracking construction")
     sp.add_argument("--v", type=int, required=True)
-    sp.add_argument("--K", required=True)
+    sp.add_argument("--K", type=_list_of(int), required=True)
     sp.add_argument("--girth", type=int, required=True)
     add_policy(sp)
 
@@ -256,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fss", required=True)
     given = sp.add_mutually_exclusive_group(required=True)
     given.add_argument("--shifts", help="shift JSON file")
-    given.add_argument("--shift-list",
+    given.add_argument("--shift-list", type=_list_of(int),
                        help="comma-separated shifts (explicit or compressed)")
     sp.add_argument("--m", type=int)
 
@@ -266,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("simulate", cmd_simulate, help="AWGN BER/FER sweep")
     sp.add_argument("--alist", required=True)
-    sp.add_argument("--snr", required=True, help="comma-separated Eb/N0 in dB")
+    sp.add_argument("--snr", type=_list_of(float), required=True,
+                    help="comma-separated Eb/N0 in dB")
     sp.add_argument("--rate", type=float, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--min-frame-errors", type=int, default=100)

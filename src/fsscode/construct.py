@@ -52,10 +52,6 @@ class WeightProfile:
     def b(self) -> int:
         return len(self.K)
 
-    @classmethod
-    def parse(cls, text: str) -> "WeightProfile":
-        return cls(tuple(int(x) for x in text.replace(" ", "").split(",")))
-
 
 @dataclass(frozen=True)
 class ConstructionResult:

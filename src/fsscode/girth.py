@@ -1,8 +1,8 @@
 """Girth analysis at three levels.
 
 * Shortest closed walks in the block-structure graph (BSG) of a lifted proto
-  matrix: length-L walks there correspond to length-2L cycles in the Tanner
-  graph of the expansion.
+  matrix, read off its cells: length-L walks there correspond to length-2L
+  cycles in the Tanner graph of the expansion.
 * Exact Tanner-graph girth by truncated per-vertex BFS -- the ground-truth
   oracle everything else is checked against.  It finds the circulant block
   size of H itself, so quasi-cyclic input needs only one BFS root per
@@ -31,11 +31,9 @@ from .setsystem import BinaryMatrix, SetSystem
 from .qc import QCProtoMatrix
 
 __all__ = [
-    "BlockStructureGraph",
     "WalkWitness",
     "CycleWitness",
     "GirthReport",
-    "build_bsg",
     "bsg_shortest_closed_walk",
     "tanner_girth",
     "inevitable_girth",
@@ -51,10 +49,6 @@ class WalkWitness:
 
     points: tuple[int, ...]
     block_idx: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.points)
 
     def to_dict(self):
         return {"points": list(self.points), "blocks": list(self.block_idx)}
@@ -103,54 +97,35 @@ class GirthReport:
 # Block-structure graph
 # ----------------------------------------------------------------------
 
-class BlockStructureGraph:
-    """Directed multigraph on points; edge (u -> w, k, s) records that u and
-    w share block-column k with shift difference s = s_w - s_u mod m."""
-
-    def __init__(self, v, m, edges):
-        self.v = v
-        self.m = m
-        self.edges = edges
-        self.adj: dict[int, list[tuple[int, int, int]]] = {
-            u: [] for u in range(1, v + 1)
-        }
-        for u, w, k, s in edges:
-            self.adj[u].append((w, k, s))
-        for lst in self.adj.values():
-            lst.sort()
-
-
-def build_bsg(q: QCProtoMatrix) -> BlockStructureGraph:
-    """BSG of a lifted proto matrix: one edge pair per co-block point pair
-    per block-column."""
-    edges = []
-    for j in range(1, q.b + 1):
-        col = q.column_cells(j)
-        for a in range(len(col)):
-            for b in range(len(col)):
-                if a == b:
-                    continue
-                (i1, s1), (i2, s2) = col[a], col[b]
-                edges.append((i1, i2, j, (s2 - s1) % q.m))
-    return BlockStructureGraph(q.v, q.m, edges)
-
-
-def bsg_shortest_closed_walk(g: BlockStructureGraph, cap: int) -> GirthReport:
-    """Shortest closed walk with cyclically distinct successive column
-    indices and zero shift sum mod m, by BFS over (vertex, last column,
-    accumulated shift) states per starting edge."""
+def bsg_shortest_closed_walk(q: QCProtoMatrix, cap: int) -> GirthReport:
+    """Shortest closed walk of the block-structure graph (BSG) of ``q`` whose
+    successive column indices differ, cyclically, and whose shift sum is 0
+    mod m, by BFS over (vertex, last column, accumulated shift) states per
+    starting edge.  The BSG has an edge (u -> w, k, s_w - s_u mod m) for any
+    two points u != w of block-column k; each point's edges go in sorted
+    order."""
     if cap < 2:
         raise ValueError("cap must be >= 2")
+    m = q.m
+    cols: dict[int, list[tuple[int, int]]] = {}
+    for (i, k), s in q.cells.items():
+        cols.setdefault(k, []).append((i, s))
+    adj: dict[int, list[tuple[int, int, int]]] = {u: [] for u in range(1, q.v + 1)}
+    for k, col in cols.items():
+        for u, su in col:
+            adj[u] += [(w, k, (sw - su) % m) for w, sw in col if w != u]
+    for lst in adj.values():
+        lst.sort()
     best = None
     best_witness = None
-    for v0 in range(1, g.v + 1):
-        for w0, k0, s0 in g.adj[v0]:
+    for v0 in range(1, q.v + 1):
+        for w0, k0, s0 in adj[v0]:
             if w0 < v0:
                 continue  # v0 is the minimal vertex of the walk
             limit = cap if best is None else min(cap, best - 1)
             if limit < 2:
                 break
-            start = (w0, k0, s0 % g.m)
+            start = (w0, k0, s0 % m)
             parent = {start: None}
             queue = deque([(start, 1)])
             found = None
@@ -158,10 +133,10 @@ def bsg_shortest_closed_walk(g: BlockStructureGraph, cap: int) -> GirthReport:
                 (u, lastk, acc), d = queue.popleft()
                 if d >= limit:
                     continue
-                for w, k, s in g.adj[u]:
+                for w, k, s in adj[u]:
                     if k == lastk or w < v0:
                         continue
-                    nacc = (acc + s) % g.m
+                    nacc = (acc + s) % m
                     if w == v0 and nacc == 0 and k != k0:
                         found = ((u, lastk, acc), k, d + 1)
                         break

@@ -3,17 +3,18 @@
 A shift sequence assigns an element of Z_m to every (point in block)
 incidence.  The proto matrix holds those shifts in a v x b grid, and
 ``expand`` replaces each cell by an m x m circulant permutation (or zero)
-block.  Also contains matrix rate helpers and alist / JSON I/O.
+block.  ``assemble`` and ``shifts_from_json`` both check that the shifts
+cover exactly the system's incidences.  Also: rate helpers, alist / JSON I/O.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .setsystem import BinaryMatrix, SetSystem
+from .setsystem import BinaryMatrix, SetSystem, _is_int
 
 __all__ = [
     "ShiftSequence",
@@ -45,29 +46,15 @@ class ShiftSequence:
                 raise ValueError(f"shift s[{i},{j}]={s} outside 0..{self.m - 1}")
 
 
+@dataclass(frozen=True)
 class QCProtoMatrix:
     """v x b grid of shifts in Z_m; cell (i,j) is the shift of point i in
     block j, present only when i belongs to block j."""
 
-    def __init__(self, v, b, m, cells):
-        self.v = v
-        self.b = b
-        self.m = m
-        self.cells = cells  # dict (i, j) -> shift, 1-based indices
-
-    def column_cells(self, j):
-        """Sorted (point, shift) pairs of block-column j."""
-        return sorted((i, s) for (i, jj), s in self.cells.items() if jj == j)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QCProtoMatrix)
-            and (self.v, self.b, self.m) == (other.v, other.b, other.m)
-            and self.cells == other.cells
-        )
-
-    def __repr__(self):
-        return f"QCProtoMatrix(v={self.v}, b={self.b}, m={self.m})"
+    v: int
+    b: int
+    m: int
+    cells: dict[tuple[int, int], int] = field(repr=False)  # 1-based (i, j)
 
 
 def assemble(fss: SetSystem, S: ShiftSequence) -> QCProtoMatrix:
@@ -75,15 +62,20 @@ def assemble(fss: SetSystem, S: ShiftSequence) -> QCProtoMatrix:
 
     ``S`` must cover exactly the incidences of the system.
     """
+    _check_cover(fss, S.entries)
+    return QCProtoMatrix(fss.v, fss.b, S.m, dict(S.entries))
+
+
+def _check_cover(fss: SetSystem, entries) -> None:
+    """ValueError unless ``entries`` keys are exactly the incidences of ``fss``."""
     wanted = set(fss.incidences)
-    got = set(S.entries)
+    got = set(entries)
     if wanted != got:
         missing = sorted(wanted - got)
         extra = sorted(got - wanted)
         raise ValueError(
             f"shift sequence mismatch: missing {missing[:5]}, extraneous {extra[:5]}"
         )
-    return QCProtoMatrix(fss.v, fss.b, S.m, dict(S.entries))
 
 
 def expand(q: QCProtoMatrix) -> BinaryMatrix:
@@ -239,10 +231,10 @@ def read_alist(path) -> BinaryMatrix:
     rows = section(row_deg, maxes[1], n)
     if pos != len(lines):
         raise ValueError(f"alist line {lines[pos][0]}: text after the row section")
-    entries = {(r - 1, c) for c, adj in enumerate(cols) for r in adj}
-    if entries != {(r, c - 1) for r, adj in enumerate(rows) for c in adj}:
+    H = BinaryMatrix(m, n, [(r - 1, c) for c, adj in enumerate(cols) for r in adj])
+    if H.row_support != [sorted(c - 1 for c in adj) for adj in rows]:
         raise ValueError("alist column and row sections describe different edges")
-    return BinaryMatrix(m, n, sorted(entries))
+    return H
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +254,8 @@ def shifts_from_json(fss: SetSystem, text: str) -> ShiftSequence:
     as those of ``fsscode shifts`` output, are ignored.
 
     Raises ValueError for a missing ``m``, ``shifts`` or record key, a value
-    that is not an integer, or two records for one (point, block).
+    that is not an integer, two records for one (point, block), or records
+    that do not cover exactly the incidences of ``fss``.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or "m" not in doc or "shifts" not in doc:
@@ -280,11 +273,8 @@ def shifts_from_json(fss: SetSystem, text: str) -> ShiftSequence:
             raise ValueError(
                 f"shift record {n} repeats point {key[0]} of block {key[1]}")
         entries[key] = rec["s"]
+    _check_cover(fss, entries)
     return ShiftSequence(m=doc["m"], entries=entries)
-
-
-def _is_int(x) -> bool:
-    return type(x) is int  # JSON true/false parse as bool, a subclass of int
 
 
 def shift_sequence_from_list(fss: SetSystem, m: int, values) -> ShiftSequence:
@@ -295,24 +285,15 @@ def shift_sequence_from_list(fss: SetSystem, m: int, values) -> ShiftSequence:
     (detected by the entry count).  Any other length is rejected.
     """
     values = list(values)
-    sizes = [len(b) for b in fss.blocks]
-    full = sum(sizes)
-    compressed = sum(k - 1 for k in sizes)
-    entries: dict[tuple[int, int], int] = {}
-    if len(values) == full:
-        it = iter(values)
-        for j, blk in enumerate(fss.blocks, start=1):
-            for i in blk:
-                entries[(i, j)] = next(it) % m
-    elif len(values) == compressed and compressed != full:
-        it = iter(values)
-        for j, blk in enumerate(fss.blocks, start=1):
-            entries[(blk[0], j)] = 0
-            for i in blk[1:]:
-                entries[(i, j)] = next(it) % m
-    else:
+    full = len(fss.incidences)
+    compressed = full - fss.b
+    if len(values) not in (full, compressed):
         raise ValueError(
             f"shift list has {len(values)} entries; expected {full} (explicit) "
             f"or {compressed} (compressed, first shift of each block implicit)"
         )
+    implicit = len(values) != full  # the first point of each block gets 0
+    it = iter(values)
+    entries = {(i, j): 0 if implicit and i == blk[0] else next(it) % m
+               for j, blk in enumerate(fss.blocks, start=1) for i in blk}
     return ShiftSequence(m=m, entries=entries)

@@ -63,17 +63,25 @@ class SetSystem:
     @classmethod
     def from_json(cls, text: str) -> "SetSystem":
         doc = json.loads(text)
+        if not isinstance(doc, dict) or not doc.keys() >= {"v", "blocks"}:
+            raise SetSystemError("set-system JSON must be an object with keys "
+                                 "'v' and 'blocks'")
         return validate_fss(doc["v"], doc["blocks"], doc.get("t", 2))
+
+
+def _is_int(x) -> bool:
+    return type(x) is int  # JSON true/false parse as bool, a subclass of int
 
 
 def validate_fss(v, blocks, t=2) -> SetSystem:
     """Check raw input and build a :class:`SetSystem`.
 
-    Raises :class:`SetSystemError` on an out-of-range point, a duplicated
-    point inside one block, an empty block, or ``t`` exceeding the maximum
-    block size.  Block order is preserved; points inside a block are sorted.
+    Raises :class:`SetSystemError` on a ``v``, ``t`` or point that is not an
+    int (a bool is not), an out-of-range point, a duplicated point inside
+    one block, an empty block, or ``t`` exceeding the maximum block size.
+    Block order is preserved; points inside a block are sorted.
     """
-    if not isinstance(v, int) or v < 1:
+    if not _is_int(v) or v < 1:
         raise SetSystemError(f"point count must be a positive integer, got {v!r}")
     clean = []
     for j, raw in enumerate(blocks):
@@ -83,10 +91,10 @@ def validate_fss(v, blocks, t=2) -> SetSystem:
         if len(set(pts)) != len(pts):
             raise SetSystemError(f"block {j + 1} repeats a point: {sorted(pts)}")
         for x in pts:
-            if not isinstance(x, int) or not 1 <= x <= v:
+            if not _is_int(x) or not 1 <= x <= v:
                 raise SetSystemError(f"block {j + 1}: point {x!r} outside 1..{v}")
         clean.append(tuple(sorted(pts)))
-    if not isinstance(t, int) or t < 1:
+    if not _is_int(t) or t < 1:
         raise SetSystemError(f"t must be a positive integer, got {t!r}")
     if clean and t > max(len(b) for b in clean):
         raise SetSystemError(

@@ -14,7 +14,6 @@ from fsscode import girth, load_paper_tables, reference_code
 from fsscode.construct import WeightProfile, method1_lift, method2
 from fsscode.girth import (
     bsg_shortest_closed_walk,
-    build_bsg,
     inevitable_girth,
     tanner_girth,
     verify_walk,
@@ -113,7 +112,7 @@ def test_criterion_04_walk_cycle_correspondence(capsys):
         fss = _random_system(rng, vmax=8, bmax=12)
         m = rng.randint(1, 7)
         q = assemble(fss, _random_shifts(rng, fss, m))
-        walk = bsg_shortest_closed_walk(build_bsg(q), cap=8)
+        walk = bsg_shortest_closed_walk(q, cap=8)
         cycle = tanner_girth(expand(q), cap=16)
         agree = (walk.girth is None and cycle.girth is None) or (
             walk.girth is not None and cycle.girth == 2 * walk.girth

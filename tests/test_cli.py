@@ -52,6 +52,20 @@ class TestStatsGirth:
         assert code == EXIT_ERROR
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("doc", [
+        {"v": 3, "blocks": [[True, 2, 3], [1, 2, 3]]},
+        {"v": 3, "t": True, "blocks": [[1, 2, 3]]},
+        {"blocks": [[1, 2, 3]]},
+    ], ids=["bool-point", "bool-t", "no-v"])
+    @pytest.mark.parametrize("cmd", [["stats"], ["method1", "--girth", "8",
+                                                 "--m-schedule", "3"]])
+    def test_malformed_system_is_error_json(self, capsys, tmp_path, doc, cmd):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, [cmd[0], "--fss", str(path), *cmd[1:]])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert json.loads(err)["error"] == "SetSystemError"
+
 
 class TestConstructors:
     def test_method1(self, capsys, fss_file, tmp_path):
@@ -159,6 +173,32 @@ class TestExitCodes:
         got, out, err = _run(capsys, [fss_file if a == "FSS" else a for a in argv])
         assert (got, out) == (EXIT_ERROR, "")
         assert json.loads(err)["error"] == "ArgumentError"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--alist", "ALIST", "--snr", "", "--rate", "5", "-o", "OUT"],
+        ["simulate", "--alist", "ALIST", "--snr", "2,,3", "--rate", "0.5",
+         "-o", "OUT"],
+        ["simulate", "--alist", "ALIST", "--snr", "2,x", "--rate", "0.5",
+         "-o", "OUT"],
+        ["method2", "--v", "6", "--K", "3,,3", "--girth", "8"],
+        ["method2", "--v", "6", "--K", ",", "--girth", "8"],
+        ["method1", "--fss", "FSS", "--girth", "24", "--m-schedule", ""],
+        ["expand", "--fss", "FSS", "--shift-list", "0,1,", "--m", "3",
+         "-o", "OUT"],
+    ], ids=["snr-empty", "snr-empty-item", "snr-not-float", "K-empty-item",
+            "K-only-comma", "m-schedule-empty", "shift-list-trailing-comma"])
+    def test_list_flags_reject_empty_items(self, capsys, fss_file, tmp_path,
+                                           argv):
+        alist = tmp_path / "h.alist"
+        write_alist(expand(reference_code("fss-3-10-m36")), alist)
+        out_path = tmp_path / "out"
+        subst = {"FSS": fss_file, "ALIST": str(alist), "OUT": str(out_path)}
+        got, out, err = _run(capsys, [subst.get(a, a) for a in argv])
+        assert (got, out) == (EXIT_ERROR, "")
+        doc = json.loads(err)
+        assert doc["error"] == "ArgumentError"
+        assert "expected comma-separated" in doc["message"]
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"],
                                       ["shifts", "--help"]])

@@ -19,9 +19,6 @@ def three_pairs():
 
 
 class TestWeightProfile:
-    def test_parse(self):
-        assert WeightProfile.parse("3,3,4").K == (3, 3, 4)
-
     def test_rejects_weight_one(self):
         with pytest.raises(ValueError):
             WeightProfile((3, 1))

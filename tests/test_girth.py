@@ -3,13 +3,14 @@ from collections import deque
 
 import pytest
 
-from fsscode import girth
+from fsscode import girth, reference_code
 from fsscode.girth import (
+    GirthReport,
     WalkScaffold,
+    WalkWitness,
     _circulant_size,
     _first_balanced,
     bsg_shortest_closed_walk,
-    build_bsg,
     inevitable_girth,
     min_edge_walk,
     tanner_girth,
@@ -194,24 +195,96 @@ class TestCirculantOracle:
         )
 
 
-class TestBsg:
-    def test_edge_count(self):
-        fss = validate_fss(3, [[1, 2, 3], [1, 2]])
-        S = shift_sequence_from_list(fss, 2, [0, 1, 1, 0, 1])
-        g = build_bsg(assemble(fss, S))
-        assert len(g.edges) == 6 + 2  # ordered pairs per block
+class _RefBlockStructureGraph:
+    """The BSG object the search once took, kept verbatim as the slow
+    reference; ``_ref_build_bsg`` reads its columns off the cells."""
 
+    def __init__(self, v, m, edges):
+        self.v = v
+        self.m = m
+        self.edges = edges
+        self.adj: dict[int, list[tuple[int, int, int]]] = {
+            u: [] for u in range(1, v + 1)
+        }
+        for u, w, k, s in edges:
+            self.adj[u].append((w, k, s))
+        for lst in self.adj.values():
+            lst.sort()
+
+
+def _ref_build_bsg(q):
+    edges = []
+    for j in range(1, q.b + 1):
+        col = sorted((i, s) for (i, jj), s in q.cells.items() if jj == j)
+        for a in range(len(col)):
+            for b in range(len(col)):
+                if a == b:
+                    continue
+                (i1, s1), (i2, s2) = col[a], col[b]
+                edges.append((i1, i2, j, (s2 - s1) % q.m))
+    return _RefBlockStructureGraph(q.v, q.m, edges)
+
+
+def _ref_bsg_shortest_closed_walk(g, cap):
+    if cap < 2:
+        raise ValueError("cap must be >= 2")
+    best = None
+    best_witness = None
+    for v0 in range(1, g.v + 1):
+        for w0, k0, s0 in g.adj[v0]:
+            if w0 < v0:
+                continue  # v0 is the minimal vertex of the walk
+            limit = cap if best is None else min(cap, best - 1)
+            if limit < 2:
+                break
+            start = (w0, k0, s0 % g.m)
+            parent = {start: None}
+            queue = deque([(start, 1)])
+            found = None
+            while queue and found is None:
+                (u, lastk, acc), d = queue.popleft()
+                if d >= limit:
+                    continue
+                for w, k, s in g.adj[u]:
+                    if k == lastk or w < v0:
+                        continue
+                    nacc = (acc + s) % g.m
+                    if w == v0 and nacc == 0 and k != k0:
+                        found = ((u, lastk, acc), k, d + 1)
+                        break
+                    state = (w, k, nacc)
+                    if state not in parent:
+                        parent[state] = (u, lastk, acc)
+                        queue.append((state, d + 1))
+            if found is not None:
+                state, klast, length = found
+                verts, labels = [], []
+                while state is not None:
+                    verts.append(state[0])
+                    labels.append(state[1])
+                    state = parent[state]
+                verts.reverse()
+                labels.reverse()
+                if best is None or length < best:
+                    best = length
+                    best_witness = WalkWitness(
+                        tuple([v0] + verts), tuple(labels + [klast])
+                    )
+    return GirthReport(girth=best, cap=cap, witness=best_witness)
+
+
+class TestBsg:
     def test_matches_tanner_girth(self):
         fss = validate_fss(2, [[1, 2], [1, 2], [1, 2]])
         S = shift_sequence_from_list(fss, 3, [0, 1, 2])
         q = assemble(fss, S)
-        rep = bsg_shortest_closed_walk(build_bsg(q), cap=8)
+        rep = bsg_shortest_closed_walk(q, cap=8)
         assert 2 * rep.girth == tanner_girth(expand(q)).girth == 8
 
     def test_witness_is_valid_walk(self):
         fss = validate_fss(2, [[1, 2], [1, 2]])
         S = shift_sequence_from_list(fss, 2, [0, 0, 0, 0])
-        rep = bsg_shortest_closed_walk(build_bsg(assemble(fss, S)), cap=8)
+        rep = bsg_shortest_closed_walk(assemble(fss, S), cap=8)
         assert rep.girth == 2
         w = rep.witness
         assert len(w.points) == len(w.block_idx) == 2
@@ -223,12 +296,39 @@ class TestBsg:
             fss = _random_system(rng, vmax=6, bmax=8)
             m = rng.randint(1, 5)
             q = assemble(fss, _random_shifts(rng, fss, m))
-            walk = bsg_shortest_closed_walk(build_bsg(q), cap=8)
+            walk = bsg_shortest_closed_walk(q, cap=8)
             cycle = tanner_girth(expand(q), cap=16)
             assert (
                 (walk.girth is None and cycle.girth is None)
                 or 2 * walk.girth == cycle.girth
             )
+
+    def test_matches_reference_search(self):
+        """Girth and witness equal the graph-object search's on random
+        systems at caps 2, 3 and 8 and on two bundled codes."""
+        rng = random.Random(20261019)
+        outcomes = set()
+        for case in range(600):
+            fss = _random_system(rng)
+            q = assemble(fss, _random_shifts(rng, fss, rng.randint(1, 9)))
+            ref = _ref_build_bsg(q)
+            for cap in (2, 3, 8):
+                got = bsg_shortest_closed_walk(q, cap)
+                want = _ref_bsg_shortest_closed_walk(ref, cap)
+                assert got.to_json() == want.to_json(), (case, cap)
+                outcomes.add((cap, got.girth))
+        # every walk length up to the cap occurs, and so does none at all
+        assert outcomes >= {(8, L) for L in range(2, 9)} | {
+            (cap, None) for cap in (2, 3, 8)}
+        for name in ("fss-3-11-m11", "fss-3-10-m36"):
+            q = reference_code(name)
+            assert bsg_shortest_closed_walk(q, 8).to_json() == (
+                _ref_bsg_shortest_closed_walk(_ref_build_bsg(q), 8).to_json())
+
+    def test_cap_below_2_rejected(self):
+        q = reference_code("fss-3-11-m11")
+        with pytest.raises(ValueError, match="cap must be >= 2"):
+            bsg_shortest_closed_walk(q, 1)
 
 
 class TestInevitableGirth:

@@ -76,6 +76,31 @@ class TestShiftSequence:
         with pytest.raises(ValueError, match=match):
             shifts_from_json(pair_system, text)
 
+    def test_json_rejects_file_of_another_system(self, pair_system):
+        other = validate_fss(3, [[1, 2, 3]])
+        text = shifts_to_json(other, shift_sequence_from_list(other, 5, [1, 2]))
+        with pytest.raises(ValueError, match="shift sequence mismatch"):
+            shifts_from_json(pair_system, text)
+        assert shifts_from_json(other, text).entries == {
+            (1, 1): 0, (2, 1): 1, (3, 1): 2}
+
+    def test_from_list_compressed_singleton_block(self):
+        # a one-point block contributes only its implicit zero
+        fss = validate_fss(2, [[1], [1, 2]], t=1)
+        S = shift_sequence_from_list(fss, 5, [9])
+        assert S.entries == {(1, 1): 0, (1, 2): 0, (2, 2): 4}
+        S = shift_sequence_from_list(fss, 5, [6, 7, 8])
+        assert S.entries == {(1, 1): 1, (1, 2): 2, (2, 2): 3}
+
+    def test_proto_matrix_repr_and_equality(self, pair_system):
+        q = assemble(pair_system, shift_sequence_from_list(pair_system, 5, [1, 2, 3]))
+        assert repr(q) == "QCProtoMatrix(v=2, b=3, m=5)"
+        again = assemble(pair_system,
+                         shift_sequence_from_list(pair_system, 5, [0, 1, 0, 2, 0, 3]))
+        assert q == again
+        assert q != assemble(pair_system,
+                             shift_sequence_from_list(pair_system, 5, [1, 2, 4]))
+
 
 class TestExpand:
     def test_shape_and_blocks(self, pair_system):

@@ -52,6 +52,28 @@ class TestValidate:
         again = SetSystem.from_json(example.to_json())
         assert again == example
 
+    @pytest.mark.parametrize("text, match", [
+        ('{"v": 3, "blocks": [[true, 2, 3], [1, 2, 3]]}', "point True"),
+        ('{"v": true, "blocks": [[1]]}', "point count"),
+        ('{"v": 3, "t": true, "blocks": [[1, 2]]}', "t must be"),
+        ('{"blocks": [[1, 2]]}', "keys 'v' and 'blocks'"),
+        ('{"v": 3}', "keys 'v' and 'blocks'"),
+        ('[3, [[1, 2]]]', "keys 'v' and 'blocks'"),
+    ], ids=["bool-point", "bool-v", "bool-t", "no-v", "no-blocks", "not-object"])
+    def test_json_rejects_malformed(self, text, match):
+        from fsscode.setsystem import SetSystem
+
+        with pytest.raises(SetSystemError, match=match):
+            SetSystem.from_json(text)
+
+    def test_bools_are_not_integers(self):
+        with pytest.raises(SetSystemError, match="point count"):
+            validate_fss(True, [[1]], t=True)
+        with pytest.raises(SetSystemError, match="t must be"):
+            validate_fss(1, [[1]], t=True)
+        with pytest.raises(SetSystemError, match="point False"):
+            validate_fss(2, [[False, 2]])
+
     def test_incidences_block_major(self):
         fss = validate_fss(3, [[1, 3], [2, 3]])
         assert fss.incidences == [(1, 1), (3, 1), (2, 2), (3, 2)]
