@@ -221,7 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kw):
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
-        sp.add_argument("-o", "--output", required=name in ("expand", "simulate"))
+        if name != "verify-table":  # it prints its report and writes no file
+            sp.add_argument("-o", "--output",
+                            required=name in ("expand", "simulate"))
         return sp
 
     def add_policy(sp):

@@ -48,10 +48,6 @@ class WeightProfile:
             if k < 2:
                 raise ValueError(f"block sizes must be >= 2, got {k}")
 
-    @property
-    def b(self) -> int:
-        return len(self.K)
-
 
 @dataclass(frozen=True)
 class ConstructionResult:
@@ -196,8 +192,5 @@ def _accepts(points, starts, beta, max_len):
     <= max_len through any new incidence step (x, last block, beta)."""
     trial = [tuple(points[a:b]) for a, b in zip(starts, [*starts[1:], len(points)])]
     trial[-1] += (beta,)
-    scaffold = WalkScaffold(trial)
-    for x in trial[-1][:-1]:
-        if min_edge_walk(scaffold, x, len(trial), beta, max_len) is not None:
-            return False
-    return True
+    steps = [(x, len(trial), beta) for x in trial[-1][:-1]]
+    return min_edge_walk(WalkScaffold(trial), max_len, steps) is None

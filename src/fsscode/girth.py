@@ -13,10 +13,11 @@
   one depth-first search (``closed_walks``) serve every caller.  A walk is
   inevitable when its form is identically zero (per-block degree balance;
   a balanced multigraph always decomposes into per-block cycles, so the
-  verifier checks the balance alone); the smallest length L of such a walk
-  gives the maximum girth 2L achievable over all moduli and shift sequences
-  (``inevitable_girth``), and ``min_edge_walk`` asks the same through one
-  pinned step for ``method2``.  The shift search keeps the forms of all
+  verifier checks the balance alone).  One query, ``min_edge_walk``, finds
+  the shortest such walk, optionally among those opening with given steps:
+  its length L gives the maximum girth 2L achievable over all moduli and
+  shift sequences (``inevitable_girth``), and ``method2`` asks it about the
+  steps to a candidate point.  The shift search keeps the forms of all
   short closed walks as the templates a shift sequence must not zero.
 """
 
@@ -320,9 +321,10 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
 
     A step goes from a point to another point of one block; successive
     steps use different blocks, and so do the last step and the first.
-    ``first`` = (i1, k1, i2) pins the opening step.  Without it each walk
-    opens at its smallest point i1, with a larger i2, and visits no point
-    below i1, so every closed walk appears in at least one rotation.
+    ``first``, a list of (i1, k1, i2) steps, takes walks opening with one of
+    them, in list order.  Without it each walk opens at its smallest point
+    i1, with a larger i2, and visits no point below i1, so every closed walk
+    appears in at least one rotation.
     Children are visited in block order, then in the order the block lists
     its points.
 
@@ -387,7 +389,7 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
         return None
 
     if first is not None:
-        starts = [first]
+        starts = first
     else:
         starts = [(i1, k1, i2) for i1 in sorted(point_blocks)
                   for k1 in point_blocks[i1] for i2 in blocks[k1 - 1] if i2 > i1]
@@ -406,37 +408,32 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
     return found
 
 
-def _first_balanced(sc, length, first=None):
-    """(points, block_idx) of the first balanced closed walk of exactly
-    ``length`` steps in ``closed_walks`` order, or None."""
+def inevitable_girth(fss: SetSystem, cap: int = DEFAULT_WALK_CAP) -> GirthReport:
+    """Maximum achievable girth 2L of liftings of ``fss``: L is the length
+    of its shortest balanced closed walk.  Unbounded means no walk of
+    length <= cap."""
+    if cap < 2:
+        raise ValueError("cap must be >= 2")
+    found = min_edge_walk(WalkScaffold(fss.blocks), cap)
+    if found is None:
+        return GirthReport(girth=None, cap=cap)
+    return GirthReport(girth=2 * len(found[0]), cap=cap,
+                       witness=WalkWitness(*found))
+
+
+def min_edge_walk(scaffold: WalkScaffold, max_len, steps=None):
+    """(points, block_idx) of the first balanced closed walk of the
+    smallest length L <= ``max_len`` in ``closed_walks`` order, or None.
+    With ``steps``, only walks opening with one of those (x, k, y) steps
+    count.  Every length is searched through one scaffold, which keeps the
+    distances it caches."""
     def witness(points, ks, *_):
         return tuple(points), tuple(ks)
 
-    return closed_walks(sc, length, witness, first, balanced=True)
-
-
-def inevitable_girth(fss: SetSystem, cap: int = DEFAULT_WALK_CAP) -> GirthReport:
-    """Maximum achievable girth 2L of liftings of ``fss``: L is the smallest
-    walk length admitting a balanced closed walk, found by iterative
-    deepening.  Unbounded means no walk of length <= cap."""
-    if cap < 2:
-        raise ValueError("cap must be >= 2")
-    sc = WalkScaffold(fss.blocks)
-    for L in range(2, cap + 1):
-        found = _first_balanced(sc, L)
-        if found is not None:
-            return GirthReport(girth=2 * L, cap=cap, witness=WalkWitness(*found))
-    return GirthReport(girth=None, cap=cap)
-
-
-def min_edge_walk(scaffold: WalkScaffold, x, k0, y, max_len):
-    """Length of the shortest balanced closed walk of ``scaffold``'s blocks
-    opening with the step (x, block k0, y), or None when no walk of length
-    <= max_len exists.  Probing several steps through one scaffold keeps
-    the distances it caches."""
     for L in range(2, max_len + 1):
-        if _first_balanced(scaffold, L, first=(x, k0, y)) is not None:
-            return L
+        found = closed_walks(scaffold, L, witness, steps, balanced=True)
+        if found is not None:
+            return found
     return None
 
 

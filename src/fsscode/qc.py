@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .setsystem import BinaryMatrix, SetSystem, _is_int
 
 __all__ = [
@@ -104,31 +102,19 @@ def _lift(q: QCProtoMatrix) -> BinaryMatrix:
 
 
 def gf2_rank(H: BinaryMatrix) -> int:
-    """Rank over GF(2) by dense bitset elimination."""
-    if H.cols > 20000:
-        raise ValueError("dense GF(2) rank limited to 20000 columns")
-    words = (H.cols + 63) // 64
-    rows = np.zeros((H.rows, words), dtype=np.uint64)
-    for r, c in H.entries():
-        rows[r, c >> 6] |= np.uint64(1 << (c & 63))
-    rank = 0
-    for c in range(H.cols):
-        w, bit = c >> 6, np.uint64(1 << (c & 63))
-        pivot = None
-        for r in range(rank, H.rows):
-            if rows[r, w] & bit:
-                pivot = r
+    """Rank over GF(2) by elimination over Python ints, bit c for column c:
+    each row is reduced by the pivot of its leading bit until it vanishes or
+    its leading bit has no pivot yet, when it becomes that bit's pivot."""
+    pivots: dict[int, int] = {}
+    for sup in H.row_support:
+        row = sum(1 << c for c in sup)
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
                 break
-        if pivot is None:
-            continue
-        rows[[rank, pivot]] = rows[[pivot, rank]]
-        mask = (rows[:, w] & bit).astype(bool)
-        mask[rank] = False
-        rows[mask] ^= rows[rank]
-        rank += 1
-        if rank == H.rows:
-            break
-    return rank
+            row ^= pivots[lead]
+    return len(pivots)
 
 
 def exact_rate(H: BinaryMatrix) -> float:

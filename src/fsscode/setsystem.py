@@ -77,22 +77,26 @@ def validate_fss(v, blocks, t=2) -> SetSystem:
     """Check raw input and build a :class:`SetSystem`.
 
     Raises :class:`SetSystemError` on a ``v``, ``t`` or point that is not an
-    int (a bool is not), an out-of-range point, a duplicated point inside
-    one block, an empty block, or ``t`` exceeding the maximum block size.
-    Block order is preserved; points inside a block are sorted.
+    int (a bool is not), a block list or block that is not a list or tuple,
+    an out-of-range point, a duplicated point inside one block, an empty
+    block, or ``t`` exceeding the maximum block size.  Block order is
+    preserved; points inside a block are sorted.
     """
     if not _is_int(v) or v < 1:
         raise SetSystemError(f"point count must be a positive integer, got {v!r}")
+    if not isinstance(blocks, (list, tuple)):
+        raise SetSystemError(f"blocks must be a list, got {blocks!r}")
     clean = []
-    for j, raw in enumerate(blocks):
-        pts = list(raw)
+    for j, pts in enumerate(blocks):
+        if not isinstance(pts, (list, tuple)):
+            raise SetSystemError(f"block {j + 1} must be a list, got {pts!r}")
         if not pts:
             raise SetSystemError(f"block {j + 1} is empty")
-        if len(set(pts)) != len(pts):
-            raise SetSystemError(f"block {j + 1} repeats a point: {sorted(pts)}")
         for x in pts:
             if not _is_int(x) or not 1 <= x <= v:
                 raise SetSystemError(f"block {j + 1}: point {x!r} outside 1..{v}")
+        if len(set(pts)) != len(pts):
+            raise SetSystemError(f"block {j + 1} repeats a point: {sorted(pts)}")
         clean.append(tuple(sorted(pts)))
     if not _is_int(t) or t < 1:
         raise SetSystemError(f"t must be a positive integer, got {t!r}")

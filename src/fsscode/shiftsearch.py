@@ -72,9 +72,7 @@ class SearchResult:
 class ShiftSearchState:
     """Assigned prefix plus the precomputed template buckets."""
 
-    fss: SetSystem
     m: int
-    target_girth: int
     order: list = field(default_factory=list)
     buckets: dict = field(default_factory=dict)
     prefix: list = field(default_factory=list)
@@ -110,8 +108,7 @@ class ShiftSearchState:
                     [terms.setdefault(t, t) for t in form])
 
         closed_walks(WalkScaffold(fss.blocks), target_girth // 2 - 1, collect)
-        state = cls(fss=fss, m=m, target_girth=target_girth,
-                    order=fss.incidences, buckets=buckets)
+        state = cls(m=m, order=fss.incidences, buckets=buckets)
         state._compile()
         return state
 

@@ -173,7 +173,7 @@ class _SpaWorkspace:
         self.col_slot[rank, cols[by_col]] = flat[by_col]
 
         self.pad = np.flatnonzero(self.slot_col == n) if nnz < dr * m else None
-        self.n, self.m = n, m
+        self.n = n
         self.llr = np.empty((frames, n))
         self.total = np.zeros((frames, n + 1))
         self.v2c = np.empty((frames, dr, m))
@@ -266,13 +266,12 @@ def _decode_frames(ws: _SpaWorkspace, count: int, max_iter: int) -> None:
         np.take(total, ws.slot_col, axis=1, out=v2c, mode="clip")
 
 
-def spa_decode(H: BinaryMatrix, llr, max_iter: int = 50,
-               workspace: _SpaWorkspace | None = None) -> DecodeResult:
+def spa_decode(H: BinaryMatrix, llr, max_iter: int = 50) -> DecodeResult:
     """Log-domain sum-product (tanh rule) with a flooding schedule and early
     exit on a zero syndrome. LLRs may be infinite but not NaN."""
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    ws = workspace or _SpaWorkspace(H)
+    ws = _SpaWorkspace(H)
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (ws.n,):
         raise ValueError(f"LLR length {llr.shape} != column count {ws.n}")
@@ -304,7 +303,7 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     ws = _SpaWorkspace(H, frames=batch)
     records = []
     for snr_idx, ebn0 in enumerate(ebn0_list):
-        cfg = ChannelConfig(ebn0_db=ebn0, rate=rate, seed=seed)
+        cfg = ChannelConfig(ebn0_db=ebn0, rate=rate)
         bits = errors = frames = frame_errors = undetected = 0
         iterations = np.zeros(max_iter + 1, dtype=np.int64)
         noise_s = decode_s = 0.0

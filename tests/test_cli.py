@@ -56,7 +56,12 @@ class TestStatsGirth:
         {"v": 3, "blocks": [[True, 2, 3], [1, 2, 3]]},
         {"v": 3, "t": True, "blocks": [[1, 2, 3]]},
         {"blocks": [[1, 2, 3]]},
-    ], ids=["bool-point", "bool-t", "no-v"])
+        # these once failed in list() or sorted() with a TypeError
+        {"v": 3, "blocks": 5},
+        {"v": 3, "blocks": [5]},
+        {"v": 3, "blocks": [["a", 1, "a"]]},
+    ], ids=["bool-point", "bool-t", "no-v", "blocks-not-list", "block-not-list",
+            "str-points"])
     @pytest.mark.parametrize("cmd", [["stats"], ["method1", "--girth", "8",
                                                  "--m-schedule", "3"]])
     def test_malformed_system_is_error_json(self, capsys, tmp_path, doc, cmd):
@@ -423,3 +428,12 @@ class TestSimulateAndTables:
     def test_verify_table_unknown_row(self, capsys):
         code, _, err = _run(capsys, ["verify-table", "--row", "nope"])
         assert code == EXIT_ERROR
+
+    def test_verify_table_takes_no_output_file(self, capsys, tmp_path):
+        # it prints its report; -o was once accepted and ignored
+        path = tmp_path / "table.txt"
+        code, out, err = _run(capsys, ["verify-table", "--row", "fss-3-12-m13",
+                                       "-o", str(path)])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert json.loads(err)["error"] == "ArgumentError"
+        assert not path.exists()

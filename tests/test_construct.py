@@ -1,13 +1,16 @@
+import random
+
 import pytest
 
 from fsscode.construct import (
     ConstructionError,
     WeightProfile,
+    _accepts,
     method1,
     method1_lift,
     method2,
 )
-from fsscode.girth import inevitable_girth
+from fsscode.girth import WalkScaffold, closed_walks, inevitable_girth
 from fsscode.qc import shift_sequence_from_list
 from fsscode.setsystem import validate_fss
 from fsscode.shiftsearch import SearchPolicy
@@ -137,3 +140,48 @@ class TestMethod2:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             method2(4, WeightProfile((2,)), 7)
+
+
+def _ref_min_edge_walk(scaffold, x, k0, y, max_len):
+    """Length of the shortest balanced closed walk opening with the step
+    (x, block k0, y), or None: iterative deepening over one pinned step."""
+    for L in range(2, max_len + 1):
+        if closed_walks(scaffold, L, lambda *_: True, [(x, k0, y)],
+                        balanced=True):
+            return L
+    return None
+
+
+def _ref_accepts(points, starts, beta, max_len):
+    """``_accepts`` as it was before it asked one query for all the steps to
+    ``beta``: one deepening search per point x of the growing block."""
+    trial = [tuple(points[a:b]) for a, b in zip(starts, [*starts[1:], len(points)])]
+    trial[-1] += (beta,)
+    scaffold = WalkScaffold(trial)
+    for x in trial[-1][:-1]:
+        if _ref_min_edge_walk(scaffold, x, len(trial), beta, max_len) is not None:
+            return False
+    return True
+
+
+class TestAccepts:
+    def test_matches_per_point_loop(self):
+        # random growing states: complete blocks, then a partial block with
+        # ascending points, and a candidate above its last point
+        rng = random.Random(5)
+        verdicts = {True: 0, False: 0}
+        for _ in range(400):
+            v = rng.randint(3, 5)
+            points, starts = [], []
+            for _ in range(rng.randint(1, 7)):
+                starts.append(len(points))
+                points += sorted(rng.sample(range(1, v + 1), rng.randint(2, 3)))
+            starts.append(len(points))
+            points += sorted(rng.sample(range(1, v), rng.randint(1, 2)))
+            beta = rng.randint(points[-1] + 1, v)
+            max_len = rng.randint(3, 7)
+            want = _ref_accepts(points, starts, beta, max_len)
+            assert _accepts(points, starts, beta, max_len) == want, (
+                points, starts, beta, max_len)
+            verdicts[want] += 1
+        assert min(verdicts.values()) >= 100, verdicts

@@ -9,8 +9,8 @@ from fsscode.girth import (
     WalkScaffold,
     WalkWitness,
     _circulant_size,
-    _first_balanced,
     bsg_shortest_closed_walk,
+    closed_walks,
     inevitable_girth,
     min_edge_walk,
     tanner_girth,
@@ -35,6 +35,20 @@ def _random_system(rng, vmax=8, bmax=12):
 def _random_shifts(rng, fss, m):
     vals = [rng.randrange(m) for _ in fss.incidences]
     return shift_sequence_from_list(fss, m, vals)
+
+
+def _first_balanced(sc, length, first=None):
+    """(points, block_idx) of the first balanced closed walk of exactly
+    ``length`` steps, opening with the step ``first`` if given, or None."""
+    def witness(points, ks, *_):
+        return tuple(points), tuple(ks)
+
+    steps = None if first is None else [first]
+    return closed_walks(sc, length, witness, steps, balanced=True)
+
+
+def _walk_len(walk):
+    return None if walk is None else len(walk[0])
 
 
 class TestTannerGirth:
@@ -376,22 +390,60 @@ class TestInevitableGirth:
 
 
 class TestEdgeGirth:
-    """Shortest balanced walk through one pinned step (x, block k0, y)."""
+    """Shortest balanced walk opening with given steps (x, block k0, y)."""
 
     def test_parallel_pair_step(self):
         # two parallel blocks admit no balanced walk at all
         sc = WalkScaffold([(1, 2), (1, 2)])
-        assert min_edge_walk(sc, 1, 2, 2, max_len=11) is None
+        assert min_edge_walk(sc, 11, [(1, 2, 2)]) is None
 
     def test_appending_third_parallel_block(self):
         sc = WalkScaffold([(1, 2), (1, 2), (1, 2)])
-        assert min_edge_walk(sc, 1, 3, 2, max_len=6) == 6
+        assert _walk_len(min_edge_walk(sc, 6, [(1, 3, 2)])) == 6
 
     def test_min_edge_walk_agrees(self):
         sc = WalkScaffold([(1, 2), (1, 2), (1, 2)])
-        assert min_edge_walk(sc, 1, 3, 2, max_len=7) == 6
-        assert min_edge_walk(sc, 1, 3, 2, max_len=5) is None
-        assert min_edge_walk(sc, 2, 1, 1, 7) == 6
+        assert _walk_len(min_edge_walk(sc, 7, [(1, 3, 2)])) == 6
+        assert min_edge_walk(sc, 5, [(1, 3, 2)]) is None
+        assert _walk_len(min_edge_walk(sc, 7, [(2, 1, 1)])) == 6
+        walk = min_edge_walk(sc, 7, [(2, 1, 1)])
+        assert walk[0][:2] == (2, 1) and walk[1][0] == 1
+        assert verify_walk_raw(sc.blocks, *walk)
+
+    def test_steps_query_is_min_of_single_steps(self):
+        # on systems with repeated blocks: the multi-step query finds the
+        # shortest of the single-step walks, and a verified balanced walk
+        # opening with one of the steps.  The steps go longest walk first,
+        # so the query cannot settle for the first step that has a walk.
+        rng = random.Random(20261019)
+        found = missing = repeated = hard = 0
+        for _ in range(250):
+            fss = _random_system_with_repeats(rng, vmax=6, bmax=9)
+            repeated += len(set(fss.blocks)) < len(fss.blocks)
+            blocks = list(fss.blocks)
+            all_steps = [(x, k, y) for k, blk in enumerate(blocks, start=1)
+                         for x in blk for y in blk if x != y]
+            max_len = rng.randint(5, 8)
+            single = {step: _walk_len(min_edge_walk(WalkScaffold(blocks),
+                                                    max_len, [step]))
+                      for step in all_steps}
+            with_walk = sorted((s for s in all_steps if single[s]),
+                               key=single.get)
+            steps = {*with_walk[:1], *with_walk[-1:], *rng.sample(
+                all_steps, rng.randint(1, min(4, len(all_steps))))}
+            steps = sorted(steps, key=lambda s: -(single[s] or 0))
+            lengths = {single[s] for s in steps} - {None}
+            want = min(lengths, default=None)
+            hard += len(lengths) > 1
+            walk = min_edge_walk(WalkScaffold(blocks), max_len, steps)
+            assert _walk_len(walk) == want, (blocks, steps, max_len)
+            if walk is None:
+                missing += 1
+                continue
+            found += 1
+            assert verify_walk_raw(blocks, *walk)
+            assert (walk[0][0], walk[1][0], walk[0][1]) in steps
+        assert repeated > 50 and found > 50 and missing > 50 and hard >= 15, (found, missing, hard)
 
 
 class TestVerifyWalk:

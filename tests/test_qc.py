@@ -131,6 +131,35 @@ class TestExpand:
         assert not D[4:6, 0:2].any()  # point 3 not in block 1
 
 
+def _ref_gf2_rank(H):
+    """The dense uint64 bitset elimination ``gf2_rank`` once used, kept as
+    the reference for its replacement."""
+    if H.cols > 20000:
+        raise ValueError("dense GF(2) rank limited to 20000 columns")
+    words = (H.cols + 63) // 64
+    rows = np.zeros((H.rows, words), dtype=np.uint64)
+    for r, c in H.entries():
+        rows[r, c >> 6] |= np.uint64(1 << (c & 63))
+    rank = 0
+    for c in range(H.cols):
+        w, bit = c >> 6, np.uint64(1 << (c & 63))
+        pivot = None
+        for r in range(rank, H.rows):
+            if rows[r, w] & bit:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[[rank, pivot]] = rows[[pivot, rank]]
+        mask = (rows[:, w] & bit).astype(bool)
+        mask[rank] = False
+        rows[mask] ^= rows[rank]
+        rank += 1
+        if rank == H.rows:
+            break
+    return rank
+
+
 class TestRate:
     def test_gf2_rank_known(self):
         from fsscode.setsystem import BinaryMatrix
@@ -138,6 +167,37 @@ class TestRate:
         H = BinaryMatrix(3, 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (2, 2)])
         # row3 = row1 + row2 over GF(2)
         assert gf2_rank(H) == 2
+
+    def test_gf2_rank_matches_bitset_reference(self):
+        from fsscode.setsystem import BinaryMatrix
+
+        rng = np.random.default_rng(8)
+        full = 0
+        for _ in range(500):
+            rows, cols = rng.integers(0, 30, size=2)
+            D = rng.random((rows, cols)) < rng.uniform(0.05, 0.6)
+            if rows >= 2 and rng.random() < 0.3:  # force dependent rows
+                D[-1] = D[0] ^ D[rows // 2]
+            H = BinaryMatrix(int(rows), int(cols),
+                             [(int(r), int(c)) for r, c in zip(*np.nonzero(D))])
+            want = _ref_gf2_rank(H)
+            assert gf2_rank(H) == want
+            full += want == min(rows, cols)
+        assert 50 < full < 450
+
+    def test_gf2_rank_of_reference_codes(self):
+        # every bundled code has exactly two dependent checks, the n=25,700
+        # one included, which the bitset reference cannot take
+        from fsscode import load_paper_tables, reference_code
+
+        checked = 0
+        for row in load_paper_tables()["girth_codes"]:
+            H = expand(reference_code(row["name"]))
+            assert gf2_rank(H) == H.rows - 2, row["name"]
+            if H.cols <= 20000:
+                assert _ref_gf2_rank(H) == H.rows - 2, row["name"]
+                checked += 1
+        assert checked == 6
 
     def test_exact_rate_at_least_bound(self, pair_system):
         S = shift_sequence_from_list(pair_system, 3, [0, 1, 2])

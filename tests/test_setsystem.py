@@ -59,7 +59,11 @@ class TestValidate:
         ('{"blocks": [[1, 2]]}', "keys 'v' and 'blocks'"),
         ('{"v": 3}', "keys 'v' and 'blocks'"),
         ('[3, [[1, 2]]]', "keys 'v' and 'blocks'"),
-    ], ids=["bool-point", "bool-v", "bool-t", "no-v", "no-blocks", "not-object"])
+        ('{"v": 3, "blocks": 5}', "blocks must be a list"),
+        ('{"v": 3, "blocks": [5]}', "block 1 must be a list"),
+        ('{"v": 3, "blocks": [["a", 1, "a"]]}', "point 'a'"),
+    ], ids=["bool-point", "bool-v", "bool-t", "no-v", "no-blocks", "not-object",
+            "blocks-not-list", "block-not-list", "str-points"])
     def test_json_rejects_malformed(self, text, match):
         from fsscode.setsystem import SetSystem
 

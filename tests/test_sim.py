@@ -196,17 +196,15 @@ class TestSlotMajorDifferential:
         ("empty-row-col", 25),
     ])
     def test_matches_edge_list_reference(self, name, frames):
-        from fsscode.sim import _SpaWorkspace
-
+        # each decode builds its own workspace; TestBatchDifferential reuses
+        # one across calls
         H = _differential_code(name)
-        ref, ws = _EdgeListWorkspace(H), _SpaWorkspace(H)
+        ref = _EdgeListWorkspace(H)
         outcomes, mismatches = set(), []
         for k, llr in enumerate(_llr_corpus(H.cols, 7, frames)):
             for max_iter in MAX_ITERS:
                 want = _edge_list_decode(ref, llr, max_iter)
-                # alternate a shared workspace and a fresh one per decode
-                got = spa_decode(H, llr, max_iter=max_iter,
-                                 workspace=ws if k % 2 else None)
+                got = spa_decode(H, llr, max_iter=max_iter)
                 if not (got.bits.dtype == want[0].dtype
                         and np.array_equal(got.bits, want[0])
                         and (got.converged, got.iterations) == want[1:]):
