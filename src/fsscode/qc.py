@@ -270,6 +270,8 @@ def shift_sequence_from_list(fss: SetSystem, m: int, values) -> ShiftSequence:
     convention in which the first shift of every block is an implicit zero
     (detected by the entry count).  Any other length is rejected.
     """
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {m}")
     values = list(values)
     full = len(fss.incidences)
     compressed = full - fss.b

@@ -4,6 +4,16 @@ All-zero codewords are transmitted (valid for linear codes on a symmetric
 channel); per-frame noise is seeded from (run seed, SNR index, frame index),
 so serial and parallel schedules produce identical results.
 
+Frame f of SNR point i uses ``PCG64(SeedSequence(seed, spawn_key=(i, f)))``.
+Building that object costs more than drawing the frame's noise, but the
+SeedSequence hash is fixed uint32 arithmetic, so ``ber_sweep`` runs it for a
+chunk of up to ``_SEED_CHUNK`` frames at once in numpy, one uint32 column
+per entropy word, and turns each frame's words into its PCG64 state. One
+reused ``PCG64`` takes each state in turn and draws that frame's noise, so
+every frame's LLRs are byte-identical to ``transmit`` with numpy's own
+generator. The first frame of every chunk is also seeded by numpy, and a
+mismatch raises ``RuntimeError``.
+
 The decoder stores its messages slot-major: slot k of check row r carries
 the edge to the row's k-th column, so check-node messages form a
 ``(max row degree, rows)`` array per frame. The check-node product is one
@@ -130,11 +140,126 @@ def transmit(n: int, cfg: ChannelConfig, rng=None) -> np.ndarray:
     """Channel LLRs for an all-zero codeword: 2y/sigma^2, y = 1 + noise."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    llr = rng.normal(0.0, cfg._sigma, size=n)
-    llr += 1.0  # in place: one array per frame, the same values
-    llr *= 2.0
-    llr /= cfg.noise_var
-    return llr
+    return _noise_to_llr(rng.standard_normal(n), cfg)
+
+
+def _noise_to_llr(z: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
+    """Turn standard normal draws into channel LLRs in place, on one frame or
+    a batch of rows. ``sigma * z`` is exactly what ``normal(0.0, sigma)``
+    returns (``0.0 + sigma * z``), so these are its LLRs bit for bit."""
+    z *= cfg._sigma
+    z += 1.0
+    z *= 2.0
+    z /= cfg.noise_var
+    return z
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64
+# seeding, so the states of many frames can be worked out at once
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+_MASK128 = (1 << 128) - 1
+
+# frames whose PCG64 states ber_sweep works out in one pass
+_SEED_CHUNK = 1024
+
+
+def _uint32_words(x: int) -> list[int]:
+    """A non-negative int as little-endian 32-bit words, as SeedSequence
+    reads its entropy and each spawn-key entry."""
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _hash_constants(h: int, mult: int):
+    """SeedSequence's hash constants, which depend on no data: each
+    ``hashmix`` xors with the current one and multiplies by the next."""
+    while True:
+        nxt = h * mult & _MASK32
+        yield np.uint32(h), np.uint32(nxt)
+        h = nxt
+
+
+def _hashmix(col, consts):
+    xor, mult = next(consts)
+    col = (col ^ xor) * mult
+    return col ^ (col >> np.uint32(16))
+
+
+def _mix(x, y):
+    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return r ^ (r >> np.uint32(16))
+
+
+def _pcg64_state_words(entropy) -> list[list[int]]:
+    """``SeedSequence.mix_entropy`` and ``generate_state(4, uint64)`` on
+    uint32 columns, one per entropy word (at least the pool size of them):
+    item k of the result is the k-th uint64 state word of every column
+    entry, as Python ints."""
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, consts) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    state = [_hashmix(word, consts).astype(np.uint64) for word in pool + pool]
+    return [(state[2 * k] | state[2 * k + 1] << np.uint64(32)).tolist()
+            for k in range(4)]
+
+
+def _pcg64_states(seed: int, snr_idx: int, start: int,
+                  count: int) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(SeedSequence(seed, spawn_key=(snr_idx,
+    f)))`` for frames f = start .. start + count - 1, count >= 1.
+
+    Frames are hashed a run at a time, a run ending where the frame index
+    gains a 32-bit word, so within it only the low frame word varies. The
+    first frame is also seeded by numpy itself, and a mismatch raises
+    ``RuntimeError``: a numpy that changed its seeding algorithm fails here
+    instead of changing every frame's noise.
+    """
+    # with a spawn key, SeedSequence pads the run entropy to the pool size
+    prefix = _uint32_words(seed)
+    prefix += [0] * (_POOL_SIZE - len(prefix)) + _uint32_words(snr_idx)
+    states = []
+    f, stop = start, start + count
+    while f < stop:
+        end = min(stop, (f | _MASK32) + 1)
+        low, *high = _uint32_words(f)
+        entropy = [np.full(end - f, w, dtype=np.uint32) for w in prefix]
+        entropy.append(np.arange(low, low + end - f, dtype=np.uint32))
+        entropy += [np.full(end - f, w, dtype=np.uint32) for w in high]
+        s_hi, s_lo, i_hi, i_lo = _pcg64_state_words(entropy)
+        for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+            inc = ((c << 65) | (d << 1) | 1) & _MASK128
+            states.append(((inc + (a << 64 | b)) * _PCG_MULT + inc & _MASK128,
+                           inc))
+        f = end
+    ref = np.random.PCG64(np.random.SeedSequence(
+        seed, spawn_key=(snr_idx, start))).state["state"]
+    if (ref["state"], ref["inc"]) != states[0]:
+        raise RuntimeError(
+            "numpy's SeedSequence/PCG64 seeding no longer matches the "
+            f"batched hash (seed {seed}, SNR index {snr_idx}, frame {start})")
+    return states
+
+
+def _frame_states(seed: int, snr_idx: int, max_frames: int):
+    """PCG64 ``(state, inc)`` of frames 0 .. max_frames - 1 of one SNR point,
+    hashed ``_SEED_CHUNK`` frames at a time as they are taken."""
+    for start in range(0, max_frames, _SEED_CHUNK):
+        yield from _pcg64_states(seed, snr_idx, start,
+                                 min(_SEED_CHUNK, max_frames - start))
 
 
 class _SpaWorkspace:
@@ -290,31 +415,47 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     """Monte-Carlo BER/FER per SNR point, early-stopping on frame errors.
 
     Frame f of SNR point i draws its noise from
-    SeedSequence(seed, spawn_key=(i, f)), independent of scheduling. Frames
-    are decoded in batches and counted in frame order, so the sweep stops at
-    exactly the frame that brings in the last frame error it needs.
+    SeedSequence(seed, spawn_key=(i, f)), independent of scheduling; its
+    LLRs are byte-identical to ``transmit`` with that generator. The PCG64
+    states of up to ``_SEED_CHUNK`` frames (no more than the stop rule's
+    frame cap leaves) are hashed in one numpy pass, and the first frame of
+    each chunk is checked against numpy's own seeding. One reused PCG64 takes
+    each frame's state and draws its row of the batch, and the LLR scaling
+    runs once per batch. Frames are decoded in batches and counted in frame
+    order, so the sweep stops at exactly the frame that brings in the last
+    frame error it needs. ``seed`` must be a non-negative integer; a
+    ``bool`` is rejected.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
     stop = stop or StopRule()
     # columns bound the batch too: a workspace holds O(edges + columns)
     # floats per frame, and H may have few or no edges
     batch = max(1, _EDGE_BUDGET // max(H.nnz, H.cols, 1))
     ws = _SpaWorkspace(H, frames=batch)
+    bitgen = np.random.PCG64(0)  # its state is set before every frame
+    rng = np.random.Generator(bitgen)
+    pcg = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
     records = []
     for snr_idx, ebn0 in enumerate(ebn0_list):
         cfg = ChannelConfig(ebn0_db=ebn0, rate=rate)
         bits = errors = frames = frame_errors = undetected = 0
         iterations = np.zeros(max_iter + 1, dtype=np.int64)
         noise_s = decode_s = 0.0
+        states = _frame_states(seed, snr_idx, stop.max_frames)
         while frame_errors < stop.min_frame_errors and frames < stop.max_frames:
             count = min(batch, stop.max_frames - frames)
             t0 = perf_counter()
-            for f in range(count):
-                ss = np.random.SeedSequence(entropy=seed,
-                                            spawn_key=(snr_idx, frames + f))
-                ws.llr[f] = transmit(ws.n, cfg,
-                                     rng=np.random.Generator(np.random.PCG64(ss)))
+            # zip takes from range first, so no state past the batch is taken
+            for f, (state, inc) in zip(range(count), states):
+                pcg["state"] = {"state": state, "inc": inc}
+                bitgen.state = pcg
+                rng.standard_normal(out=ws.llr[f])
+            _noise_to_llr(ws.llr[:count], cfg)
             t1 = perf_counter()
             _decode_frames(ws, count, max_iter)
             decode_s += perf_counter() - t1

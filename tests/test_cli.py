@@ -275,6 +275,16 @@ class TestShiftPipeline:
         assert json.loads(err)["message"] == "--shift-list requires --m"
         assert not alist_path.exists()
 
+    def test_expand_rejects_zero_modulus(self, capsys, fss_file, tmp_path):
+        alist_path = tmp_path / "h.alist"
+        code, out, err = _run(capsys, [
+            "expand", "--fss", fss_file, "--shift-list", "1,2,3", "--m", "0",
+            "-o", str(alist_path),
+        ])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert json.loads(err)["error"] == "ValueError"
+        assert not alist_path.exists()
+
     def test_expand_rejects_repeated_shift_record(self, capsys, fss_file, tmp_path):
         shifts_path = tmp_path / "s.json"
         shifts_path.write_text(json.dumps({"m": 5, "shifts": [

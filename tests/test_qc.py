@@ -46,6 +46,11 @@ class TestShiftSequence:
         with pytest.raises(ValueError):
             shift_sequence_from_list(pair_system, 5, [1, 2])
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_from_list_rejects_nonpositive_modulus(self, pair_system, m):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            shift_sequence_from_list(pair_system, m, [1, 2, 3])
+
     def test_json_roundtrip(self, pair_system):
         S = shift_sequence_from_list(pair_system, 5, [1, 2, 3])
         again = shifts_from_json(pair_system, shifts_to_json(pair_system, S))

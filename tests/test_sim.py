@@ -362,6 +362,108 @@ class TestBatchSize:
             assert any(f % batch for f in by_cap)
 
 
+def _numpy_state(seed, snr_idx, frame):
+    ref = np.random.PCG64(np.random.SeedSequence(
+        seed, spawn_key=(snr_idx, frame))).state["state"]
+    return ref["state"], ref["inc"]
+
+
+class TestBatchedSeeding:
+    """``ber_sweep`` works out the PCG64 states of a chunk of frames with
+    numpy's SeedSequence hash on uint32 columns; every frame must get the
+    state, and so the LLRs, that numpy's own seeding and ``transmit`` give."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3,
+                                      10**11 + 7, 2**128 + 5])
+    @pytest.mark.parametrize("snr_idx", [0, 3])
+    def test_states_match_numpy(self, seed, snr_idx):
+        from fsscode.sim import _pcg64_states
+
+        for start, count in ((0, 3), (2**31 - 1, 2)):
+            got = _pcg64_states(seed, snr_idx, start, count)
+            assert got == [_numpy_state(seed, snr_idx, f)
+                           for f in range(start, start + count)]
+
+    @pytest.mark.parametrize("seed", [0, 10**11 + 7])
+    def test_chunk_straddling_a_frame_word(self, seed):
+        # frames from 2**32 on carry a second spawn-key word
+        from fsscode.sim import _pcg64_states
+
+        start = 2**32 - 3
+        assert _pcg64_states(seed, 1, start, 6) == [
+            _numpy_state(seed, 1, f) for f in range(start, start + 6)]
+
+    def test_mismatch_with_numpy_raises(self, monkeypatch):
+        from fsscode import sim
+
+        monkeypatch.setattr(sim, "_PCG_MULT", sim._PCG_MULT + 2)
+        with pytest.raises(RuntimeError, match="no longer matches"):
+            sim._pcg64_states(5, 0, 0, 4)
+
+    def test_llr_rows_equal_transmit(self, code_360, monkeypatch):
+        # 1,100 frames at each of two points: a chunk boundary in each
+        from fsscode import sim
+
+        rows = []
+        decode = sim._decode_frames
+
+        def capture(ws, count, max_iter):
+            rows.append(ws.llr[:count].copy())
+            decode(ws, count, max_iter)
+
+        monkeypatch.setattr(sim, "_decode_frames", capture)
+        seed, snrs, frames = 10**11 + 7, (1.5, 4.5), 1100
+        recs = ber_sweep(code_360, snrs, rate=0.7,
+                         stop=StopRule(frames + 1, frames), seed=seed)
+        assert [r.frames for r in recs] == [frames, frames]
+        got = np.concatenate(rows)
+        assert got.shape == (2 * frames, code_360.cols)
+        for i, ebn0 in enumerate(snrs):
+            cfg = ChannelConfig(ebn0, 0.7)
+            for f in range(frames):
+                rng = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence(seed, spawn_key=(i, f))))
+                want = transmit(code_360.cols, cfg, rng=rng)
+                assert got[i * frames + f].tobytes() == want.tobytes(), (i, f)
+        # transmit's draw is normal(0.0, sigma) rescaled, bit for bit
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(1, frames - 1))))
+        y = rng.normal(0.0, cfg._sigma, size=code_360.cols) + 1.0
+        assert (2.0 * y / cfg.noise_var).tobytes() == got[-1].tobytes()
+
+    def test_stop_mid_chunk_restarts_next_point_at_frame_0(self, code_360,
+                                                           monkeypatch):
+        from fsscode import sim
+
+        chunks = []
+        states = sim._pcg64_states
+
+        def record(seed, snr_idx, start, count):
+            chunks.append((snr_idx, start, count))
+            return states(seed, snr_idx, start, count)
+
+        monkeypatch.setattr(sim, "_pcg64_states", record)
+        stop = StopRule(5, 1500)
+        recs = ber_sweep(code_360, [1.0, 2.5], rate=0.7, stop=stop, seed=4)
+        assert all(r.frame_errors == 5 and r.frames < sim._SEED_CHUNK
+                   for r in recs)
+        assert chunks == [(0, 0, sim._SEED_CHUNK), (1, 0, sim._SEED_CHUNK)]
+        # a per-frame replay seeded by numpy gives the same records
+        for i, rec in enumerate(recs):
+            cfg = ChannelConfig(rec.ebn0_db, 0.7)
+            bits = errors = frame_errors = frames = 0
+            while frame_errors < stop.min_frame_errors:
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(4, spawn_key=(i, frames)))
+                out = spa_decode(code_360, transmit(code_360.cols, cfg, rng=rng))
+                bits += code_360.cols
+                errors += int(out.bits.sum())
+                frame_errors += bool(out.bits.any())
+                frames += 1
+            assert (rec.bits, rec.bit_errors, rec.frames) == (bits, errors,
+                                                              frames)
+
+
 class TestBerSweep:
     def test_empty_snr_list(self, code_312):
         assert ber_sweep(code_312, [], rate=0.75) == []
@@ -469,6 +571,21 @@ class TestBoundaries:
         rec, = ber_sweep(code_312, [2.0], rate=0.75, stop=StopRule(1, 0))
         assert (rec.frames, rec.bits) == (0, 0)
 
+    @pytest.mark.parametrize("seed", [-1, True, False, 1.5, 2.0, "3", None])
+    def test_sweep_rejects_bad_seed(self, code_312, monkeypatch, seed):
+        from fsscode import sim
+
+        monkeypatch.setattr(sim, "_frame_states", None)  # no frame is made
+        with pytest.raises(ValueError, match="seed"):
+            ber_sweep(code_312, [2.0], rate=0.75, stop=StopRule(1, 5),
+                      seed=seed)
+
+    def test_sweep_takes_numpy_integer_seed(self, code_312):
+        stop = StopRule(3, 50)
+        assert ber_sweep(code_312, [2.0], rate=0.75, stop=stop,
+                         seed=np.uint64(9)) == \
+            ber_sweep(code_312, [2.0], rate=0.75, stop=stop, seed=9)
+
     def test_sweep_rejects_negative_max_iter(self, code_312):
         with pytest.raises(ValueError, match="max_iter"):
             ber_sweep(code_312, [2.0], rate=0.75, max_iter=-1)
@@ -489,6 +606,7 @@ class TestBoundaries:
     @pytest.mark.parametrize("flag, value", [
         ("--min-frame-errors", "0"), ("--max-frames", "-1"),
         ("--max-iter", "-1"), ("--snr", "nan"), ("--snr", "2,inf"),
+        ("--seed", "-1"),
     ])
     def test_simulate_exits_1_with_json_error(self, capsys, tmp_path, flag,
                                               value):
