@@ -28,6 +28,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .setsystem import BinaryMatrix, SetSystem
 from .qc import QCProtoMatrix
 
@@ -184,8 +186,7 @@ def tanner_girth(H: BinaryMatrix, cap: int = 16) -> GirthReport:
     if cap < 4 or cap % 2:
         raise ValueError("cap must be even and >= 4")
     m, n = H.rows, H.cols
-    adj: list[list[int]] = [[m + c for c in sup] for sup in H.row_support]
-    adj += [list(sup) for sup in H.col_support]
+    adj = [[m + c for c in sup] for sup in H.row_support] + H.col_support
     nv = m + n
     dist = [-1] * nv
     parent = [-1] * nv
@@ -233,24 +234,23 @@ def _circulant_size(H: BinaryMatrix) -> int:
     next index inside their own block of d), or 1 when there is none.
 
     Sizes are tried from the largest down.  Row 0 must map onto row 1,
-    which rejects most wrong sizes at once; only then does the full test
-    run, in O(nnz).  ``expand`` output passes for its own m, transposed or
-    not, and for no larger size unless its shifts allow one.
+    which rejects most wrong sizes at once; only then are the shifted edge
+    keys ``r * cols + c``, sorted, compared with H's own.  ``expand`` output
+    passes for its own m, transposed or not, and for no larger size unless
+    its shifts allow one.
     """
     g = gcd(H.rows, H.cols) if H.rows and H.cols else 1
-    sup = H.row_support
+    r, c, ptr = H.edge_rows, H.edge_cols, H.row_ptr
     for d in range(g, 1, -1):
         if g % d:
             continue
 
         def shift(i):
-            return i + 1 if (i + 1) % d else i + 1 - d
+            return np.where((i + 1) % d, i + 1, i + 1 - d)
 
-        if sup[1] != sorted(map(shift, sup[0])):
+        if not np.array_equal(np.sort(shift(c[:ptr[1]])), c[ptr[1]:ptr[2]]):
             continue
-        nxt = list(map(shift, range(max(H.rows, H.cols))))
-        if all(sup[nxt[r]] == sorted(map(nxt.__getitem__, row))
-               for r, row in enumerate(sup)):
+        if np.array_equal(np.sort(shift(r) * H.cols + shift(c)), r * H.cols + c):
             return d
     return 1
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .setsystem import BinaryMatrix, SetSystem, _is_int
 
 __all__ = [
@@ -91,14 +93,12 @@ def expand(q: QCProtoMatrix) -> BinaryMatrix:
 def _lift(q: QCProtoMatrix) -> BinaryMatrix:
     """The (v*m) x (b*m) circulant expansion: one row group per point, one
     column group per block, never transposed."""
-    m = q.m
-    entries = []
-    for (i, j), s in q.cells.items():
-        rbase = (i - 1) * m
-        cbase = (j - 1) * m
-        for r in range(m):
-            entries.append((rbase + r, cbase + (r + s) % m))
-    return BinaryMatrix(q.v * m, q.b * m, entries)
+    m, r = q.m, np.arange(q.m)
+    cells = np.array([(*ij, s) for ij, s in q.cells.items()], dtype=np.int64)
+    i, j, s = cells.reshape(-1, 3).T[:, :, None]  # one (cells, 1) column each
+    rows, cols = (i - 1) * m + r, (j - 1) * m + (r + s) % m  # (cells, m) each
+    return BinaryMatrix(q.v * m, q.b * m,
+                        np.stack((rows.ravel(), cols.ravel()), axis=1))
 
 
 def gf2_rank(H: BinaryMatrix) -> int:
@@ -139,14 +139,9 @@ def write_alist(H: BinaryMatrix, path) -> None:
         " ".join(map(str, col_deg)),
         " ".join(map(str, row_deg)),
     ]
-    for c in range(n):
-        adj = [r + 1 for r in H.col_support[c]]
-        adj += [0] * (cmax - len(adj))
-        lines.append(" ".join(map(str, adj)))
-    for r in range(m):
-        adj = [c + 1 for c in H.row_support[r]]
-        adj += [0] * (rmax - len(adj))
-        lines.append(" ".join(map(str, adj)))
+    for supports, width in ((H.col_support, cmax), (H.row_support, rmax)):
+        lines += [" ".join(map(str, [x + 1 for x in sup] + [0] * (width - len(sup))))
+                  for sup in supports]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -218,7 +213,7 @@ def read_alist(path) -> BinaryMatrix:
     if pos != len(lines):
         raise ValueError(f"alist line {lines[pos][0]}: text after the row section")
     H = BinaryMatrix(m, n, [(r - 1, c) for c, adj in enumerate(cols) for r in adj])
-    if H.row_support != [sorted(c - 1 for c in adj) for adj in rows]:
+    if H != BinaryMatrix(m, n, [(r, c - 1) for r, adj in enumerate(rows) for c in adj]):
         raise ValueError("alist column and row sections describe different edges")
     return H
 

@@ -12,8 +12,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
+
+import numpy as np
 
 __all__ = [
     "SetSystemError",
@@ -71,6 +74,13 @@ class SetSystem:
 
 def _is_int(x) -> bool:
     return type(x) is int  # JSON true/false parse as bool, a subclass of int
+
+
+def _non_negative_int(x, name: str) -> int:
+    """``int(x)`` of a non-negative int or numpy integer (not a bool)."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {x!r}")
+    return int(x)
 
 
 def validate_fss(v, blocks, t=2) -> SetSystem:
@@ -142,60 +152,63 @@ def block_stats(fss: SetSystem) -> SystemStats:
 
 
 class BinaryMatrix:
-    """Sparse 0/1 matrix with row- and column-adjacency views.
-
-    ``row_support[i]`` and ``col_support[j]`` are sorted index lists; the two
-    views are kept mutually consistent.  ``col_labels`` optionally records the
-    point subset each column stands for.
+    """Sparse 0/1 matrix stored once, as its edges: int64 arrays
+    ``edge_rows`` and ``edge_cols`` sorted by row, then column, with row r
+    at ``row_ptr[r]:row_ptr[r + 1]``.  The sorted index lists
+    ``row_support[i]`` and ``col_support[j]`` hold Python ints and are
+    built on first use.  ``entries`` holds integer ``(row, col)`` pairs;
+    ``col_labels`` optionally records the point subset of each column.
     """
 
     def __init__(self, rows, cols, entries, col_labels=None):
-        self.rows = rows
-        self.cols = cols
-        seen = set()
-        self.row_support = [[] for _ in range(rows)]
-        self.col_support = [[] for _ in range(cols)]
-        for r, c in entries:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry ({r},{c})")
-            seen.add((r, c))
-            self.row_support[r].append(c)
-            self.col_support[c].append(r)
-        for sup in self.row_support:
-            sup.sort()
-        for sup in self.col_support:
-            sup.sort()
+        self.rows = _non_negative_int(rows, "rows")
+        self.cols = _non_negative_int(cols, "cols")
+        if self.rows * self.cols > 2**63:
+            raise ValueError(f"{rows}x{cols} is too large for int64 edge keys")
+        e = np.asarray(entries)
+        if e.shape == (0,):  # [] parses as float64
+            e = np.empty((0, 2), np.int64)
+        if e.dtype.kind not in "iu" or e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError("entries must be integer (row, col) pairs, got "
+                             f"dtype {e.dtype}, shape {e.shape}")
+        r, c = e.astype(np.int64).T
+        bad = np.flatnonzero((r < 0) | (r >= self.rows) | (c < 0) | (c >= self.cols))
+        if bad.size:
+            raise ValueError(f"entry ({r[bad[0]]},{c[bad[0]]}) outside "
+                             f"{self.rows}x{self.cols}")
+        key = np.sort(r * self.cols + c)
+        self.edge_rows, self.edge_cols = np.divmod(key, max(self.cols, 1))
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:
+            raise ValueError(f"duplicate entry ({self.edge_rows[dup[0]]},"
+                             f"{self.edge_cols[dup[0]]})")
+        self.nnz = len(key)
+        self.row_ptr = np.searchsorted(self.edge_rows, np.arange(self.rows + 1))
         self.col_labels = col_labels
 
-    @property
-    def nnz(self) -> int:
-        return sum(len(s) for s in self.row_support)
+    @cached_property
+    def row_support(self) -> list[list[int]]:
+        cols, ptr = self.edge_cols.tolist(), self.row_ptr.tolist()
+        return [cols[a:b] for a, b in zip(ptr, ptr[1:])]
 
-    def entries(self):
-        for r, sup in enumerate(self.row_support):
-            for c in sup:
-                yield (r, c)
+    @cached_property
+    def col_support(self) -> list[list[int]]:
+        return self.transpose().row_support
 
     def transpose(self) -> "BinaryMatrix":
-        return BinaryMatrix(self.cols, self.rows, [(c, r) for r, c in self.entries()])
+        return BinaryMatrix(self.cols, self.rows,
+                            np.column_stack((self.edge_cols, self.edge_rows)))
 
     def to_dense(self):
-        import numpy as np
-
         H = np.zeros((self.rows, self.cols), dtype=np.int8)
-        for r, c in self.entries():
-            H[r, c] = 1
+        H[self.edge_rows, self.edge_cols] = 1
         return H
 
     def __eq__(self, other):
-        return (
-            isinstance(other, BinaryMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.row_support == other.row_support
-        )
+        return (isinstance(other, BinaryMatrix)
+                and (self.rows, self.cols) == (other.rows, other.cols)
+                and np.array_equal(self.edge_rows, other.edge_rows)
+                and np.array_equal(self.edge_cols, other.edge_cols))
 
     def __repr__(self):
         return f"BinaryMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
@@ -218,9 +231,6 @@ def incidence_matrix(fss: SetSystem, min_replication: int = 2) -> BinaryMatrix:
         cover = sum(1 for bs in block_sets if set(sub) <= bs)
         if cover >= min_replication:
             labels.append(sub)
-    entries = []
-    for i, bs in enumerate(block_sets):
-        for j, sub in enumerate(labels):
-            if set(sub) <= bs:
-                entries.append((i, j))
+    entries = [(i, j) for i, bs in enumerate(block_sets)
+               for j, sub in enumerate(labels) if set(sub) <= bs]
     return BinaryMatrix(fss.b, len(labels), entries, col_labels=labels)

@@ -45,12 +45,11 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from time import perf_counter
 
 import numpy as np
 
-from .setsystem import BinaryMatrix
+from .setsystem import BinaryMatrix, _non_negative_int
 
 __all__ = [
     "ChannelConfig",
@@ -68,13 +67,15 @@ CSV_HEADER = ["ebn0_db", "bits", "bit_errors", "frames", "frame_errors", "ber", 
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """AWGN channel at a given Eb/N0 for a code of the given rate."""
+    """AWGN channel at a given Eb/N0 for a code of the given rate.
+    ``seed`` must be a non-negative integer; a bool is rejected."""
 
     ebn0_db: float
     rate: float
     seed: int = 0
 
     def __post_init__(self):
+        _non_negative_int(self.seed, "seed")
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {self.rate}")
         if not math.isfinite(self.ebn0_db):
@@ -278,15 +279,10 @@ class _SpaWorkspace:
     """
 
     def __init__(self, H: BinaryMatrix, frames: int = 1):
-        m, n = H.rows, H.cols
-        deg = np.fromiter(map(len, H.row_support), dtype=np.intp, count=m)
-        nnz = int(deg.sum())
-        cols = np.fromiter(chain.from_iterable(H.row_support), dtype=np.intp,
-                           count=nnz)
-        rows = np.repeat(np.arange(m), deg)
-        slot = np.arange(nnz) - (np.cumsum(deg) - deg)[rows]
+        m, n, nnz, rows, cols = H.rows, H.cols, H.nnz, H.edge_rows, H.edge_cols
+        slot = np.arange(nnz) - H.row_ptr[rows]
         flat = slot * m + rows
-        dr = int(deg.max(initial=0))
+        dr = int(np.diff(H.row_ptr).max(initial=0))
         self.slot_col = np.full((dr, m), n, dtype=np.intp)
         self.slot_col[slot, rows] = cols
 
@@ -428,10 +424,7 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     """
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or seed < 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    seed = int(seed)
+    seed = _non_negative_int(seed, "seed")
     stop = stop or StopRule()
     # columns bound the batch too: a workspace holds O(edges + columns)
     # floats per frame, and H may have few or no edges

@@ -1,6 +1,8 @@
 import random
 from collections import deque
+from math import gcd
 
+import numpy as np
 import pytest
 
 from fsscode import girth, reference_code
@@ -17,7 +19,7 @@ from fsscode.girth import (
     verify_walk,
     verify_walk_raw,
 )
-from fsscode.qc import assemble, expand, shift_sequence_from_list
+from fsscode.qc import _lift, assemble, expand, shift_sequence_from_list
 from fsscode.setsystem import BinaryMatrix, validate_fss
 from fsscode.shiftsearch import ShiftSearchState
 
@@ -146,7 +148,7 @@ class TestCirculantOracle:
             fss = _random_system(rng, vmax=5, bmax=6)
             m = rng.randint(2, 6)
             H = expand(assemble(fss, _random_shifts(rng, fss, m)))
-            entries = list(H.entries())
+            entries = list(zip(H.edge_rows.tolist(), H.edge_cols.tolist()))
             i = rng.randrange(len(entries))
             r = entries[i][0]
             entries[i] = (r, rng.choice(
@@ -207,6 +209,142 @@ class TestCirculantOracle:
         assert tanner_girth(self._code(m=3), cap=6).to_json() == (
             '{"girth": "unbounded", "cap": 6}'
         )
+
+
+def _ref_lift(q):
+    """The per-entry tuple loop ``qc._lift`` once ran, kept as the reference
+    for its broadcast: ``(rows, cols, entries)``, never transposed."""
+    m = q.m
+    entries = []
+    for (i, j), s in q.cells.items():
+        rbase = (i - 1) * m
+        cbase = (j - 1) * m
+        for r in range(m):
+            entries.append((rbase + r, cbase + (r + s) % m))
+    return q.v * m, q.b * m, entries
+
+
+def _ref_expand(q):
+    rows, cols, entries = _ref_lift(q)
+    if q.v > q.b:
+        return cols, rows, [(c, r) for r, c in entries]
+    return rows, cols, entries
+
+
+def _ref_supports(rows, cols, entries):
+    """Sorted row and column index lists, built entry by entry."""
+    row_sup = [[] for _ in range(rows)]
+    col_sup = [[] for _ in range(cols)]
+    for r, c in entries:
+        row_sup[r].append(c)
+        col_sup[c].append(r)
+    return [sorted(s) for s in row_sup], [sorted(s) for s in col_sup]
+
+
+def _ref_dense(rows, cols, entries):
+    D = np.zeros((rows, cols), dtype=np.int8)
+    for r, c in entries:
+        D[r, c] = 1
+    return D
+
+
+def _ref_circulant_size(rows, cols, sup):
+    """The list-based test ``_circulant_size`` once ran on ``row_support``,
+    kept as the reference for its edge-key comparison."""
+    g = gcd(rows, cols) if rows and cols else 1
+    for d in range(g, 1, -1):
+        if g % d:
+            continue
+
+        def shift(i):
+            return i + 1 if (i + 1) % d else i + 1 - d
+
+        if sup[1] != sorted(map(shift, sup[0])):
+            continue
+        nxt = list(map(shift, range(max(rows, cols))))
+        if all(sup[nxt[r]] == sorted(map(nxt.__getitem__, row))
+               for r, row in enumerate(sup)):
+            return d
+    return 1
+
+
+def _lift_corpus():
+    """Proto matrices: random shapes v<b, v>b and v==b with m in 1..13, and
+    shifts that are multiples of a divisor g of m, whose codes are often
+    invariant under a size larger than m."""
+    rng = random.Random(20261019)
+    for case in range(240):
+        v = rng.randint(2, 6)
+        b = (rng.randint(v + 1, 8), rng.randint(1, v - 1), v)[case % 3]
+        blocks = [rng.sample(range(1, v + 1), rng.randint(1, min(4, v)))
+                  for _ in range(b)]
+        fss = validate_fss(v, blocks, t=1)
+        yield assemble(fss, _random_shifts(rng, fss, rng.randint(1, 13)))
+    rng = random.Random(7)
+    for _ in range(120):
+        v = rng.randint(2, 4)
+        b = rng.choice((v, 2 * v))
+        fss = validate_fss(v, [rng.sample(range(1, v + 1), rng.randint(2, v))
+                               for _ in range(b)])
+        m = rng.choice((2, 3, 4, 6))
+        g = rng.choice([d for d in range(1, m + 1) if m % d == 0])
+        vals = [g * rng.randrange(m // g) for _ in fss.incidences]
+        yield assemble(fss, shift_sequence_from_list(fss, m, vals))
+
+
+def _moved_entry_corpus():
+    """``(rows, cols, entries)`` of ``TestCirculantOracle.test_rejects_moved_entry``,
+    drawn from the same seed but built by the references alone."""
+    rng = random.Random(11)
+    for _ in range(60):
+        fss = _random_system(rng, vmax=5, bmax=6)
+        m = rng.randint(2, 6)
+        rows, cols, entries = _ref_expand(assemble(fss, _random_shifts(rng, fss, m)))
+        entries.sort()
+        i = rng.randrange(len(entries))
+        r = entries[i][0]
+        taken = {c for rr, c in entries if rr == r}
+        entries[i] = (r, rng.choice([c for c in range(cols) if c not in taken]))
+        rng.choice((8, 12, 16))  # the cap, unused here
+        yield rows, cols, entries
+
+
+class TestArrayPathsDifferential:
+    """``_lift``'s broadcast, the array-backed ``BinaryMatrix`` and
+    ``_circulant_size``'s edge-key test against the per-entry builds and the
+    list-based size test they replaced."""
+
+    @staticmethod
+    def _assert_matches(H, rows, cols, entries):
+        row_sup, col_sup = _ref_supports(rows, cols, entries)
+        assert (H.rows, H.cols, H.nnz) == (rows, cols, len(entries))
+        assert H.row_support == row_sup
+        assert H.col_support == col_sup
+        assert np.array_equal(H.to_dense(), _ref_dense(rows, cols, entries))
+        assert _circulant_size(H) == _ref_circulant_size(rows, cols, row_sup)
+
+    def test_lift_and_expand_match_tuple_loop(self):
+        shapes = {"v<b": 0, "v>b": 0, "v==b": 0}
+        sizes_above_m = 0
+        for q in _lift_corpus():
+            self._assert_matches(_lift(q), *_ref_lift(q))
+            H = expand(q)
+            self._assert_matches(H, *_ref_expand(q))
+            shapes["v<b" if q.v < q.b else "v>b" if q.v > q.b else "v==b"] += 1
+            sizes_above_m += _circulant_size(H) > q.m
+        assert min(shapes.values()) >= 80
+        assert sizes_above_m >= 10
+
+    def test_moved_entry_corpus(self):
+        count = 0
+        for rows, cols, entries in _moved_entry_corpus():
+            random.Random(count).shuffle(entries)  # input order is free
+            self._assert_matches(BinaryMatrix(rows, cols, entries),
+                                 rows, cols, entries)
+            assert _ref_circulant_size(rows, cols,
+                                       _ref_supports(rows, cols, entries)[0]) == 1
+            count += 1
+        assert count == 60
 
 
 class _RefBlockStructureGraph:

@@ -143,7 +143,7 @@ def _ref_gf2_rank(H):
         raise ValueError("dense GF(2) rank limited to 20000 columns")
     words = (H.cols + 63) // 64
     rows = np.zeros((H.rows, words), dtype=np.uint64)
-    for r, c in H.entries():
+    for r, c in zip(H.edge_rows.tolist(), H.edge_cols.tolist()):
         rows[r, c >> 6] |= np.uint64(1 << (c & 63))
     rank = 0
     for c in range(H.cols):
@@ -183,8 +183,7 @@ class TestRate:
             D = rng.random((rows, cols)) < rng.uniform(0.05, 0.6)
             if rows >= 2 and rng.random() < 0.3:  # force dependent rows
                 D[-1] = D[0] ^ D[rows // 2]
-            H = BinaryMatrix(int(rows), int(cols),
-                             [(int(r), int(c)) for r, c in zip(*np.nonzero(D))])
+            H = BinaryMatrix(rows, cols, list(zip(*np.nonzero(D))))
             want = _ref_gf2_rank(H)
             assert gf2_rank(H) == want
             full += want == min(rows, cols)

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from fsscode.qc import gf2_rank
 from fsscode.setsystem import (
     BinaryMatrix,
     SetSystemError,
@@ -116,6 +118,65 @@ class TestBinaryMatrix:
     def test_transpose(self):
         H = BinaryMatrix(2, 3, [(0, 2), (1, 0)])
         assert H.transpose().row_support == [[1], [], [0]]
+
+    def test_edge_arrays_sorted_by_row_then_column(self):
+        H = BinaryMatrix(3, 4, [(2, 1), (0, 3), (2, 0), (0, 1)])
+        assert H.edge_rows.tolist() == [0, 0, 2, 2]
+        assert H.edge_cols.tolist() == [1, 3, 0, 1]
+        assert H.row_ptr.tolist() == [0, 2, 2, 4]
+        assert H.edge_rows.dtype == H.edge_cols.dtype == np.int64
+        assert H == BinaryMatrix(3, 4, np.array([[0, 1], [0, 3], [2, 0], [2, 1]]))
+        assert repr(H) == "BinaryMatrix(3x4, nnz=4)"
+
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match=r"duplicate entry \(1,2\)"):
+            BinaryMatrix(2, 3, [(1, 2), (0, 0), (1, 2)])
+        with pytest.raises(ValueError, match=r"entry \(0,3\) outside 2x3"):
+            BinaryMatrix(2, 3, [(0, 0), (0, 3)])
+        with pytest.raises(ValueError, match=r"entry \(-1,0\) outside 2x3"):
+            BinaryMatrix(2, 3, [(-1, 0)])
+
+    @pytest.mark.parametrize("entries", [
+        [(0.0, 1.0)], [(True, False)], np.ones((2, 2), dtype=bool), [(0, None)],
+        [(0, 2**70)], [(0, 1, 2)], [0, 1], [[0, 1], [2]], np.zeros((2, 2, 2), int),
+        (pair for pair in [(0, 1)]),
+    ], ids=["float", "bool", "bool-array", "object", "huge-int", "triple",
+            "flat", "ragged", "3d", "generator"])
+    def test_rejects_entries_that_are_not_integer_pairs(self, entries):
+        with pytest.raises(ValueError):
+            BinaryMatrix(3, 3, entries)
+
+    @pytest.mark.parametrize("shape", [(-1, 2), (2, -1), (1.5, 2), (2, 2.0),
+                                       (True, 2), (2, False), ("3", 2), (None, 2),
+                                       (2**40, 2**40)])
+    def test_rejects_bad_dimensions(self, shape):
+        with pytest.raises(ValueError):
+            BinaryMatrix(*shape, [])
+
+    def test_numpy_indices_become_python_ints(self):
+        D = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=bool)
+        for H in (BinaryMatrix(np.int64(3), np.uint8(3), list(zip(*np.nonzero(D)))),
+                  BinaryMatrix(3, 3, np.argwhere(D).astype(np.uint16))):
+            assert H.to_dense().tolist() == D.astype(int).tolist()
+            for value in (H.rows, H.cols, H.nnz,
+                          *(x for sup in H.row_support + H.col_support for x in sup)):
+                assert type(value) is int
+            assert gf2_rank(H) == 2  # bit_length needs Python ints
+
+    def test_supports_match_entry_by_entry_build(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            rows, cols = (int(x) for x in rng.integers(0, 9, size=2))
+            cells = [(r, c) for r in range(rows) for c in range(cols)]
+            picked = [cells[i] for i in rng.permutation(len(cells))[
+                :rng.integers(0, len(cells) + 1)]]
+            row_sup = [sorted(c for r, c in picked if r == i) for i in range(rows)]
+            col_sup = [sorted(r for r, c in picked if c == j) for j in range(cols)]
+            H = BinaryMatrix(rows, cols, picked)
+            assert (H.row_support, H.col_support, H.nnz) == (row_sup, col_sup,
+                                                            len(picked))
+            assert H.transpose().row_support == col_sup
+            assert H.transpose().transpose() == H
 
 
 class TestIncidenceMatrix:

@@ -580,6 +580,15 @@ class TestBoundaries:
             ber_sweep(code_312, [2.0], rate=0.75, stop=StopRule(1, 5),
                       seed=seed)
 
+    @pytest.mark.parametrize("seed", [-1, True, False, 1.5, 2.0, "3", None])
+    def test_channel_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            ChannelConfig(ebn0_db=2.0, rate=0.5, seed=seed)
+
+    def test_channel_takes_numpy_integer_seed(self):
+        assert np.array_equal(transmit(16, ChannelConfig(2.0, 0.5, seed=np.uint64(9))),
+                              transmit(16, ChannelConfig(2.0, 0.5, seed=9)))
+
     def test_sweep_takes_numpy_integer_seed(self, code_312):
         stop = StopRule(3, 50)
         assert ber_sweep(code_312, [2.0], rate=0.75, stop=stop,

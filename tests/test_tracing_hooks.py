@@ -6,6 +6,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from fsscode import reference_code
+from fsscode.qc import assemble, expand, shift_sequence_from_list
+from fsscode.setsystem import validate_fss
 from fsscode.shiftsearch import ShiftSearchState
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -26,3 +29,14 @@ def test_patched_attributes_resolve():
             mod_name, attr)
     for attr in ("create", "allowed_values"):
         assert attr in ShiftSearchState.__dict__
+
+
+def test_expand_counts_are_python_ints():
+    # spans._count JSON-dumps ``nnz`` and ``rows`` of ``expand`` output, and
+    # ``fsscode expand`` prints ``nnz``: a numpy integer would break both
+    fss = validate_fss(3, [[1, 2, 3]])  # v > b: expand returns the transpose
+    for H in (expand(reference_code("fss-3-10-m36")),
+              expand(assemble(fss, shift_sequence_from_list(fss, 2, [0, 1, 1])))):
+        assert H.nnz > 0
+        for value in (H.rows, H.cols, H.nnz):
+            assert type(value) is int, (H, type(value))
