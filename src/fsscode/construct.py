@@ -145,7 +145,9 @@ def method2(
 
     Returns status 'infeasible' when the search space is exhausted and
     'unknown' when the expansion budget runs out first.  A returned system
-    is re-verified with the independent walk search.
+    is re-checked by ``inevitable_girth`` over the whole system: the same
+    ``closed_walks`` engine that the per-step queries use, run once more
+    from every start rather than through the new steps only.
     """
     if target_g % 2 or target_g < 6:
         raise ValueError("target girth must be even and >= 6")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .setsystem import BinaryMatrix, SetSystem, _is_int
+from .setsystem import BinaryMatrix, SetSystem, _is_int, _is_integer
 
 __all__ = [
     "ShiftSequence",
@@ -31,19 +31,25 @@ __all__ = [
 ]
 
 
+def _check_modulus(m) -> None:
+    if not _is_integer(m) or m < 1:
+        raise ValueError(f"modulus must be positive and an integer, got {m!r}")
+
+
 @dataclass(frozen=True)
 class ShiftSequence:
-    """Map from incidence (point i, 1-based block j) to a shift in Z_m."""
+    """Map from incidence (point i, 1-based block j) to a shift in Z_m.
+    ``m`` and the shifts are ints or numpy integers, never bools."""
 
     m: int
     entries: dict[tuple[int, int], int]
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"modulus must be positive, got {self.m}")
+        _check_modulus(self.m)
         for (i, j), s in self.entries.items():
-            if not 0 <= s < self.m:
-                raise ValueError(f"shift s[{i},{j}]={s} outside 0..{self.m - 1}")
+            if not _is_integer(s) or not 0 <= s < self.m:
+                raise ValueError(
+                    f"shift s[{i},{j}]={s!r} is not an integer in 0..{self.m - 1}")
 
 
 @dataclass(frozen=True)
@@ -263,11 +269,14 @@ def shift_sequence_from_list(fss: SetSystem, m: int, values) -> ShiftSequence:
 
     Two layouts are accepted: one value per incidence, or the compressed
     convention in which the first shift of every block is an implicit zero
-    (detected by the entry count).  Any other length is rejected.
+    (detected by the entry count).  Any other length is rejected, and so
+    is a value that is not an integer; each value is taken mod ``m``.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
+    _check_modulus(m)
     values = list(values)
+    bad = [x for x in values if not _is_integer(x)]
+    if bad:
+        raise ValueError(f"shift list values must be integers, got {bad[0]!r}")
     full = len(fss.incidences)
     compressed = full - fss.b
     if len(values) not in (full, compressed):

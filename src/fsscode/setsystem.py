@@ -76,9 +76,14 @@ def _is_int(x) -> bool:
     return type(x) is int  # JSON true/false parse as bool, a subclass of int
 
 
+def _is_integer(x) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _non_negative_int(x, name: str) -> int:
     """``int(x)`` of a non-negative int or numpy integer (not a bool)."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 0:
+    if not _is_integer(x) or x < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {x!r}")
     return int(x)
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .setsystem import SetSystem
-from .qc import ShiftSequence, assemble, expand
+from .setsystem import SetSystem, _non_negative_int
+from .qc import ShiftSequence, _check_modulus, assemble, expand
 from .girth import WalkScaffold, closed_walks, tanner_girth
 
 __all__ = [
@@ -47,7 +47,10 @@ class SearchPolicy:
     def __post_init__(self):
         if self.order not in ("ascending", "random"):
             raise ValueError(f"unknown order {self.order!r}")
-        if self.budget <= 0:
+        # kept as Python ints: random.Random takes no numpy integer seed
+        object.__setattr__(self, "budget", _non_negative_int(self.budget, "budget"))
+        object.__setattr__(self, "seed", _non_negative_int(self.seed, "seed"))
+        if self.budget < 1:
             raise ValueError("budget must be positive")
 
 
@@ -61,7 +64,7 @@ class SearchResult:
     expansions: int = 0
     verified_girth: int | None = None
     backtracks: int = 0
-    restarts: int = 0       # passes run after the first (random order only)
+    restarts: int = 0       # passes run after the first (ascending order runs one)
 
     @property
     def ok(self) -> bool:
@@ -120,10 +123,11 @@ class ShiftSearchState:
         ``d = gcd(own mod m, m)`` that has d solutions ``s0 + k * m/d`` if d
         divides ``base`` and none otherwise, where
         ``s0 = -inv * (base/d) mod m/d`` and ``inv = (own/d)^-1 mod m/d``.
-        The rows of ``C`` are reordered so that the forms with
-        ``own == 0 mod m`` (the dead ones, which forbid everything once
-        balanced) come first, followed by one contiguous group per d, each
-        with its ``-inv`` array.  ``C`` is float64 so that the product runs
+        A form with ``own == 0 mod m`` has d = m and ``inv = 0`` (Python's
+        ``pow(0, -1, 1)``), so its one class ``s0 + k`` forbids every value
+        exactly when its base is 0 mod m.  The rows of ``C`` are reordered
+        into one contiguous group per d, each with its ``-inv`` array.
+        ``C`` is float64 so that the product runs
         through BLAS; for m below 2**28 every sum and product here is exact
         in float64 and int64.
         """
@@ -132,7 +136,7 @@ class ShiftSearchState:
         for e, forms in self.buckets.items():
             own = np.array([dict(form).get(e, 0) for form in forms],
                            dtype=np.int64) % m
-            d = np.where(own == 0, 0, np.gcd(own, m))
+            d = np.gcd(own, m)
             rows = np.argsort(d, kind="stable")
             own, d = own[rows], d[rows]
             C = np.zeros((len(forms), e))
@@ -140,16 +144,15 @@ class ShiftSearchState:
                 for p, c in forms[f]:
                     if p != e:
                         C[r, p] = c
-            n_dead = int(np.count_nonzero(d == 0))
             groups = []
-            for g in sorted(set(d[n_dead:].tolist())):
+            for g in sorted(set(d.tolist())):
                 lo, hi = np.searchsorted(d, [g, g + 1]).tolist()
                 md = m // g
                 units = (own[lo:hi] // g).tolist()
                 neg_inv = {c: -pow(c, -1, md) for c in set(units)}
                 groups.append((g, lo, hi,
                                np.array([neg_inv[c] for c in units], dtype=np.int64)))
-            self._compiled[e] = (C, n_dead, groups)
+            self._compiled[e] = (C, groups)
 
     def allowed_values(self, e):
         """Candidate shifts for position ``e`` given the current prefix,
@@ -158,12 +161,8 @@ class ShiftSearchState:
         if tables is None:
             return list(range(self.m))
         m = self.m
-        C, n_dead, groups = tables
+        C, groups = tables
         base = (C @ np.asarray(self.prefix[:e], dtype=np.float64)).astype(np.int64)
-        # a dead form constrains nothing unless its base is already zero,
-        # which kills every value
-        if not (base[:n_dead] % m).all():
-            return []
         ok = np.ones(m, dtype=bool)
         for d, lo, hi, neg_inv in groups:
             b = base[lo:hi]
@@ -221,13 +220,11 @@ def search_shifts(
     at least ``target_girth``, or prove none exists for this modulus."""
     if target_girth % 2 or target_girth < 4:
         raise ValueError("target girth must be even and >= 4")
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
+    _check_modulus(m)
     policy = policy or SearchPolicy()
     state = ShiftSearchState.create(fss, m, target_girth)
     # the first incidence of every block
     pinned = {e for e, (i, j) in enumerate(state.order) if i == fss.blocks[j - 1][0]}
-    rng = None
 
     def candidates(e):
         cands = state.allowed_values(e)
@@ -237,30 +234,23 @@ def search_shifts(
             rng.shuffle(cands)
         return cands
 
-    def run(budget):
-        status, spent, undone = backtrack(len(state.order), candidates,
-                                          state.prefix, budget)
+    # geometric restarts tame the heavy-tailed runtime distribution of
+    # chronological backtracking; seeds advance deterministically.  Ascending
+    # order is deterministic, so its first pass gets the whole budget and a
+    # second would only repeat it
+    shuffled = policy.order == "random"
+    tranche = 2_000 if shuffled else policy.budget
+    status, restarts = "unknown", -1
+    while status == "unknown" and state.expansions < policy.budget:
+        restarts += 1
+        rng = random.Random(policy.seed * 1_000_003 + restarts) if shuffled else None
+        status, spent, undone = backtrack(
+            len(state.order), candidates, state.prefix,
+            min(tranche, policy.budget - state.expansions))
         state.expansions += spent
         state.backtracks += undone
-        return status
-
-    restarts = 0
-    if policy.order == "ascending":
-        status = run(policy.budget)
-    else:
-        # geometric restarts tame the heavy-tailed runtime distribution of
-        # chronological backtracking; seeds advance deterministically
-        status = "unknown"
-        tranche = 2_000
-        restarts = -1
-        while state.expansions < policy.budget:
-            restarts += 1
-            rng = random.Random(policy.seed * 1_000_003 + restarts)
-            status = run(min(tranche, policy.budget - state.expansions))
-            if status != "unknown":
-                break
-            if (restarts + 1) % 3 == 0:
-                tranche *= 2
+        if (restarts + 1) % 3 == 0:
+            tranche *= 2
     counts = dict(expansions=state.expansions, backtracks=state.backtracks,
                   restarts=restarts)
     if status != "ok":
@@ -269,7 +259,7 @@ def search_shifts(
     shifts = ShiftSequence(
         m=m, entries={inc: state.prefix[i] for i, inc in enumerate(state.order)}
     )
-    report = tanner_girth(expand(assemble(fss, shifts)), cap=max(target_girth, 4))
+    report = tanner_girth(expand(assemble(fss, shifts)), cap=target_girth)
     if report.girth is not None and report.girth < target_girth:
         raise RuntimeError(
             f"internal check failed: oracle girth {report.girth} < {target_girth}"

@@ -124,17 +124,17 @@ class BerRecord:
 @dataclass(frozen=True)
 class StopRule:
     """Collect at least ``min_frame_errors`` frame errors per SNR point,
-    giving up after ``max_frames`` frames."""
+    giving up after ``max_frames`` frames.  Both are integers; a bool is
+    rejected."""
 
     min_frame_errors: int = 100
     max_frames: int = 100_000
 
     def __post_init__(self):
-        if self.min_frame_errors < 1:
+        if _non_negative_int(self.min_frame_errors, "min_frame_errors") < 1:
             raise ValueError(
                 f"min_frame_errors must be >= 1, got {self.min_frame_errors}")
-        if self.max_frames < 0:
-            raise ValueError(f"max_frames must be >= 0, got {self.max_frames}")
+        _non_negative_int(self.max_frames, "max_frames")
 
 
 def transmit(n: int, cfg: ChannelConfig, rng=None) -> np.ndarray:
@@ -389,9 +389,9 @@ def _decode_frames(ws: _SpaWorkspace, count: int, max_iter: int) -> None:
 
 def spa_decode(H: BinaryMatrix, llr, max_iter: int = 50) -> DecodeResult:
     """Log-domain sum-product (tanh rule) with a flooding schedule and early
-    exit on a zero syndrome. LLRs may be infinite but not NaN."""
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    exit on a zero syndrome. LLRs may be infinite but not NaN; ``max_iter``
+    is a non-negative integer, not a bool."""
+    max_iter = _non_negative_int(max_iter, "max_iter")
     ws = _SpaWorkspace(H)
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (ws.n,):
@@ -422,8 +422,7 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     frame error it needs. ``seed`` must be a non-negative integer; a
     ``bool`` is rejected.
     """
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    max_iter = _non_negative_int(max_iter, "max_iter")
     seed = _non_negative_int(seed, "seed")
     stop = stop or StopRule()
     # columns bound the batch too: a workspace holds O(edges + columns)

@@ -275,6 +275,16 @@ class TestShiftPipeline:
         assert json.loads(err)["message"] == "--shift-list requires --m"
         assert not alist_path.exists()
 
+    @pytest.mark.parametrize("cmd", ["shifts", "method1"])
+    def test_negative_seed_exits_1(self, capsys, fss_file, cmd):
+        more = ["--m", "5", "--girth", "8"] if cmd == "shifts" else [
+            "--girth", "8", "--m-schedule", "5"]
+        code, out, err = _run(capsys, [cmd, "--fss", fss_file, *more,
+                                       "--seed", "-1"])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert json.loads(err)["error"] == "ValueError"
+        assert "seed" in json.loads(err)["message"]
+
     def test_expand_rejects_zero_modulus(self, capsys, fss_file, tmp_path):
         alist_path = tmp_path / "h.alist"
         code, out, err = _run(capsys, [

@@ -28,6 +28,23 @@ class TestShiftSequence:
         with pytest.raises(ValueError):
             ShiftSequence(m=3, entries={(1, 1): 3})
 
+    @pytest.mark.parametrize("s", [1.5, 1.0, True, "1", None])
+    def test_rejects_non_integer_shift(self, s):
+        # _lift would truncate 1.5 to the shift-1 circulant
+        with pytest.raises(ValueError, match=r"s\[1,1\]"):
+            ShiftSequence(m=3, entries={(1, 1): s})
+
+    @pytest.mark.parametrize("m", [True, 3.0, 2.5, "3", None])
+    def test_rejects_non_integer_modulus(self, m):
+        with pytest.raises(ValueError, match="modulus"):
+            ShiftSequence(m=m, entries={(1, 1): 0})
+
+    def test_takes_numpy_integers(self, pair_system):
+        entries = {inc: np.int64(k) for k, inc in enumerate(pair_system.incidences)}
+        S = ShiftSequence(m=np.int32(7), entries=entries)
+        assert expand(assemble(pair_system, S)) == expand(assemble(
+            pair_system, shift_sequence_from_list(pair_system, 7, range(6))))
+
     def test_assemble_requires_exact_cover(self, pair_system):
         S = ShiftSequence(m=2, entries={(1, 1): 0})
         with pytest.raises(ValueError):
@@ -50,6 +67,22 @@ class TestShiftSequence:
     def test_from_list_rejects_nonpositive_modulus(self, pair_system, m):
         with pytest.raises(ValueError, match="modulus must be positive"):
             shift_sequence_from_list(pair_system, m, [1, 2, 3])
+
+    @pytest.mark.parametrize("m", [True, 5.0, "5"])
+    def test_from_list_rejects_non_integer_modulus(self, pair_system, m):
+        with pytest.raises(ValueError, match="modulus"):
+            shift_sequence_from_list(pair_system, m, [1, 2, 3])
+
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, "2", None])
+    def test_from_list_rejects_non_integer_values(self, pair_system, bad):
+        # checked before ``% m``, which would turn True into 1 and keep 2.7
+        for values in ([1, bad, 3], [0, 1, 0, bad, 0, 3]):
+            with pytest.raises(ValueError, match="integers"):
+                shift_sequence_from_list(pair_system, 5, values)
+
+    def test_from_list_takes_negative_and_numpy_values(self, pair_system):
+        S = shift_sequence_from_list(pair_system, 5, [-1, np.int64(7), 3])
+        assert S == shift_sequence_from_list(pair_system, 5, [4, 2, 3])
 
     def test_json_roundtrip(self, pair_system):
         S = shift_sequence_from_list(pair_system, 5, [1, 2, 3])

@@ -3,6 +3,7 @@ import random
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 
 from fsscode.girth import _circulant_size, tanner_girth
@@ -40,6 +41,26 @@ class TestPolicy:
     def test_rejects_zero_budget(self):
         with pytest.raises(ValueError):
             SearchPolicy(budget=0)
+
+    @pytest.mark.parametrize("budget", [2.5, 3.0, -1, True, "3", None])
+    def test_rejects_non_integer_budget(self, budget):
+        # a float budget would never equal the expansion count, so the
+        # search would not stop
+        with pytest.raises(ValueError, match="budget"):
+            SearchPolicy(budget=budget)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, False, "3", None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SearchPolicy(order="random", seed=seed)
+
+    def test_takes_numpy_integers(self):
+        policy = SearchPolicy(order="random", budget=np.int64(300),
+                              seed=np.uint32(2))
+        res = search_shifts(TEN_TRIPLES, 36, 8, policy=policy)
+        assert res == search_shifts(TEN_TRIPLES, 36, 8, policy=SearchPolicy(
+            order="random", budget=300, seed=2))
+        assert res.expansions == 300
 
 
 def _accepts(state, s):
@@ -120,7 +141,7 @@ class TestAllowedValuesDifferential:
 
     def test_matches_scalar_reference(self):
         rng = random.Random(2024)
-        prefixes = nonunit_hits = repeated = 0
+        prefixes = nonunit_hits = repeated = dead_zero = dead_live = 0
         while prefixes < 2_000:
             fss = _random_system(rng)
             repeated += len(set(fss.blocks)) < len(fss.blocks)
@@ -142,6 +163,13 @@ class TestAllowedValuesDifferential:
                 # that forbid some value: the d > 1 tables at work
                 for form in forms:
                     c = dict(form).get(e, 0) % m
+                    # c == 0 is the d = m group: it forbids every value when
+                    # the rest of the form vanishes and none otherwise
+                    if c == 0:
+                        if sum(cf * prefix[p] for p, cf in form if p != e) % m:
+                            dead_live += 1
+                        else:
+                            dead_zero += 1
                     if 1 < gcd(c, m) < m and any(
                         sum(cf * (prefix + [s])[p] for p, cf in form) % m == 0
                         for s in range(m)
@@ -149,6 +177,7 @@ class TestAllowedValuesDifferential:
                         nonunit_hits += 1
             state.prefix.clear()
         assert nonunit_hits > 0
+        assert dead_zero > 0 and dead_live > 0
         assert repeated > 0
 
     def test_modulus_one_allows_nothing_in_a_bucket(self):
@@ -324,6 +353,7 @@ class TestSearchShifts:
         fss = validate_fss(3, [[1, 2, 3]] * 10)
         res = search_shifts(fss, 36, 8, policy=SearchPolicy(budget=100))
         assert res.status == "unknown"
+        assert res.expansions == 100 and res.restarts == 0
 
     def test_counts_restarts_of_random_order(self):
         # tranches of 2000, 2000, 2000, 4000: the budget ends in the fourth
@@ -357,8 +387,9 @@ class TestSearchShifts:
         fss = validate_fss(2, [[1, 2]])
         with pytest.raises(ValueError):
             search_shifts(fss, 3, 7)
-        with pytest.raises(ValueError):
-            search_shifts(fss, 0, 6)
+        for m in (0, 2.5, True):
+            with pytest.raises(ValueError, match="modulus"):
+                search_shifts(fss, m, 6)
 
     def test_agrees_with_exhaustive_small(self):
         cases = [

@@ -132,8 +132,9 @@ class TestSpaDecode:
             spa_decode(code_312, np.zeros(code_312.cols + 1))
 
     def test_negative_max_iter_rejected(self, code_312):
-        with pytest.raises(ValueError, match="max_iter"):
-            spa_decode(code_312, np.full(code_312.cols, 1.0), max_iter=-1)
+        for max_iter in (-1, 2.5, True, None):
+            with pytest.raises(ValueError, match="max_iter"):
+                spa_decode(code_312, np.full(code_312.cols, 1.0), max_iter=max_iter)
 
     def test_nan_llr_rejected(self, code_312):
         llr = np.full(code_312.cols, 1.0)
@@ -562,9 +563,11 @@ class TestSweepStats:
 class TestBoundaries:
     @pytest.mark.parametrize("kwargs", [
         {"min_frame_errors": 0}, {"min_frame_errors": -3}, {"max_frames": -1},
+        {"min_frame_errors": 1.5}, {"min_frame_errors": True},
+        {"max_frames": 2.5}, {"max_frames": True}, {"max_frames": None},
     ])
     def test_stop_rule_rejects(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             StopRule(**kwargs)
 
     def test_stop_rule_zero_frames_allowed(self, code_312):
@@ -596,8 +599,9 @@ class TestBoundaries:
             ber_sweep(code_312, [2.0], rate=0.75, stop=stop, seed=9)
 
     def test_sweep_rejects_negative_max_iter(self, code_312):
-        with pytest.raises(ValueError, match="max_iter"):
-            ber_sweep(code_312, [2.0], rate=0.75, max_iter=-1)
+        for max_iter in (-1, 2.5, True, None):
+            with pytest.raises(ValueError, match="max_iter"):
+                ber_sweep(code_312, [2.0], rate=0.75, max_iter=max_iter)
 
     @pytest.mark.parametrize("ebn0", [np.nan, np.inf, -np.inf])
     def test_non_finite_snr_rejected(self, code_312, ebn0):
