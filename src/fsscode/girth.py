@@ -30,7 +30,7 @@ from math import gcd
 
 import numpy as np
 
-from .setsystem import BinaryMatrix, SetSystem
+from .setsystem import BinaryMatrix, SetSystem, _integer
 from .qc import QCProtoMatrix
 
 __all__ = [
@@ -107,6 +107,7 @@ def bsg_shortest_closed_walk(q: QCProtoMatrix, cap: int) -> GirthReport:
     starting edge.  The BSG has an edge (u -> w, k, s_w - s_u mod m) for any
     two points u != w of block-column k; each point's edges go in sorted
     order."""
+    cap = _integer(cap, "cap")
     if cap < 2:
         raise ValueError("cap must be >= 2")
     m = q.m
@@ -183,6 +184,7 @@ def tanner_girth(H: BinaryMatrix, cap: int = 16) -> GirthReport:
     unchanged too: it comes from the first block-row holding a girth cycle,
     as it does when every check is a root.
     """
+    cap = _integer(cap, "cap")
     if cap < 4 or cap % 2:
         raise ValueError("cap must be even and >= 4")
     m, n = H.rows, H.cols
@@ -321,12 +323,25 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
 
     A step goes from a point to another point of one block; successive
     steps use different blocks, and so do the last step and the first.
-    ``first``, a list of (i1, k1, i2) steps, takes walks opening with one of
-    them, in list order.  Without it each walk opens at its smallest point
-    i1, with a larger i2, and visits no point below i1, so every closed walk
-    appears in at least one rotation.
     Children are visited in block order, then in the order the block lists
-    its points.
+    its points, so walks from one start point come in lexicographic order
+    of their arrival positions ``touched[1::2]`` (positions are block-major).
+
+    ``first``, a list of (i1, k1, i2) steps, takes walks opening with one of
+    them, in list order.  Without it, the open mode, each walk opens at its
+    smallest point i1 and visits no point below it, and it is visited once
+    per rotation/reversal class: the rotations of the walk that start at
+    i1, and those of its reversal.  The one visited has the smallest
+    arrival sequence in its class, which by the order above makes it the
+    member a search over every rotation reaches first.  A caller that keeps
+    the first walk of some kind (the first balanced one, the first with a
+    given form: a class shares its form up to sign) keeps the same walk as
+    that search would.  The cut is made on the way down:
+    with ``arr0`` the first arrival position, a step that leaves i1 mid-walk
+    arriving below ``arr0``, or that reaches i1 leaving from below it,
+    opens a rotation or a reversal with a smaller first arrival, and is not
+    taken.  A walk with such a step at exactly ``arr0`` is compared in full
+    with its class on closing.
 
     As the walk grows, its coefficient vector over incidence positions (-1
     where a step leaves a point, +1 where it arrives) is kept with its L1
@@ -351,30 +366,43 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
     def extend(u, norm):
         left = max_len - len(ks)
         if (u == i1 and len(ks) >= 2 and ks[-1] != k1
-                and (not balanced or (norm == 0 and left == 0))):
+                and (not balanced or (norm == 0 and left == 0))
+                # the cuts below let ties at arr0 through: settle them in full
+                and (touched.count(arr0) < 2 or _least_in_class(points, touched))):
             found = visit(points[:-1], ks, touched, coef)
             if found:
                 return found
         if left == 0:
             return None
         prev = ks[-1]
+        # leaving i1 again opens a rotation, which must not arrive below arr0
+        again = u == i1 and first is None
         for k in point_blocks[u]:
             if k == prev or (left == 1 and k == k1):
                 continue
             a = pos[(u, k)]
             ca = coef[a]
             if left > 1:
-                steps = enumerate(blocks[k - 1], base[k])
+                if again and k <= k1:
+                    if k < k1:
+                        continue
+                    steps = enumerate(blocks[k - 1][arr0 - base[k]:], arr0)
+                else:
+                    steps = enumerate(blocks[k - 1], base[k])
             elif (i1, k) in pos:  # the last step can only close the walk
                 steps = ((pos[(i1, k)], i1),)
             else:
                 continue
+            # reaching i1 from a opens a reversal arriving at a: below arr0,
+            # i1 is out of bounds like the points below it
+            floor = i1 + 1 if a < arr0 else lo
+            norm_a = norm + abs(ca - 1) - abs(ca)
             for b, w in steps:
                 # unreachable points count as too far to close the walk
-                if w == u or w < lo or dist.get(w, left) >= left:
+                if w == u or w < floor or dist.get(w, left) >= left:
                     continue
                 cb = coef[b]
-                n = norm + abs(ca - 1) - abs(ca) + abs(cb + 1) - abs(cb)
+                n = norm_a + abs(cb + 1) - abs(cb)
                 if balanced and n > 2 * (left - 1):
                     continue
                 coef[a], coef[b] = ca - 1, cb + 1
@@ -398,6 +426,7 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
         lo = 0 if first is not None else i1
         dist = sc.distances(i1)
         a, b = pos[(i1, k1)], pos[(i2, k1)]
+        arr0 = -1 if first is not None else b  # positions are >= 0: no cut
         coef[a], coef[b] = -1, 1
         points[:], ks[:], touched[:] = [i1, i2], [k1], [a, b]
         found = extend(i2, 2)
@@ -408,10 +437,28 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
     return found
 
 
+def _least_in_class(points, touched):
+    """True when no rotation of the closed walk through ``points[0]``, nor
+    of its reversal, has a smaller arrival sequence than the walk itself.
+    ``points`` ends with the return to ``points[0]``; step j arrives at
+    ``touched[2j + 1]`` and leaves from ``touched[2j]``.  The reversal
+    started at points[r] arrives at the departures of steps r-1, r-2, ...
+    """
+    arr, dep = touched[1::2], touched[-2::-2]
+    L = len(arr)
+    for r in range(L):
+        if points[r] == points[0]:
+            s = (L - r) % L
+            if arr[r:] + arr[:r] < arr or dep[s:] + dep[:s] < arr:
+                return False
+    return True
+
+
 def inevitable_girth(fss: SetSystem, cap: int = DEFAULT_WALK_CAP) -> GirthReport:
     """Maximum achievable girth 2L of liftings of ``fss``: L is the length
     of its shortest balanced closed walk.  Unbounded means no walk of
     length <= cap."""
+    cap = _integer(cap, "cap")
     if cap < 2:
         raise ValueError("cap must be >= 2")
     found = min_edge_walk(WalkScaffold(fss.blocks), cap)

@@ -81,6 +81,13 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _integer(x, name: str) -> int:
+    """``int(x)`` of an int or numpy integer (not a bool)."""
+    if not _is_integer(x):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _non_negative_int(x, name: str) -> int:
     """``int(x)`` of a non-negative int or numpy integer (not a bool)."""
     if not _is_integer(x) or x < 0:

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
+from time import perf_counter
 
 import numpy as np
 
-from .setsystem import SetSystem, _non_negative_int
+from .setsystem import SetSystem, _integer, _non_negative_int
 from .qc import ShiftSequence, _check_modulus, assemble, expand
 from .girth import WalkScaffold, closed_walks, tanner_girth
 
@@ -65,6 +67,8 @@ class SearchResult:
     verified_girth: int | None = None
     backtracks: int = 0
     restarts: int = 0       # passes run after the first (ascending order runs one)
+    # template set-up, as ``ShiftSearchState.stats``; timings never compare
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -81,6 +85,7 @@ class ShiftSearchState:
     prefix: list = field(default_factory=list)
     expansions: int = 0
     backtracks: int = 0
+    stats: dict = field(default_factory=dict)
 
     @classmethod
     def create(cls, fss, m, target_girth):
@@ -88,31 +93,50 @@ class ShiftSearchState:
         ``target_girth``/2, bucketed by the last incidence position they
         touch, and compile them for ``m``.
 
-        A form and its negation (a reversed walk) are one template.  A
-        balanced walk has the empty form; its bucket is the largest
-        position it leaves from, and it forbids every value once its
-        incidences exist, which is right when the target exceeds the
-        maximum achievable girth.
+        ``closed_walks`` visits each walk once per rotation/reversal class
+        (rotations and reversal share a form up to sign), so the forms
+        dropped here as seen are those of distinct walks.  A form and its
+        negation are one template, kept with the sign of the first walk
+        that has it.  A balanced walk has the empty form; its bucket is
+        the largest position it leaves from, and it forbids every value
+        once its incidences exist, which is right when the target exceeds
+        the maximum achievable girth.
+
+        ``stats`` records the walks visited, the templates kept, counted by
+        the length of the walk that gave each first, and the set-up wall
+        time in seconds.
         """
+        start = perf_counter()
         buckets: dict[int, list[list[tuple[int, int]]]] = {}
         seen: set = set()
+        walks = 0
+        kept: dict[int, int] = {}
         # one shared (position, coefficient) tuple per distinct term: a
         # girth-10 search keeps tens of thousands of forms over a few
         # hundred terms
         terms: dict[tuple[int, int], tuple[int, int]] = {}
 
         def collect(points, ks, touched, coef):
-            form = sorted((p, coef[p]) for p in set(touched) if coef[p])
-            key = min(tuple(form), tuple((p, -c) for p, c in form))
+            nonlocal walks
+            walks += 1
+            ps = [p for p in sorted(set(touched)) if coef[p]]
+            cs = [coef[p] for p in ps]
+            # positions, then coefficients, of the form or of its negation,
+            # whichever has a negative first coefficient
+            key = tuple(ps + cs if not cs or cs[0] < 0 else ps + [-c for c in cs])
             if key not in seen:
                 seen.add(key)
-                last = form[-1][0] if form else max(touched[::2])
+                kept[len(ks)] = kept.get(len(ks), 0) + 1
+                last = ps[-1] if ps else max(touched[::2])
                 buckets.setdefault(last, []).append(
-                    [terms.setdefault(t, t) for t in form])
+                    [terms.setdefault(t, t) for t in zip(ps, cs)])
 
         closed_walks(WalkScaffold(fss.blocks), target_girth // 2 - 1, collect)
+        seen.clear()  # free the keys before the tables are built
         state = cls(m=m, order=fss.incidences, buckets=buckets)
         state._compile()
+        state.stats = {"walks": walks, "templates": dict(sorted(kept.items())),
+                       "setup_s": perf_counter() - start}
         return state
 
     def _compile(self):
@@ -127,6 +151,8 @@ class ShiftSearchState:
         ``pow(0, -1, 1)``), so its one class ``s0 + k`` forbids every value
         exactly when its base is 0 mod m.  The rows of ``C`` are reordered
         into one contiguous group per d, each with its ``-inv`` array.
+        A bucket's terms are read once into flat (form, position,
+        coefficient) arrays; ``own`` and ``C`` are each one scatter of them.
         ``C`` is float64 so that the product runs
         through BLAS; for m below 2**28 every sum and product here is exact
         in float64 and int64.
@@ -134,24 +160,31 @@ class ShiftSearchState:
         m = self.m
         self._compiled = {}
         for e, forms in self.buckets.items():
-            own = np.array([dict(form).get(e, 0) for form in forms],
-                           dtype=np.int64) % m
+            n = len(forms)
+            flat = list(chain.from_iterable(forms))
+            terms = np.fromiter(chain.from_iterable(flat), dtype=np.int64,
+                                count=2 * len(flat)).reshape(-1, 2)
+            form_of = np.repeat(np.arange(n), list(map(len, forms)))
+            pos, coef = terms[:, 0], terms[:, 1]
+            at_e = pos == e
+            own = np.zeros(n, dtype=np.int64)
+            own[form_of[at_e]] = coef[at_e]
+            own %= m
             d = np.gcd(own, m)
             rows = np.argsort(d, kind="stable")
             own, d = own[rows], d[rows]
-            C = np.zeros((len(forms), e))
-            for r, f in enumerate(rows.tolist()):
-                for p, c in forms[f]:
-                    if p != e:
-                        C[r, p] = c
+            row_of = np.empty(n, dtype=np.intp)
+            row_of[rows] = np.arange(n)
+            C = np.zeros((n, e))
+            C[row_of[form_of[~at_e]], pos[~at_e]] = coef[~at_e]
             groups = []
             for g in sorted(set(d.tolist())):
                 lo, hi = np.searchsorted(d, [g, g + 1]).tolist()
                 md = m // g
-                units = (own[lo:hi] // g).tolist()
-                neg_inv = {c: -pow(c, -1, md) for c in set(units)}
-                groups.append((g, lo, hi,
-                               np.array([neg_inv[c] for c in units], dtype=np.int64)))
+                units, which = np.unique(own[lo:hi] // g, return_inverse=True)
+                neg_inv = np.array([-pow(c, -1, md) for c in units.tolist()],
+                                   dtype=np.int64)
+                groups.append((g, lo, hi, neg_inv[which]))
             self._compiled[e] = (C, groups)
 
     def allowed_values(self, e):
@@ -218,6 +251,7 @@ def search_shifts(
 ) -> SearchResult:
     """Find a shift sequence of order ``m`` whose expansion has Tanner girth
     at least ``target_girth``, or prove none exists for this modulus."""
+    target_girth = _integer(target_girth, "target girth")
     if target_girth % 2 or target_girth < 4:
         raise ValueError("target girth must be even and >= 4")
     _check_modulus(m)
@@ -252,7 +286,7 @@ def search_shifts(
         if (restarts + 1) % 3 == 0:
             tranche *= 2
     counts = dict(expansions=state.expansions, backtracks=state.backtracks,
-                  restarts=restarts)
+                  restarts=restarts, stats=state.stats)
     if status != "ok":
         return SearchResult(status=status, **counts)
 

@@ -885,3 +885,134 @@ class TestWalkEngineDifferential:
                 got = ShiftSearchState.create(fss, 5, 2 * max_len + 2).buckets
                 assert got == _ref_enumerate_templates(fss, max_len), fss.blocks
         assert repeated > 0
+
+
+def _all_closed_walks(blocks, max_len):
+    """Every closed walk of 2..max_len steps from every start, as a tuple of
+    (point, block) steps: step j leaves the point through the block."""
+    point_blocks = {}
+    for j, blk in enumerate(blocks, start=1):
+        for x in blk:
+            point_blocks.setdefault(x, []).append(j)
+    walks = []
+
+    def dfs(steps, u):
+        x0, k0 = steps[0]
+        if len(steps) >= 2 and u == x0 and steps[-1][1] != k0:
+            walks.append(tuple(steps))
+        if len(steps) == max_len:
+            return
+        for k in point_blocks[u]:
+            if k == steps[-1][1]:
+                continue
+            for w in blocks[k - 1]:
+                if w != u:
+                    dfs(steps + [(u, k)], w)
+
+    for x in point_blocks:
+        for k in point_blocks[x]:
+            for w in blocks[k - 1]:
+                if w != x:
+                    dfs([(x, k)], w)
+    return walks
+
+
+def _walk_class(steps):
+    """The least of a walk's rotations and its reversal's rotations."""
+    L = len(steps)
+    # the reversal steps from each point back through the block it came by
+    back = [(steps[(j + 1) % L][0], steps[j][1]) for j in reversed(range(L))]
+    return min(seq[r:] + seq[:r] for seq in (steps, tuple(back)) for r in range(L))
+
+
+class TestWalkClasses:
+    """Open-mode ``closed_walks`` visits each rotation/reversal class of
+    closed walks exactly once."""
+
+    @staticmethod
+    def _visited(blocks, max_len):
+        seen = []
+
+        def visit(points, ks, *_):
+            seen.append(tuple(zip(points, ks)))
+
+        closed_walks(WalkScaffold(blocks), max_len, visit)
+        return seen
+
+    def test_each_class_once_against_brute_force(self):
+        rng = random.Random(14)
+        repeated = revisits = 0
+        for _ in range(40):
+            fss = _random_system_with_repeats(rng, vmax=5, bmax=6)
+            repeated += len(set(fss.blocks)) < len(fss.blocks)
+            blocks = list(fss.blocks)
+            for max_len in (3, 4):
+                want = {_walk_class(w) for w in _all_closed_walks(blocks, max_len)}
+                got = self._visited(blocks, max_len)
+                classes = [_walk_class(w) for w in got]
+                assert len(classes) == len(set(classes)), (blocks, max_len)
+                assert set(classes) == want, (blocks, max_len)
+                revisits += sum(
+                    [x for x, _ in w].count(w[0][0]) > 1 for w in got)
+        # repeated blocks, and walks through their start twice, where
+        # ties are settled by the full comparison
+        assert repeated > 0 and revisits > 0
+
+    @pytest.mark.parametrize("blocks", [[(1, 2)] * 4, [(1, 2, 3)] * 3,
+                                        [(1, 2), (1, 2, 3), (2, 3), (1, 2, 3)]])
+    def test_each_class_once_at_six_steps(self, blocks):
+        # six steps are the fewest in which a walk can reach its start again
+        # by the reverse of its first step, a tie the reversal settles
+        want = {_walk_class(w) for w in _all_closed_walks(blocks, 6)}
+        classes = [_walk_class(w) for w in self._visited(blocks, 6)]
+        assert len(classes) == len(set(classes)) == len(want)
+        assert set(classes) == want
+
+    @pytest.mark.parametrize("max_len, walks", [(3, 855), (4, 15_705), (5, 192_825)])
+    def test_visit_counts_on_ten_triples(self, max_len, walks):
+        # each walk once per class; the search before the cut visited
+        # 1,710, 47,700 and 638,100
+        count = 0
+
+        def visit(*_):
+            nonlocal count
+            count += 1
+
+        closed_walks(WalkScaffold([(1, 2, 3)] * 10), max_len, visit)
+        assert count == walks
+
+    def test_worst_case_for_the_deepening(self):
+        # one pass over all lengths <= 12 meets an 11-step walk first after
+        # ~40 s; the per-length deepening finds this 6-step walk, which
+        # passes its start three times, at once
+        fss = validate_fss(5, [[2, 3, 4, 5], [2, 4], [1, 2, 3],
+                               [2, 3, 4, 5], [2, 3, 4, 5], [2, 3, 4, 5]])
+        rep = inevitable_girth(fss, 12)
+        assert rep.girth == 12
+        assert rep.witness == WalkWitness((2, 3, 2, 3, 2, 3), (1, 3, 4, 1, 3, 4))
+        assert verify_walk(fss, rep.witness)
+
+
+class TestIntegerCaps:
+    @pytest.mark.parametrize("cap", [4.5, 8.0, True, "8"])
+    def test_tanner_girth(self, cap):
+        H = expand(reference_code("fss-3-11-m11"))
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            tanner_girth(H, cap)
+
+    @pytest.mark.parametrize("cap", [4.5, 3.0, True, False])
+    def test_inevitable_girth(self, cap):
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            inevitable_girth(validate_fss(2, [[1, 2]] * 3), cap)
+
+    @pytest.mark.parametrize("cap", [4.5, 4.0, True])
+    def test_bsg_shortest_closed_walk(self, cap):
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            bsg_shortest_closed_walk(reference_code("fss-3-11-m11"), cap)
+
+    def test_numpy_integer_caps_are_ints(self):
+        fss = validate_fss(2, [[1, 2]] * 3)
+        rep = inevitable_girth(fss, np.int64(6))
+        assert type(rep.cap) is int and rep.girth == 12
+        H = expand(reference_code("fss-3-11-m11"))
+        assert tanner_girth(H, np.int64(16)).to_json() == tanner_girth(H, 16).to_json()

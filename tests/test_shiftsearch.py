@@ -391,6 +391,16 @@ class TestSearchShifts:
             with pytest.raises(ValueError, match="modulus"):
                 search_shifts(fss, m, 6)
 
+    @pytest.mark.parametrize("target", [8.0, 7.5, True, False])
+    def test_target_girth_must_be_an_integer(self, target):
+        with pytest.raises(ValueError, match="target girth must be an integer"):
+            search_shifts(TEN_TRIPLES, 9, target)
+
+    def test_numpy_integer_target(self):
+        fss = validate_fss(2, [[1, 2]] * 3)
+        res = search_shifts(fss, 3, np.int64(6))
+        assert res.ok and res == search_shifts(fss, 3, 6)
+
     def test_agrees_with_exhaustive_small(self):
         cases = [
             (validate_fss(2, [[1, 2], [1, 2]]), 2, 8),
@@ -403,3 +413,27 @@ class TestSearchShifts:
             got = search_shifts(fss, m, target).status
             want = "ok" if _exhaustive_feasible(fss, m, target) else "infeasible"
             assert got == want, (fss.blocks, m, target)
+
+
+class TestSetupStats:
+    """``SearchResult.stats``: what template set-up did."""
+
+    def test_counts_on_ten_triples(self):
+        res = search_shifts(TEN_TRIPLES, 477, 10)
+        state = ShiftSearchState.create(TEN_TRIPLES, 477, 10)
+        assert set(res.stats) == {"walks", "templates", "setup_s"}
+        # one walk per rotation/reversal class, of 2..4 steps
+        assert res.stats["walks"] == state.stats["walks"] == 15_705
+        assert res.stats["templates"] == state.stats["templates"] == {
+            2: 135, 3: 720, 4: 12_960}
+        assert sum(len(forms) for forms in state.buckets.values()) == 13_815
+        assert res.stats["setup_s"] > 0
+
+    def test_templates_by_walk_length(self):
+        # two parallel pairs close one 2-step walk and, going round it
+        # twice, one 4-step walk with twice its form
+        state = ShiftSearchState.create(validate_fss(2, [[1, 2]] * 2), 5, 10)
+        assert state.stats["walks"] == 2
+        assert state.stats["templates"] == {2: 1, 4: 1}
+        assert state.buckets == {3: [[(0, -1), (1, 1), (2, 1), (3, -1)],
+                                     [(0, -2), (1, 2), (2, 2), (3, -2)]]}
