@@ -21,7 +21,7 @@ from .qc import (
     shifts_to_json,
     write_alist,
 )
-from .girth import inevitable_girth, tanner_girth
+from .girth import DEFAULT_WALK_CAP, inevitable_girth, tanner_girth
 from .shiftsearch import SearchPolicy, search_shifts
 from .construct import WeightProfile, method1, method2
 from .sim import StopRule, ber_sweep, write_ber_csv
@@ -88,62 +88,59 @@ def cmd_stats(args):
     return EXIT_OK
 
 
-def cmd_girth(args):
-    fss = _load_fss(args.fss)
-    report = inevitable_girth(fss, cap=args.cap)
+def _emit_girth(args, report, source):
     doc = json.loads(report.to_json())
-    doc["meta"] = _meta(input=args.fss, cap=args.cap)
+    doc["meta"] = _meta(input=source, cap=args.cap)
     _emit(doc, args.output)
     return EXIT_OK
 
 
-def cmd_method1(args):
-    fss = _load_fss(args.fss)
-    res = method1(fss, args.girth, args.m_schedule, policy=_policy(args))
-    doc = {
-        "meta": _meta(input=args.fss, girth=args.girth,
-                      m_schedule=args.m_schedule, seed=args.seed),
-        "status": res.status,
-    }
+def cmd_girth(args):
+    return _emit_girth(args, inevitable_girth(_load_fss(args.fss), cap=args.cap),
+                       args.fss)
+
+
+def _constructed(res):
+    return {"system": json.loads(res.system.to_json()),
+            "verification": json.loads(res.report.to_json())}
+
+
+def _emit_status(args, res, meta, counts=(), found=_constructed):
+    """Write ``meta``, ``status`` and the ``counts`` attributes of ``res``,
+    plus ``found(res)`` when it is ok; the exit code follows the status."""
+    doc = {"meta": _meta(**meta), "status": res.status}
+    doc.update((name, getattr(res, name)) for name in counts)
     if res.ok:
-        doc["system"] = json.loads(res.system.to_json())
-        doc["verification"] = json.loads(res.report.to_json())
+        doc.update(found(res))
     _emit(doc, args.output)
     return EXIT_CODES[res.status]
+
+
+def cmd_method1(args):
+    res = method1(_load_fss(args.fss), args.girth, args.m_schedule,
+                  policy=_policy(args))
+    return _emit_status(args, res, dict(
+        input=args.fss, girth=args.girth, m_schedule=args.m_schedule,
+        seed=args.seed))
 
 
 def cmd_method2(args):
     profile = WeightProfile(tuple(args.K))
     res = method2(args.v, profile, args.girth, policy=_policy(args))
-    doc = {
-        "meta": _meta(v=args.v, K=list(profile.K), girth=args.girth,
-                      order=args.order, budget=args.budget, seed=args.seed),
-        "status": res.status,
-        "expansions": res.expansions,
-    }
-    if res.ok:
-        doc["system"] = json.loads(res.system.to_json())
-        doc["verification"] = json.loads(res.report.to_json())
-    _emit(doc, args.output)
-    return EXIT_CODES[res.status]
+    return _emit_status(args, res, dict(
+        v=args.v, K=list(profile.K), girth=args.girth, order=args.order,
+        budget=args.budget, seed=args.seed), ["expansions"])
 
 
 def cmd_shifts(args):
     fss = _load_fss(args.fss)
     res = search_shifts(fss, args.m, args.girth, policy=_policy(args))
-    doc = {
-        "meta": _meta(input=args.fss, m=args.m, girth=args.girth,
-                      order=args.order, budget=args.budget, seed=args.seed),
-        "status": res.status,
-        "expansions": res.expansions,
-        "backtracks": res.backtracks,
-        "restarts": res.restarts,
-    }
-    if res.ok:
-        doc.update(json.loads(shifts_to_json(fss, res.shifts)))
-        doc["verified_girth"] = res.verified_girth
-    _emit(doc, args.output)
-    return EXIT_CODES[res.status]
+    return _emit_status(
+        args, res, dict(input=args.fss, m=args.m, girth=args.girth,
+                        order=args.order, budget=args.budget, seed=args.seed),
+        ["expansions", "backtracks", "restarts"],
+        lambda res: {**json.loads(shifts_to_json(fss, res.shifts)),
+                     "verified_girth": res.verified_girth})
 
 
 def cmd_expand(args):
@@ -163,12 +160,8 @@ def cmd_expand(args):
 
 
 def cmd_tgirth(args):
-    H = read_alist(args.alist)
-    report = tanner_girth(H, cap=args.cap)
-    doc = json.loads(report.to_json())
-    doc["meta"] = _meta(input=args.alist, cap=args.cap)
-    _emit(doc, args.output)
-    return EXIT_OK
+    return _emit_girth(args, tanner_girth(read_alist(args.alist), cap=args.cap),
+                       args.alist)
 
 
 def cmd_simulate(args):
@@ -186,7 +179,7 @@ def cmd_simulate(args):
 def cmd_verify_table(args):
     tables = load_paper_tables()
     rows = tables["girth_codes"]
-    if args.row:
+    if args.row is not None:
         rows = [r for r in rows if r["name"] == args.row]
         if not rows:
             raise ValueError(f"unknown table row {args.row!r}")
@@ -228,16 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_policy(sp):
         sp.add_argument("--order", choices=("ascending", "random"),
-                        default="ascending")
-        sp.add_argument("--budget", type=int, default=10_000_000)
-        sp.add_argument("--seed", type=int, default=0)
+                        default=SearchPolicy.order)
+        sp.add_argument("--budget", type=int, default=SearchPolicy.budget)
+        sp.add_argument("--seed", type=int, default=SearchPolicy.seed)
 
     sp = add("stats", cmd_stats, help="block/replication/coverage statistics")
     sp.add_argument("--fss", required=True)
 
     sp = add("girth", cmd_girth, help="maximum achievable girth of a system")
     sp.add_argument("--fss", required=True)
-    sp.add_argument("--cap", type=int, default=12)
+    sp.add_argument("--cap", type=int, default=DEFAULT_WALK_CAP)
 
     sp = add("method1", cmd_method1, help="iterated-lifting construction")
     sp.add_argument("--fss", required=True)
@@ -275,8 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated Eb/N0 in dB")
     sp.add_argument("--rate", type=float, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--min-frame-errors", type=int, default=100)
-    sp.add_argument("--max-frames", type=int, default=100_000)
+    sp.add_argument("--min-frame-errors", type=int,
+                    default=StopRule.min_frame_errors)
+    sp.add_argument("--max-frames", type=int, default=StopRule.max_frames)
     sp.add_argument("--max-iter", type=int, default=50)
 
     sp = add("verify-table", cmd_verify_table,

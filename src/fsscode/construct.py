@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import ceil
 
-from .setsystem import SetSystem, validate_fss
+from .setsystem import SetSystem, _integer, validate_fss
 from .girth import GirthReport, WalkScaffold, inevitable_girth, min_edge_walk
 from .qc import ShiftSequence, _lift, assemble
 from .shiftsearch import SearchPolicy, backtrack, search_shifts
@@ -37,16 +37,16 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class WeightProfile:
-    """Ordered target block sizes [k_1..k_b], each at least 2."""
+    """Ordered target block sizes [k_1..k_b], each an integer of at least
+    2, stored as a tuple of ints."""
 
     K: tuple[int, ...]
 
     def __post_init__(self):
         if not self.K:
             raise ValueError("weight profile must be nonempty")
-        for k in self.K:
-            if k < 2:
-                raise ValueError(f"block sizes must be >= 2, got {k}")
+        object.__setattr__(self, "K", tuple(_integer(k, "block size", 2)
+                                            for k in self.K))
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,9 @@ def method1(
     sequence of order m, 'unknown' when ``policy.budget``, shared by every
     search of the run, ran out first.
     """
-    if target_g % 2 or target_g < 6:
-        raise ValueError("target girth must be even and >= 6")
+    target_g = _integer(target_g, "target girth", 6)
+    if target_g % 2:
+        raise ValueError(f"target girth must be even, got {target_g}")
     policy = policy or SearchPolicy()
     cap = target_g // 2
     current = primitive
@@ -149,8 +150,10 @@ def method2(
     ``closed_walks`` engine that the per-step queries use, run once more
     from every start rather than through the new steps only.
     """
-    if target_g % 2 or target_g < 6:
-        raise ValueError("target girth must be even and >= 6")
+    target_g = _integer(target_g, "target girth", 6)
+    if target_g % 2:
+        raise ValueError(f"target girth must be even, got {target_g}")
+    v = _integer(v, "v")
     if v < max(profile.K):
         raise ValueError(f"v={v} is smaller than the largest block size")
     policy = policy or SearchPolicy()

@@ -107,9 +107,7 @@ def bsg_shortest_closed_walk(q: QCProtoMatrix, cap: int) -> GirthReport:
     starting edge.  The BSG has an edge (u -> w, k, s_w - s_u mod m) for any
     two points u != w of block-column k; each point's edges go in sorted
     order."""
-    cap = _integer(cap, "cap")
-    if cap < 2:
-        raise ValueError("cap must be >= 2")
+    cap = _integer(cap, "cap", 2)
     m = q.m
     cols: dict[int, list[tuple[int, int]]] = {}
     for (i, k), s in q.cells.items():
@@ -184,9 +182,9 @@ def tanner_girth(H: BinaryMatrix, cap: int = 16) -> GirthReport:
     unchanged too: it comes from the first block-row holding a girth cycle,
     as it does when every check is a root.
     """
-    cap = _integer(cap, "cap")
-    if cap < 4 or cap % 2:
-        raise ValueError("cap must be even and >= 4")
+    cap = _integer(cap, "cap", 4)
+    if cap % 2:
+        raise ValueError(f"cap must be even, got {cap}")
     m, n = H.rows, H.cols
     adj = [[m + c for c in sup] for sup in H.row_support] + H.col_support
     nv = m + n
@@ -458,9 +456,7 @@ def inevitable_girth(fss: SetSystem, cap: int = DEFAULT_WALK_CAP) -> GirthReport
     """Maximum achievable girth 2L of liftings of ``fss``: L is the length
     of its shortest balanced closed walk.  Unbounded means no walk of
     length <= cap."""
-    cap = _integer(cap, "cap")
-    if cap < 2:
-        raise ValueError("cap must be >= 2")
+    cap = _integer(cap, "cap", 2)
     found = min_edge_walk(WalkScaffold(fss.blocks), cap)
     if found is None:
         return GirthReport(girth=None, cap=cap)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .setsystem import BinaryMatrix, SetSystem, _is_int, _is_integer
+from .setsystem import BinaryMatrix, SetSystem, _integer, _is_integer
 
 __all__ = [
     "ShiftSequence",
@@ -31,11 +31,6 @@ __all__ = [
 ]
 
 
-def _check_modulus(m) -> None:
-    if not _is_integer(m) or m < 1:
-        raise ValueError(f"modulus must be positive and an integer, got {m!r}")
-
-
 @dataclass(frozen=True)
 class ShiftSequence:
     """Map from incidence (point i, 1-based block j) to a shift in Z_m.
@@ -45,7 +40,7 @@ class ShiftSequence:
     entries: dict[tuple[int, int], int]
 
     def __post_init__(self):
-        _check_modulus(self.m)
+        _integer(self.m, "modulus", 1)
         for (i, j), s in self.entries.items():
             if not _is_integer(s) or not 0 <= s < self.m:
                 raise ValueError(
@@ -247,14 +242,14 @@ def shifts_from_json(fss: SetSystem, text: str) -> ShiftSequence:
     doc = json.loads(text)
     if not isinstance(doc, dict) or "m" not in doc or "shifts" not in doc:
         raise ValueError("shift JSON must be an object with keys 'm' and 'shifts'")
-    if not _is_int(doc["m"]) or not isinstance(doc["shifts"], list):
+    if not _is_integer(doc["m"]) or not isinstance(doc["shifts"], list):
         raise ValueError("shift JSON needs an integer 'm' and a list 'shifts'")
     entries = {}
     for n, rec in enumerate(doc["shifts"]):
         if not isinstance(rec, dict) or not rec.keys() >= {"point", "block", "s"}:
             raise ValueError(f"shift record {n} needs keys 'point', 'block' and 's'")
         key = (rec["point"], rec["block"])
-        if not all(map(_is_int, (*key, rec["s"]))):
+        if not all(map(_is_integer, (*key, rec["s"]))):
             raise ValueError(f"shift record {n}: point, block and s must be integers")
         if key in entries:
             raise ValueError(
@@ -272,7 +267,7 @@ def shift_sequence_from_list(fss: SetSystem, m: int, values) -> ShiftSequence:
     (detected by the entry count).  Any other length is rejected, and so
     is a value that is not an integer; each value is taken mod ``m``.
     """
-    _check_modulus(m)
+    _integer(m, "modulus", 1)
     values = list(values)
     bad = [x for x in values if not _is_integer(x)]
     if bad:

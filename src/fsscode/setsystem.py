@@ -72,26 +72,19 @@ class SetSystem:
         return validate_fss(doc["v"], doc["blocks"], doc.get("t", 2))
 
 
-def _is_int(x) -> bool:
-    return type(x) is int  # JSON true/false parse as bool, a subclass of int
-
-
 def _is_integer(x) -> bool:
-    """An int or numpy integer, not a bool."""
+    """An int or numpy integer, not a bool (JSON true/false parse as bool)."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _integer(x, name: str) -> int:
-    """``int(x)`` of an int or numpy integer (not a bool)."""
+def _integer(x, name: str, low: int | None = None) -> int:
+    """``int(x)`` of an int or numpy integer (not a bool) that is at least
+    ``low`` when given; ValueError naming ``name`` otherwise."""
     if not _is_integer(x):
         raise ValueError(f"{name} must be an integer, got {x!r}")
-    return int(x)
-
-
-def _non_negative_int(x, name: str) -> int:
-    """``int(x)`` of a non-negative int or numpy integer (not a bool)."""
-    if not _is_integer(x) or x < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {x!r}")
+    if low is not None and x < low:
+        bound = "positive" if low == 1 else f">= {low}"
+        raise ValueError(f"{name} must be {bound}, got {x!r}")
     return int(x)
 
 
@@ -99,12 +92,13 @@ def validate_fss(v, blocks, t=2) -> SetSystem:
     """Check raw input and build a :class:`SetSystem`.
 
     Raises :class:`SetSystemError` on a ``v``, ``t`` or point that is not an
-    int (a bool is not), a block list or block that is not a list or tuple,
-    an out-of-range point, a duplicated point inside one block, an empty
-    block, or ``t`` exceeding the maximum block size.  Block order is
-    preserved; points inside a block are sorted.
+    int or numpy integer (a bool is not), a block list or block that is not
+    a list or tuple, an out-of-range point, a duplicated point inside one
+    block, an empty block, or ``t`` exceeding the maximum block size.  Block
+    order is preserved; points inside a block are sorted.  Numbers are
+    stored as Python ints.
     """
-    if not _is_int(v) or v < 1:
+    if not _is_integer(v) or v < 1:
         raise SetSystemError(f"point count must be a positive integer, got {v!r}")
     if not isinstance(blocks, (list, tuple)):
         raise SetSystemError(f"blocks must be a list, got {blocks!r}")
@@ -115,18 +109,19 @@ def validate_fss(v, blocks, t=2) -> SetSystem:
         if not pts:
             raise SetSystemError(f"block {j + 1} is empty")
         for x in pts:
-            if not _is_int(x) or not 1 <= x <= v:
+            if not _is_integer(x) or not 1 <= x <= v:
                 raise SetSystemError(f"block {j + 1}: point {x!r} outside 1..{v}")
+        pts = sorted(map(int, pts))
         if len(set(pts)) != len(pts):
-            raise SetSystemError(f"block {j + 1} repeats a point: {sorted(pts)}")
-        clean.append(tuple(sorted(pts)))
-    if not _is_int(t) or t < 1:
+            raise SetSystemError(f"block {j + 1} repeats a point: {pts}")
+        clean.append(tuple(pts))
+    if not _is_integer(t) or t < 1:
         raise SetSystemError(f"t must be a positive integer, got {t!r}")
     if clean and t > max(len(b) for b in clean):
         raise SetSystemError(
             f"t={t} exceeds the maximum block size {max(len(b) for b in clean)}"
         )
-    return SetSystem(v=v, blocks=tuple(clean), t=t)
+    return SetSystem(v=int(v), blocks=tuple(clean), t=int(t))
 
 
 @dataclass(frozen=True)
@@ -173,8 +168,8 @@ class BinaryMatrix:
     """
 
     def __init__(self, rows, cols, entries, col_labels=None):
-        self.rows = _non_negative_int(rows, "rows")
-        self.cols = _non_negative_int(cols, "cols")
+        self.rows = _integer(rows, "rows", 0)
+        self.cols = _integer(cols, "cols", 0)
         if self.rows * self.cols > 2**63:
             raise ValueError(f"{rows}x{cols} is too large for int64 edge keys")
         e = np.asarray(entries)
@@ -234,7 +229,7 @@ def incidence_matrix(fss: SetSystem, min_replication: int = 2) -> BinaryMatrix:
     ``min_replication`` blocks.  The default 2 keeps only subsets shared by
     two distinct blocks; ``min_replication=1`` keeps every covered subset.
     """
-    if min_replication not in (1, 2):
+    if _integer(min_replication, "min_replication", 1) > 2:
         raise ValueError("min_replication must be 1 or 2")
     size = fss.t - 1
     block_sets = [set(b) for b in fss.blocks]

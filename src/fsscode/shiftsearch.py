@@ -26,8 +26,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .setsystem import SetSystem, _integer, _non_negative_int
-from .qc import ShiftSequence, _check_modulus, assemble, expand
+from .setsystem import SetSystem, _integer
+from .qc import ShiftSequence, assemble, expand
 from .girth import WalkScaffold, closed_walks, tanner_girth
 
 __all__ = [
@@ -50,10 +50,8 @@ class SearchPolicy:
         if self.order not in ("ascending", "random"):
             raise ValueError(f"unknown order {self.order!r}")
         # kept as Python ints: random.Random takes no numpy integer seed
-        object.__setattr__(self, "budget", _non_negative_int(self.budget, "budget"))
-        object.__setattr__(self, "seed", _non_negative_int(self.seed, "seed"))
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
+        object.__setattr__(self, "budget", _integer(self.budget, "budget", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)
@@ -251,10 +249,10 @@ def search_shifts(
 ) -> SearchResult:
     """Find a shift sequence of order ``m`` whose expansion has Tanner girth
     at least ``target_girth``, or prove none exists for this modulus."""
-    target_girth = _integer(target_girth, "target girth")
-    if target_girth % 2 or target_girth < 4:
-        raise ValueError("target girth must be even and >= 4")
-    _check_modulus(m)
+    target_girth = _integer(target_girth, "target girth", 4)
+    if target_girth % 2:
+        raise ValueError(f"target girth must be even, got {target_girth}")
+    m = _integer(m, "modulus", 1)
     policy = policy or SearchPolicy()
     state = ShiftSearchState.create(fss, m, target_girth)
     # the first incidence of every block

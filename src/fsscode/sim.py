@@ -43,13 +43,14 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
 
 import numpy as np
 
-from .setsystem import BinaryMatrix, _non_negative_int
+from .setsystem import BinaryMatrix, _integer
 
 __all__ = [
     "ChannelConfig",
@@ -68,14 +69,19 @@ CSV_HEADER = ["ebn0_db", "bits", "bit_errors", "frames", "frame_errors", "ber", 
 @dataclass(frozen=True)
 class ChannelConfig:
     """AWGN channel at a given Eb/N0 for a code of the given rate.
-    ``seed`` must be a non-negative integer; a bool is rejected."""
+    ``ebn0_db`` and ``rate`` must be real numbers and ``seed`` a
+    non-negative integer; a bool is neither."""
 
     ebn0_db: float
     rate: float
     seed: int = 0
 
     def __post_init__(self):
-        _non_negative_int(self.seed, "seed")
+        _integer(self.seed, "seed", 0)
+        for name in ("ebn0_db", "rate"):
+            x = getattr(self, name)
+            if not isinstance(x, numbers.Real) or isinstance(x, bool):
+                raise ValueError(f"{name} must be a real number, got {x!r}")
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {self.rate}")
         if not math.isfinite(self.ebn0_db):
@@ -131,10 +137,8 @@ class StopRule:
     max_frames: int = 100_000
 
     def __post_init__(self):
-        if _non_negative_int(self.min_frame_errors, "min_frame_errors") < 1:
-            raise ValueError(
-                f"min_frame_errors must be >= 1, got {self.min_frame_errors}")
-        _non_negative_int(self.max_frames, "max_frames")
+        _integer(self.min_frame_errors, "min_frame_errors", 1)
+        _integer(self.max_frames, "max_frames", 0)
 
 
 def transmit(n: int, cfg: ChannelConfig, rng=None) -> np.ndarray:
@@ -391,7 +395,7 @@ def spa_decode(H: BinaryMatrix, llr, max_iter: int = 50) -> DecodeResult:
     """Log-domain sum-product (tanh rule) with a flooding schedule and early
     exit on a zero syndrome. LLRs may be infinite but not NaN; ``max_iter``
     is a non-negative integer, not a bool."""
-    max_iter = _non_negative_int(max_iter, "max_iter")
+    max_iter = _integer(max_iter, "max_iter", 0)
     ws = _SpaWorkspace(H)
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (ws.n,):
@@ -422,8 +426,8 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     frame error it needs. ``seed`` must be a non-negative integer; a
     ``bool`` is rejected.
     """
-    max_iter = _non_negative_int(max_iter, "max_iter")
-    seed = _non_negative_int(seed, "seed")
+    max_iter = _integer(max_iter, "max_iter", 0)
+    seed = _integer(seed, "seed", 0)
     stop = stop or StopRule()
     # columns bound the batch too: a workspace holds O(edges + columns)
     # floats per frame, and H may have few or no edges

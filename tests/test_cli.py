@@ -449,6 +449,12 @@ class TestSimulateAndTables:
         code, _, err = _run(capsys, ["verify-table", "--row", "nope"])
         assert code == EXIT_ERROR
 
+    def test_verify_table_empty_row_is_an_error(self, capsys):
+        # "" once read as no --row at all, and re-verified every code
+        code, out, err = _run(capsys, ["verify-table", "--row", ""])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert "unknown table row" in json.loads(err)["message"]
+
     def test_verify_table_takes_no_output_file(self, capsys, tmp_path):
         # it prints its report; -o was once accepted and ignored
         path = tmp_path / "table.txt"

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from fsscode.construct import WeightProfile, method1, method2
 from fsscode.qc import gf2_rank
 from fsscode.setsystem import (
     BinaryMatrix,
@@ -214,4 +217,43 @@ class TestIncidenceMatrix:
     def test_bad_min_replication(self, example):
         with pytest.raises(ValueError):
             incidence_matrix(example, min_replication=3)
+
+
+class TestIntegerEntryPoints:
+    """Each of these once let a non-integer through, or raised TypeError
+    (or a message about another parameter) deep inside the library."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda fss: method1(fss, 12.0, [5]), "target girth must be an int"),
+        (lambda fss: method1(fss, "12", [5]), "target girth must be an int"),
+        (lambda fss: method2(10, WeightProfile((3, 3)), 8.0), "target girth"),
+        (lambda fss: method2(10.5, WeightProfile((3, 3)), 8), "v must be"),
+        (lambda fss: method2("10", WeightProfile((3, 3)), 8), "v must be"),
+        (lambda fss: WeightProfile((3.0, 3)), "block size"),
+        (lambda fss: WeightProfile((3, "a")), "block size"),
+        (lambda fss: WeightProfile((3, True)), "block size"),
+        (lambda fss: incidence_matrix(fss, True), "min_replication"),
+        (lambda fss: incidence_matrix(fss, 1.0), "min_replication"),
+    ], ids=["method1-float-girth", "method1-str-girth", "method2-float-girth",
+            "method2-float-v", "method2-str-v", "profile-float",
+            "profile-str", "profile-bool", "min-replication-bool",
+            "min-replication-float"])
+    def test_rejects_non_integer(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(validate_fss(2, [[1, 2]] * 3))
+
+    def test_weight_profile_stores_ints(self):
+        profile = WeightProfile((np.int64(3), 2))
+        assert profile.K == (3, 2)
+        assert all(type(k) is int for k in profile.K)
+
+    def test_validate_takes_numpy_integers_as_ints(self):
+        fss = validate_fss(np.int64(3), [[np.int64(1), 2]], np.int8(2))
+        assert fss == validate_fss(3, [[1, 2]])
+        assert json.loads(fss.to_json()) == {"v": 3, "t": 2, "blocks": [[1, 2]]}
+        assert all(type(x) is int for x in (fss.v, fss.t, *fss.blocks[0]))
+
+    def test_validate_still_rejects_numpy_bool(self):
+        with pytest.raises(SetSystemError, match="point"):
+            validate_fss(3, [[np.True_, 2]])
 

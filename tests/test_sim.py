@@ -610,6 +610,22 @@ class TestBoundaries:
         with pytest.raises(ValueError, match="ebn0_db"):
             ber_sweep(code_312, [2.0, ebn0], rate=0.75, stop=StopRule(1, 5))
 
+    @pytest.mark.parametrize("ebn0, rate, field", [
+        (1.0, "0.5", "rate"), ("1", 0.5, "ebn0_db"), (None, 0.5, "ebn0_db"),
+        (1.0, None, "rate"), (True, 0.5, "ebn0_db"), (1.0, True, "rate"),
+        (1.0, np.True_, "rate"),
+    ])
+    def test_channel_rejects_non_real(self, code_312, ebn0, rate, field):
+        with pytest.raises(ValueError, match=field):
+            ChannelConfig(ebn0_db=ebn0, rate=rate)
+        with pytest.raises(ValueError, match=field):
+            ber_sweep(code_312, [ebn0], rate=rate, stop=StopRule(1, 5))
+
+    def test_channel_takes_numpy_reals(self):
+        assert np.array_equal(
+            transmit(16, ChannelConfig(np.float64(2.0), np.int64(1), seed=3)),
+            transmit(16, ChannelConfig(2.0, 1.0, seed=3)))
+
     def test_infinite_llrs_allowed(self, code_312):
         llr = np.full(code_312.cols, np.inf)
         llr[3] = -np.inf
