@@ -21,10 +21,10 @@ from .qc import (
     shifts_to_json,
     write_alist,
 )
-from .girth import DEFAULT_WALK_CAP, inevitable_girth, tanner_girth
+from .girth import DEFAULT_WALK_CAP, _TANNER_CAP, inevitable_girth, tanner_girth
 from .shiftsearch import SearchPolicy, search_shifts
 from .construct import WeightProfile, method1, method2
-from .sim import StopRule, ber_sweep, write_ber_csv
+from .sim import _MAX_ITER, ChannelConfig, StopRule, ber_sweep, write_ber_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -260,18 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("tgirth", cmd_tgirth, help="Tanner girth of an alist matrix")
     sp.add_argument("--alist", required=True)
-    sp.add_argument("--cap", type=int, default=16)
+    sp.add_argument("--cap", type=int, default=_TANNER_CAP)
 
     sp = add("simulate", cmd_simulate, help="AWGN BER/FER sweep")
     sp.add_argument("--alist", required=True)
     sp.add_argument("--snr", type=_list_of(float), required=True,
                     help="comma-separated Eb/N0 in dB")
     sp.add_argument("--rate", type=float, required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=ChannelConfig.seed)
     sp.add_argument("--min-frame-errors", type=int,
                     default=StopRule.min_frame_errors)
     sp.add_argument("--max-frames", type=int, default=StopRule.max_frames)
-    sp.add_argument("--max-iter", type=int, default=50)
+    sp.add_argument("--max-iter", type=int, default=_MAX_ITER)
 
     sp = add("verify-table", cmd_verify_table,
              help="re-verify bundled reference shift sequences")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import ceil
 
-from .setsystem import SetSystem, _integer, validate_fss
+from .setsystem import SetSystem, _integer, _iterable, validate_fss
 from .girth import GirthReport, WalkScaffold, inevitable_girth, min_edge_walk
 from .qc import ShiftSequence, _lift, assemble
 from .shiftsearch import SearchPolicy, backtrack, search_shifts
@@ -43,10 +43,10 @@ class WeightProfile:
     K: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "K", tuple(
+            _integer(k, "block size", 2) for k in _iterable(self.K, "K")))
         if not self.K:
             raise ValueError("weight profile must be nonempty")
-        object.__setattr__(self, "K", tuple(_integer(k, "block size", 2)
-                                            for k in self.K))
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,8 @@ def method1(
     sequence of order m, 'unknown' when ``policy.budget``, shared by every
     search of the run, ran out first.
     """
-    target_g = _integer(target_g, "target girth", 6)
-    if target_g % 2:
-        raise ValueError(f"target girth must be even, got {target_g}")
+    target_g = _integer(target_g, "target girth", 6, even=True)
+    m_schedule = _iterable(m_schedule, "m_schedule")
     policy = policy or SearchPolicy()
     cap = target_g // 2
     current = primitive
@@ -150,10 +149,10 @@ def method2(
     ``closed_walks`` engine that the per-step queries use, run once more
     from every start rather than through the new steps only.
     """
-    target_g = _integer(target_g, "target girth", 6)
-    if target_g % 2:
-        raise ValueError(f"target girth must be even, got {target_g}")
+    target_g = _integer(target_g, "target girth", 6, even=True)
     v = _integer(v, "v")
+    if not isinstance(profile, WeightProfile):
+        raise ValueError(f"profile must be a WeightProfile, got {profile!r}")
     if v < max(profile.K):
         raise ValueError(f"v={v} is smaller than the largest block size")
     policy = policy or SearchPolicy()

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_WALK_CAP = 12     # covers maximum girth 24
+_TANNER_CAP = 16          # tanner_girth's default, and ``fsscode tgirth``'s
 
 
 @dataclass(frozen=True)
@@ -155,11 +156,9 @@ def bsg_shortest_closed_walk(q: QCProtoMatrix, cap: int) -> GirthReport:
                     state = parent[state]
                 verts.reverse()
                 labels.reverse()
-                if best is None or length < best:
-                    best = length
-                    best_witness = WalkWitness(
-                        tuple([v0] + verts), tuple(labels + [klast])
-                    )
+                best = length  # limit kept it below any earlier best
+                best_witness = WalkWitness(tuple([v0] + verts),
+                                           tuple(labels + [klast]))
     return GirthReport(girth=best, cap=cap, witness=best_witness)
 
 
@@ -167,7 +166,7 @@ def bsg_shortest_closed_walk(q: QCProtoMatrix, cap: int) -> GirthReport:
 # Tanner-graph girth (oracle)
 # ----------------------------------------------------------------------
 
-def tanner_girth(H: BinaryMatrix, cap: int = 16) -> GirthReport:
+def tanner_girth(H: BinaryMatrix, cap: int = _TANNER_CAP) -> GirthReport:
     """Exact girth of the bipartite Tanner graph of H, or unbounded if no
     cycle of length <= cap exists.
 
@@ -182,9 +181,7 @@ def tanner_girth(H: BinaryMatrix, cap: int = 16) -> GirthReport:
     unchanged too: it comes from the first block-row holding a girth cycle,
     as it does when every check is a root.
     """
-    cap = _integer(cap, "cap", 4)
-    if cap % 2:
-        raise ValueError(f"cap must be even, got {cap}")
+    cap = _integer(cap, "cap", 4, even=True)
     m, n = H.rows, H.cols
     adj = [[m + c for c in sup] for sup in H.row_support] + H.col_support
     nv = m + n
@@ -501,19 +498,12 @@ def verify_walk_raw(blocks, points, block_idx):
     if L < 2 or len(block_idx) != L:
         return False
     block_sets = [set(b) for b in blocks]
-    for j in range(L):
-        i_j, i_n = points[j], points[(j + 1) % L]
-        k = block_idx[j]
-        if not 1 <= k <= len(blocks):
+    nxt, k_nxt = points[1:] + points[:1], block_idx[1:] + block_idx[:1]
+    for i_j, i_n, k, k_n in zip(points, nxt, block_idx, k_nxt):
+        if not (1 <= k <= len(blocks) and i_j != i_n and k != k_n
+                and {i_j, i_n} <= block_sets[k - 1]):
             return False
-        if i_j == i_n:
-            return False
-        if i_j not in block_sets[k - 1] or i_n not in block_sets[k - 1]:
-            return False
-        if k == block_idx[(j + 1) % L]:
-            return False
-    return Counter(zip(points, block_idx)) == Counter(
-        zip(points[1:] + points[:1], block_idx))
+    return Counter(zip(points, block_idx)) == Counter(zip(nxt, block_idx))
 
 
 def verify_walk(fss: SetSystem, witness: WalkWitness) -> bool:

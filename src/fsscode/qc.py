@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .setsystem import BinaryMatrix, SetSystem, _integer, _is_integer
+from .setsystem import BinaryMatrix, SetSystem, _integer, _is_integer, _iterable
 
 __all__ = [
     "ShiftSequence",
@@ -41,6 +41,8 @@ class ShiftSequence:
 
     def __post_init__(self):
         _integer(self.m, "modulus", 1)
+        if not isinstance(self.entries, dict):
+            raise ValueError(f"entries must be a dict, got {self.entries!r}")
         for (i, j), s in self.entries.items():
             if not _is_integer(s) or not 0 <= s < self.m:
                 raise ValueError(
@@ -214,7 +216,7 @@ def read_alist(path) -> BinaryMatrix:
     if pos != len(lines):
         raise ValueError(f"alist line {lines[pos][0]}: text after the row section")
     H = BinaryMatrix(m, n, [(r - 1, c) for c, adj in enumerate(cols) for r in adj])
-    if H != BinaryMatrix(m, n, [(r, c - 1) for r, adj in enumerate(rows) for c in adj]):
+    if H.row_support != [sorted(c - 1 for c in adj) for adj in rows]:
         raise ValueError("alist column and row sections describe different edges")
     return H
 
@@ -239,7 +241,7 @@ def shifts_from_json(fss: SetSystem, text: str) -> ShiftSequence:
     that is not an integer, two records for one (point, block), or records
     that do not cover exactly the incidences of ``fss``.
     """
-    doc = json.loads(text)
+    doc = json.loads(text) if isinstance(text, (str, bytes, bytearray)) else None
     if not isinstance(doc, dict) or "m" not in doc or "shifts" not in doc:
         raise ValueError("shift JSON must be an object with keys 'm' and 'shifts'")
     if not _is_integer(doc["m"]) or not isinstance(doc["shifts"], list):
@@ -268,7 +270,7 @@ def shift_sequence_from_list(fss: SetSystem, m: int, values) -> ShiftSequence:
     is a value that is not an integer; each value is taken mod ``m``.
     """
     _integer(m, "modulus", 1)
-    values = list(values)
+    values = list(_iterable(values, "values"))
     bad = [x for x in values if not _is_integer(x)]
     if bad:
         raise ValueError(f"shift list values must be integers, got {bad[0]!r}")

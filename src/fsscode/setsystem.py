@@ -28,6 +28,8 @@ __all__ = [
     "incidence_matrix",
 ]
 
+_MAX_POINTS = 2**20  # block_stats' R holds one count per point
+
 
 class SetSystemError(ValueError):
     """Raised for malformed set-system input."""
@@ -65,7 +67,7 @@ class SetSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "SetSystem":
-        doc = json.loads(text)
+        doc = json.loads(text) if isinstance(text, (str, bytes, bytearray)) else None
         if not isinstance(doc, dict) or not doc.keys() >= {"v", "blocks"}:
             raise SetSystemError("set-system JSON must be an object with keys "
                                  "'v' and 'blocks'")
@@ -77,29 +79,39 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _integer(x, name: str, low: int | None = None) -> int:
-    """``int(x)`` of an int or numpy integer (not a bool) that is at least
-    ``low`` when given; ValueError naming ``name`` otherwise."""
+def _integer(x, name: str, low: int | None = None, even: bool = False) -> int:
+    """``int(x)`` of an int or numpy integer (not a bool), at least ``low``
+    if given and even if ``even``; ValueError naming ``name`` otherwise."""
     if not _is_integer(x):
         raise ValueError(f"{name} must be an integer, got {x!r}")
     if low is not None and x < low:
         bound = "positive" if low == 1 else f">= {low}"
         raise ValueError(f"{name} must be {bound}, got {x!r}")
+    if even and x % 2:
+        raise ValueError(f"{name} must be even, got {int(x)}")
     return int(x)
+
+
+def _iterable(x, name: str):
+    """``iter(x)``; ValueError naming ``name`` when x is not iterable."""
+    try:
+        return iter(x)
+    except TypeError:
+        raise ValueError(f"{name} must be iterable, got {x!r}") from None
 
 
 def validate_fss(v, blocks, t=2) -> SetSystem:
     """Check raw input and build a :class:`SetSystem`.
 
     Raises :class:`SetSystemError` on a ``v``, ``t`` or point that is not an
-    int or numpy integer (a bool is not), a block list or block that is not
-    a list or tuple, an out-of-range point, a duplicated point inside one
-    block, an empty block, or ``t`` exceeding the maximum block size.  Block
-    order is preserved; points inside a block are sorted.  Numbers are
-    stored as Python ints.
+    int or numpy integer (a bool is not), a ``v`` above ``_MAX_POINTS``, a
+    block list or block that is not a list or tuple, an out-of-range point,
+    a duplicated point inside one block, an empty block, or ``t`` exceeding
+    the maximum block size.  Block order is preserved; points inside a block
+    are sorted.  Numbers are stored as Python ints.
     """
-    if not _is_integer(v) or v < 1:
-        raise SetSystemError(f"point count must be a positive integer, got {v!r}")
+    if not _is_integer(v) or not 1 <= v <= _MAX_POINTS:
+        raise SetSystemError(f"point count must be in 1..{_MAX_POINTS}, got {v!r}")
     if not isinstance(blocks, (list, tuple)):
         raise SetSystemError(f"blocks must be a list, got {blocks!r}")
     clean = []
@@ -137,25 +149,23 @@ class SystemStats:
     coverage: dict[int, frozenset[int]]
 
 
+def _subset_counts(fss: SetSystem, i: int) -> Counter:
+    """How many blocks hold each i-subset, keyed by sorted tuples."""
+    return Counter(sub for blk in fss.blocks for sub in combinations(blk, i))
+
+
 def block_stats(fss: SetSystem) -> SystemStats:
-    """Compute K, R and the i-subset coverage sets exhaustively.
+    """Compute K, R and the i-subset coverage sets from the subset counts.
 
     A zero joins ``coverage[i]`` whenever some i-subset of the full point set
     is contained in no block.
     """
-    K = tuple(len(b) for b in fss.blocks)
-    R = tuple(sum(1 for b in fss.blocks if x in b) for x in range(1, fss.v + 1))
-    coverage: dict[int, frozenset[int]] = {}
-    for i in range(fss.t + 1):
-        counts: Counter = Counter()
-        for blk in fss.blocks:
-            for sub in combinations(blk, i):
-                counts[sub] += 1
-        values = set(counts.values())
-        if len(counts) < comb(fss.v, i):
-            values.add(0)
-        coverage[i] = frozenset(values)
-    return SystemStats(K=K, R=R, coverage=coverage)
+    counts = [_subset_counts(fss, i) for i in range(fss.t + 1)]
+    coverage = {i: frozenset(c.values()) | ({0} if len(c) < comb(fss.v, i) else set())
+                for i, c in enumerate(counts)}
+    return SystemStats(K=tuple(map(len, fss.blocks)),
+                       R=tuple(counts[1][(x,)] for x in range(1, fss.v + 1)),
+                       coverage=coverage)
 
 
 class BinaryMatrix:
@@ -232,12 +242,9 @@ def incidence_matrix(fss: SetSystem, min_replication: int = 2) -> BinaryMatrix:
     if _integer(min_replication, "min_replication", 1) > 2:
         raise ValueError("min_replication must be 1 or 2")
     size = fss.t - 1
-    block_sets = [set(b) for b in fss.blocks]
-    labels = []
-    for sub in combinations(range(1, fss.v + 1), size):
-        cover = sum(1 for bs in block_sets if set(sub) <= bs)
-        if cover >= min_replication:
-            labels.append(sub)
-    entries = [(i, j) for i, bs in enumerate(block_sets)
-               for j, sub in enumerate(labels) if set(sub) <= bs]
+    labels = sorted(sub for sub, n in _subset_counts(fss, size).items()
+                    if n >= min_replication)
+    column = {sub: j for j, sub in enumerate(labels)}
+    entries = [(i, column[sub]) for i, blk in enumerate(fss.blocks)
+               for sub in combinations(blk, size) if sub in column]
     return BinaryMatrix(fss.b, len(labels), entries, col_labels=labels)

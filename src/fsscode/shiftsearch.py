@@ -249,9 +249,7 @@ def search_shifts(
 ) -> SearchResult:
     """Find a shift sequence of order ``m`` whose expansion has Tanner girth
     at least ``target_girth``, or prove none exists for this modulus."""
-    target_girth = _integer(target_girth, "target girth", 4)
-    if target_girth % 2:
-        raise ValueError(f"target girth must be even, got {target_girth}")
+    target_girth = _integer(target_girth, "target girth", 4, even=True)
     m = _integer(m, "modulus", 1)
     policy = policy or SearchPolicy()
     state = ShiftSearchState.create(fss, m, target_girth)

@@ -50,7 +50,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .setsystem import BinaryMatrix, _integer
+from .setsystem import BinaryMatrix, _integer, _iterable
 
 __all__ = [
     "ChannelConfig",
@@ -145,7 +145,7 @@ def transmit(n: int, cfg: ChannelConfig, rng=None) -> np.ndarray:
     """Channel LLRs for an all-zero codeword: 2y/sigma^2, y = 1 + noise."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    return _noise_to_llr(rng.standard_normal(n), cfg)
+    return _noise_to_llr(rng.standard_normal(_integer(n, "n", 0)), cfg)
 
 
 def _noise_to_llr(z: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
@@ -313,6 +313,7 @@ class _SpaWorkspace:
 
 
 _LIM = 0.999999999999
+_MAX_ITER = 50  # spa_decode's, ber_sweep's and ``fsscode simulate``'s default
 
 # ber_sweep decodes max(1, _EDGE_BUDGET // edges) frames per batch: 24 of
 # the n=360 reference code (1,080 edges), whose batch buffers take ~0.7 MB,
@@ -391,15 +392,15 @@ def _decode_frames(ws: _SpaWorkspace, count: int, max_iter: int) -> None:
         np.take(total, ws.slot_col, axis=1, out=v2c, mode="clip")
 
 
-def spa_decode(H: BinaryMatrix, llr, max_iter: int = 50) -> DecodeResult:
+def spa_decode(H: BinaryMatrix, llr, max_iter: int = _MAX_ITER) -> DecodeResult:
     """Log-domain sum-product (tanh rule) with a flooding schedule and early
     exit on a zero syndrome. LLRs may be infinite but not NaN; ``max_iter``
     is a non-negative integer, not a bool."""
     max_iter = _integer(max_iter, "max_iter", 0)
     ws = _SpaWorkspace(H)
-    llr = np.asarray(llr, dtype=np.float64)
-    if llr.shape != (ws.n,):
-        raise ValueError(f"LLR length {llr.shape} != column count {ws.n}")
+    llr = np.asarray(llr)
+    if llr.dtype.kind not in "iuf" or llr.shape != (ws.n,):
+        raise ValueError(f"LLRs must be {ws.n} reals, got {llr.dtype} {llr.shape}")
     if np.isnan(llr).any():
         raise ValueError("LLR vector contains NaN")
     ws.llr[0] = llr
@@ -410,8 +411,8 @@ def spa_decode(H: BinaryMatrix, llr, max_iter: int = 50) -> DecodeResult:
 
 
 def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
-              stop: StopRule | None = None, seed: int = 0,
-              max_iter: int = 50) -> list[BerRecord]:
+              stop: StopRule | None = None, seed: int = ChannelConfig.seed,
+              max_iter: int = _MAX_ITER) -> list[BerRecord]:
     """Monte-Carlo BER/FER per SNR point, early-stopping on frame errors.
 
     Frame f of SNR point i draws its noise from
@@ -428,6 +429,7 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     """
     max_iter = _integer(max_iter, "max_iter", 0)
     seed = _integer(seed, "seed", 0)
+    cfgs = [ChannelConfig(e, rate) for e in _iterable(ebn0_list, "ebn0_list")]
     stop = stop or StopRule()
     # columns bound the batch too: a workspace holds O(edges + columns)
     # floats per frame, and H may have few or no edges
@@ -437,8 +439,7 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     rng = np.random.Generator(bitgen)
     pcg = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
     records = []
-    for snr_idx, ebn0 in enumerate(ebn0_list):
-        cfg = ChannelConfig(ebn0_db=ebn0, rate=rate)
+    for snr_idx, cfg in enumerate(cfgs):
         bits = errors = frames = frame_errors = undetected = 0
         iterations = np.zeros(max_iter + 1, dtype=np.int64)
         noise_s = decode_s = 0.0
@@ -469,7 +470,7 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
             iterations += np.bincount(ws.iterations[:used],
                                       minlength=max_iter + 1)
         records.append(BerRecord(
-            ebn0_db=ebn0, bits=bits, bit_errors=errors, frames=frames,
+            ebn0_db=cfg.ebn0_db, bits=bits, bit_errors=errors, frames=frames,
             frame_errors=frame_errors,
             stats={"iterations": iterations.tolist(),
                    "undetected_errors": undetected,

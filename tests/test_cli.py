@@ -1,4 +1,6 @@
+import inspect
 import json
+import time
 
 import pytest
 
@@ -8,10 +10,13 @@ from fsscode.cli import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_UNKNOWN,
+    build_parser,
     main,
 )
+from fsscode.girth import inevitable_girth, tanner_girth
 from fsscode.qc import expand, write_alist
 from fsscode.setsystem import validate_fss
+from fsscode.sim import ber_sweep
 
 
 @pytest.fixture
@@ -463,3 +468,28 @@ class TestSimulateAndTables:
         assert (code, out) == (EXIT_ERROR, "")
         assert json.loads(err)["error"] == "ArgumentError"
         assert not path.exists()
+
+
+class TestPointBoundAndDefaults:
+    def test_stats_rejects_a_huge_point_count_at_once(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"v": 1000000000, "blocks": [[1, 2]]}')
+        start = time.perf_counter()
+        code, out, err = _run(capsys, ["stats", "--fss", str(path)])
+        assert time.perf_counter() - start < 5.0
+        assert (code, out) == (EXIT_ERROR, "")
+        doc = json.loads(err)
+        assert doc["error"] == "SetSystemError"
+        assert "point count" in doc["message"]
+
+    @pytest.mark.parametrize("argv, dest, fn, value", [
+        (["simulate", "--alist", "h", "--snr", "1", "--rate", "0.5", "-o", "o"],
+         "max_iter", ber_sweep, 50),
+        (["simulate", "--alist", "h", "--snr", "1", "--rate", "0.5", "-o", "o"],
+         "seed", ber_sweep, 0),
+        (["tgirth", "--alist", "h"], "cap", tanner_girth, 16),
+        (["girth", "--fss", "f"], "cap", inevitable_girth, 12),
+    ])
+    def test_defaults_are_the_library_defaults(self, argv, dest, fn, value):
+        default = inspect.signature(fn).parameters[dest].default
+        assert getattr(build_parser().parse_args(argv), dest) == default == value
