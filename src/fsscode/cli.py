@@ -121,7 +121,7 @@ def cmd_method1(args):
                   policy=_policy(args))
     return _emit_status(args, res, dict(
         input=args.fss, girth=args.girth, m_schedule=args.m_schedule,
-        seed=args.seed))
+        order=args.order, budget=args.budget, seed=args.seed), ["expansions"])
 
 
 def cmd_method2(args):

@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import ceil
 
-from .setsystem import SetSystem, _integer, _iterable, validate_fss
-from .girth import GirthReport, WalkScaffold, inevitable_girth, min_edge_walk
+from .setsystem import _MAX_POINTS, SetSystem, _integer, _iterable, validate_fss
+from .girth import (_MAX_WALK, GirthReport, WalkScaffold, inevitable_girth,
+                    min_edge_walk)
 from .qc import ShiftSequence, _lift, assemble
 from .shiftsearch import SearchPolicy, backtrack, search_shifts
 
@@ -95,7 +96,8 @@ def method1(
     sequence of order m, 'unknown' when ``policy.budget``, shared by every
     search of the run, ran out first.
     """
-    target_g = _integer(target_g, "target girth", 6, even=True)
+    target_g = _integer(target_g, "target girth", 6, even=True,
+                        high=2 * _MAX_WALK)
     m_schedule = _iterable(m_schedule, "m_schedule")
     policy = policy or SearchPolicy()
     cap = target_g // 2
@@ -149,8 +151,9 @@ def method2(
     ``closed_walks`` engine that the per-step queries use, run once more
     from every start rather than through the new steps only.
     """
-    target_g = _integer(target_g, "target girth", 6, even=True)
-    v = _integer(v, "v")
+    target_g = _integer(target_g, "target girth", 6, even=True,
+                        high=2 * _MAX_WALK)
+    v = _integer(v, "v", high=_MAX_POINTS)
     if not isinstance(profile, WeightProfile):
         raise ValueError(f"profile must be a WeightProfile, got {profile!r}")
     if v < max(profile.K):
@@ -171,8 +174,8 @@ def method2(
             if policy.order == "random":
                 rng.shuffle(cands)
             return cands
-        return [x for x in range(points[-1] + 1, v + 1)
-                if _accepts(points, starts[:j + 1], x, max_len)]
+        return (x for x in range(points[-1] + 1, v + 1)
+                if _accepts(points, starts[:j + 1], x, max_len))
 
     status, expansions, _ = backtrack(len(slots), candidates, points,
                                       policy.budget)

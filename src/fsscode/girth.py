@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_WALK_CAP = 12     # covers maximum girth 24
+_MAX_WALK = 64            # steps: closed_walks recurses once per step
 _TANNER_CAP = 16          # tanner_girth's default, and ``fsscode tgirth``'s
 
 
@@ -453,7 +454,7 @@ def inevitable_girth(fss: SetSystem, cap: int = DEFAULT_WALK_CAP) -> GirthReport
     """Maximum achievable girth 2L of liftings of ``fss``: L is the length
     of its shortest balanced closed walk.  Unbounded means no walk of
     length <= cap."""
-    cap = _integer(cap, "cap", 2)
+    cap = _integer(cap, "cap", 2, high=_MAX_WALK)
     found = min_edge_walk(WalkScaffold(fss.blocks), cap)
     if found is None:
         return GirthReport(girth=None, cap=cap)

@@ -79,9 +79,11 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _integer(x, name: str, low: int | None = None, even: bool = False) -> int:
+def _integer(x, name: str, low: int | None = None, even: bool = False,
+             high: int | None = None) -> int:
     """``int(x)`` of an int or numpy integer (not a bool), at least ``low``
-    if given and even if ``even``; ValueError naming ``name`` otherwise."""
+    if given, even if ``even`` and at most ``high`` if given; ValueError
+    naming ``name`` otherwise."""
     if not _is_integer(x):
         raise ValueError(f"{name} must be an integer, got {x!r}")
     if low is not None and x < low:
@@ -89,6 +91,8 @@ def _integer(x, name: str, low: int | None = None, even: bool = False) -> int:
         raise ValueError(f"{name} must be {bound}, got {x!r}")
     if even and x % 2:
         raise ValueError(f"{name} must be even, got {int(x)}")
+    if high is not None and x > high:
+        raise ValueError(f"{name} must be <= {high}, got {int(x)}")
     return int(x)
 
 

@@ -3,7 +3,7 @@
 The shifts are assigned block-major, points ascending within each block,
 with the first shift of every block pinned to zero (a code-equivalence
 normalization), by ``backtrack``: one chronological backtracking loop
-over per-position candidate lists, which ``construct.method2`` shares.
+drawing candidates on demand, which ``construct.method2`` shares.
 Before the search starts, every closed walk of the mother structure short
 enough to threaten the target girth is enumerated once, by the closed-walk
 search of ``girth`` that also finds inevitable walks.  Each walk carries
@@ -28,7 +28,7 @@ import numpy as np
 
 from .setsystem import SetSystem, _integer
 from .qc import ShiftSequence, assemble, expand
-from .girth import WalkScaffold, closed_walks, tanner_girth
+from .girth import _MAX_WALK, WalkScaffold, closed_walks, tanner_girth
 
 __all__ = [
     "SearchPolicy",
@@ -211,33 +211,33 @@ def backtrack(n, candidates, prefix, budget):
     """Chronological backtracking over positions ``0..n-1``, shared by the
     shift search and ``construct.method2``.
 
-    ``candidates(e)`` returns position ``e``'s values in trial order; it is
-    called each time the search enters ``e``, with ``prefix`` then holding
-    the values of positions ``0..e-1``.  It fills ``prefix`` in place and
-    makes at most ``budget`` expansions (values appended).
+    ``candidates(e)`` returns an iterable of position ``e``'s values (ints)
+    in trial order.  It is called each time the search enters ``e`` and is
+    drawn from only while ``prefix`` holds positions ``0..e-1``, which
+    chronological backtracking guarantees.  The search fills ``prefix`` in
+    place and makes at most ``budget`` expansions (values appended).
     Returns ``(status, expansions, backtracks)``: status is ``'ok'`` with
     ``prefix`` complete, ``'infeasible'`` once the first position runs out
     of values, or ``'unknown'`` when the budget stops the search first.
     """
     prefix.clear()
-    stacks: list[list] = []
-    expansions = backtracks = e = 0
-    while e < n:
-        if len(stacks) == e:
-            stacks.append(candidates(e)[::-1])  # popped from the end
-        if stacks[e]:
+    stack: list = []  # one iterator per position entered
+    expansions = backtracks = 0
+    while len(prefix) < n:
+        if len(stack) == len(prefix):
+            stack.append(iter(candidates(len(prefix))))
+        value = next(stack[-1], None)
+        if value is not None:
             if expansions == budget:
                 return "unknown", expansions, backtracks
-            prefix.append(stacks[e].pop())
+            prefix.append(value)
             expansions += 1
-            e += 1
         else:
-            stacks.pop()
-            if e == 0:
+            stack.pop()
+            if not prefix:
                 return "infeasible", expansions, backtracks
             prefix.pop()
             backtracks += 1
-            e -= 1
     return "ok", expansions, backtracks
 
 
@@ -249,8 +249,10 @@ def search_shifts(
 ) -> SearchResult:
     """Find a shift sequence of order ``m`` whose expansion has Tanner girth
     at least ``target_girth``, or prove none exists for this modulus."""
-    target_girth = _integer(target_girth, "target girth", 4, even=True)
-    m = _integer(m, "modulus", 1)
+    target_girth = _integer(target_girth, "target girth", 4, even=True,
+                            high=2 * _MAX_WALK)
+    # the residue tables are exact below 2**28 (``_compile``)
+    m = _integer(m, "modulus", 1, high=2**28 - 1)
     policy = policy or SearchPolicy()
     state = ShiftSearchState.create(fss, m, target_girth)
     # the first incidence of every block

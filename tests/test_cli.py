@@ -13,9 +13,11 @@ from fsscode.cli import (
     build_parser,
     main,
 )
+from fsscode.construct import method1
 from fsscode.girth import inevitable_girth, tanner_girth
 from fsscode.qc import expand, write_alist
 from fsscode.setsystem import validate_fss
+from fsscode.shiftsearch import SearchPolicy
 from fsscode.sim import ber_sweep
 
 
@@ -51,6 +53,18 @@ class TestStatsGirth:
         code, out, _ = _run(capsys, ["girth", "--fss", str(path)])
         assert code == EXIT_OK
         assert json.loads(out)["girth"] == "unbounded"
+
+    def test_girth_cap_above_walk_bound_exits_1(self, capsys, tmp_path):
+        # the triangle has no balanced walk: a cap of 2000 once recursed
+        # 2000 deep and escaped as RecursionError
+        path = tmp_path / "triangle.json"
+        path.write_text(validate_fss(3, [[1, 2], [2, 3], [1, 3]]).to_json())
+        code, out, err = _run(capsys, ["girth", "--fss", str(path),
+                                       "--cap", "2000"])
+        assert (code, out) == (EXIT_ERROR, "")
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError"
+        assert doc["message"].startswith("cap must be")
 
     def test_missing_file_is_error_json(self, capsys):
         code, _, err = _run(capsys, ["stats", "--fss", "/nonexistent.json"])
@@ -88,6 +102,23 @@ class TestConstructors:
         doc = json.loads(out_path.read_text())
         assert doc["verification"]["girth"] == 24
         assert len(doc["system"]["blocks"]) == 9
+
+    def test_method1_reports_resolved_parameters(self, capsys, fss_file):
+        code, out, _ = _run(capsys, [
+            "method1", "--fss", fss_file, "--girth", "24",
+            "--m-schedule", "3", "--order", "random", "--seed", "2",
+            "--budget", "500",
+        ])
+        policy = SearchPolicy(order="random", budget=500, seed=2)
+        res = method1(validate_fss(2, [[1, 2]] * 3), 24, [3], policy=policy)
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["meta"] == {
+            "tool": "fsscode", "version": "0.1.0", "input": fss_file,
+            "girth": 24, "m_schedule": [3], "order": "random", "budget": 500,
+            "seed": 2}
+        assert doc["expansions"] == res.expansions > 0
+        assert doc["system"] == json.loads(res.system.to_json())
 
     def test_method2_ok(self, capsys, tmp_path):
         out_path = tmp_path / "m2.json"

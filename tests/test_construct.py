@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fsscode import construct, load_paper_tables
 from fsscode.construct import (
     ConstructionError,
     WeightProfile,
@@ -140,6 +141,40 @@ class TestMethod2:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             method2(4, WeightProfile((2,)), 7)
+
+    @pytest.mark.parametrize("name, calls_before", [
+        ("v10-b13-g16", 294), ("v10-b19-g14", 430)])
+    def test_tests_only_the_points_it_draws(self, monkeypatch, name,
+                                            calls_before):
+        """Every point ``_accepts`` approves is the next value ``backtrack``
+        appends: the search enters the next slot with it in place before
+        any other point is tested.  ``calls_before`` counts the queries of
+        candidate lists that tested every point up front."""
+        p = next(p for p in load_paper_tables()["weight_profiles"]
+                 if p["name"] == name)
+        events = []
+        real_accepts, real_backtrack = construct._accepts, construct.backtrack
+
+        def accepts(points, starts, beta, max_len):
+            ok = real_accepts(points, starts, beta, max_len)
+            events.append(("approve" if ok else "reject", len(points), beta))
+            return ok
+
+        def backtrack(n, candidates, prefix, budget):
+            def entered(e):
+                events.append(("enter", e, prefix[-1] if prefix else None))
+                return candidates(e)
+            return real_backtrack(n, entered, prefix, budget)
+
+        monkeypatch.setattr(construct, "_accepts", accepts)
+        monkeypatch.setattr(construct, "backtrack", backtrack)
+        res = method2(p["v"], WeightProfile(tuple(p["K"])), p["target_girth"])
+        assert res.ok
+        events.append(("enter", sum(p["K"]), res.system.blocks[-1][-1]))
+        for ev, after in zip(events, events[1:]):
+            if ev[0] == "approve":
+                assert after == ("enter", ev[1] + 1, ev[2]), (ev, after)
+        assert sum(ev[0] != "enter" for ev in events) < calls_before
 
 
 def _ref_min_edge_walk(scaffold, x, k0, y, max_len):

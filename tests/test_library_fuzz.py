@@ -209,6 +209,15 @@ def test_one_parity_rule(call, message):
     (lambda: validate_fss(2**20 + 1, [[1, 2]]), SetSystemError, "point count"),
     (lambda: SetSystem.from_json('{"v": 1000000000, "blocks": [[1, 2]]}'),
      SetSystemError, "point count"),
+    # closed_walks recurses once per step: girth targets and caps are bounded
+    (lambda: search_shifts(FSS, 5, 2**64), ValueError, "target girth"),
+    (lambda: method1(FSS, 2**64, [3]), ValueError, "target girth"),
+    (lambda: method2(5, WeightProfile((2, 3, 2)), 2**64), ValueError,
+     "target girth"),
+    (lambda: inevitable_girth(validate_fss(3, [[1, 2], [2, 3], [1, 3]]), 2000),
+     ValueError, "cap"),
+    (lambda: search_shifts(FSS, 2**64, 6), ValueError, "modulus"),
+    (lambda: method2(2**64, WeightProfile((2, 3, 2)), 6), ValueError, "v"),
 ])
 def test_boundary_names_the_parameter(call, error, name):
     with pytest.raises(error, match=f"^{name} must be"):

@@ -269,6 +269,35 @@ class TestBacktrack:
                 statuses.add(got[0])
         assert statuses == {"ok", "infeasible", "unknown"}
 
+    def test_draws_generators_on_demand(self):
+        """Candidates given as generators give the reference's search, and
+        each value is drawn with the prefix of its position in place, only
+        to be appended or to meet the budget stop."""
+        for seed in range(150):
+            n = seed % 6
+            width = 1 + seed % 4
+            full = _ref_backtrack(n, self._toy(seed, width, []), 10**9)
+            for budget in sorted({1, 2, full[1], full[1] + 1,
+                                  max(1, full[1] // 2)}):
+                want = _ref_backtrack(n, self._toy(seed, width, []), budget)
+                toy = self._toy(seed, width, [])
+                prefix, drawn = [99], []
+
+                def candidates(e):
+                    at_entry, values = prefix[:], toy(e, prefix)
+
+                    def draw():
+                        for x in values:
+                            assert prefix == at_entry
+                            drawn.append(x)
+                            yield x
+                        assert prefix == at_entry
+                    return draw()
+
+                got = backtrack(n, candidates, prefix, budget)
+                assert (*got, prefix) == want, (seed, budget)
+                assert len(drawn) == got[1] + (got[0] == "unknown")
+
     def test_budget_cuts_before_the_next_expansion(self):
         prefix = []
         got = backtrack(3, lambda e: [0, 1], prefix, 2)
