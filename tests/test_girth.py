@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import deque
 from math import gcd
@@ -991,6 +992,54 @@ class TestWalkClasses:
         assert rep.girth == 12
         assert rep.witness == WalkWitness((2, 3, 2, 3, 2, 3), (1, 3, 4, 1, 3, 4))
         assert verify_walk(fss, rep.witness)
+
+
+class TestVisitOrderPinned:
+    """Every visit ``closed_walks`` makes, in order, pinned by a digest.
+
+    A faster engine must reach the same walks in the same order with the
+    same state, since the shift search keeps the first walk of each form
+    and ``min_edge_walk`` the first balanced one.  300 seeded systems with
+    repeated blocks, each searched open and from three pinned first steps,
+    without the balance test at one length of 2..6 and with it at every
+    length of 2..6.  A visit is recorded as its points, blocks, touched
+    positions and the nonzero entries of its coefficient vector.
+    """
+
+    DIGEST = "d1e4da31c33a1c57d6f982a2d95380a378a1be80ce23653e6577e094f0d12a92"
+
+    def test_visit_sequence_digest(self):
+        digest = hashlib.sha256()
+        visits = balanced_visits = 0
+
+        def run(sc, max_len, first, balanced):
+            seen = []
+
+            def visit(points, ks, touched, coef):
+                seen.append((points, ks[:], touched[:],
+                             {p: coef[p] for p in touched if coef[p]}))
+
+            closed_walks(sc, max_len, visit, first, balanced=balanced)
+            digest.update(repr(seen).encode())
+            return len(seen)
+
+        rng = random.Random(20261019)
+        for i in range(300):
+            open_len = 2 + i % 5
+            # six open steps on six blocks would visit ~290k walks a system
+            fss = _random_system_with_repeats(
+                rng, vmax=5, bmax=6 if open_len < 6 else 4)
+            blocks = list(fss.blocks)
+            sc = WalkScaffold(blocks)
+            steps = [(x, k, y) for k, blk in enumerate(blocks, start=1)
+                     for x in blk for y in blk if x != y]
+            first = rng.sample(steps, min(3, len(steps)))
+            for pinned in (None, first):
+                visits += run(sc, open_len, pinned, False)
+                for max_len in range(2, 7):
+                    balanced_visits += run(sc, max_len, pinned, True)
+        assert (visits, balanced_visits) == (236_983, 7_328)
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestIntegerCaps:
