@@ -12,9 +12,10 @@ the target appears, with the chronological backtracking loop
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from math import ceil
+from time import perf_counter
 
 from .setsystem import _MAX_POINTS, SetSystem, _integer, _iterable, validate_fss
 from .girth import (_MAX_WALK, GirthReport, WalkScaffold, inevitable_girth,
@@ -52,12 +53,17 @@ class WeightProfile:
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """status is 'ok', 'infeasible' or 'unknown' (budget exhausted)."""
+    """status is 'ok', 'infeasible' or 'unknown' (budget exhausted).
+
+    ``method2`` fills ``stats``: its walk queries, the points they
+    accepted and their wall time in seconds (``walk_s``).  Timings never
+    compare."""
 
     status: str
     system: SetSystem | None = None
     report: GirthReport | None = None
     expansions: int = 0
+    stats: dict = field(default_factory=dict, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -166,6 +172,15 @@ def method2(
     slots = [(j, i) for j, k in enumerate(K) for i in range(k)]
     starts = [0, *accumulate(K)]  # block j is points[starts[j]:starts[j + 1]]
     points: list[int] = []
+    stats = {"walk_queries": 0, "accepted": 0, "walk_s": 0.0}
+
+    def accepts(x, block_starts):
+        start = perf_counter()
+        ok = _accepts(points, block_starts, x, max_len)
+        stats["walk_s"] += perf_counter() - start
+        stats["walk_queries"] += 1
+        stats["accepted"] += ok
+        return ok
 
     def candidates(e):
         j, i = slots[e]
@@ -175,12 +190,13 @@ def method2(
                 rng.shuffle(cands)
             return cands
         return (x for x in range(points[-1] + 1, v + 1)
-                if _accepts(points, starts[:j + 1], x, max_len))
+                if accepts(x, starts[:j + 1]))
 
     status, expansions, _ = backtrack(len(slots), candidates, points,
                                       policy.budget)
     if status != "ok":
-        return ConstructionResult(status=status, expansions=expansions)
+        return ConstructionResult(status=status, expansions=expansions,
+                                  stats=stats)
     system = validate_fss(v, [points[a:b] for a, b in zip(starts, starts[1:])])
     report = inevitable_girth(system, cap=target_g // 2)
     if not report.unbounded and report.girth < target_g:
@@ -188,9 +204,8 @@ def method2(
             f"internal check failed: achievable girth {report.girth} "
             f"< target {target_g}"
         )
-    return ConstructionResult(
-        status="ok", system=system, report=report, expansions=expansions
-    )
+    return ConstructionResult(status="ok", system=system, report=report,
+                              expansions=expansions, stats=stats)
 
 
 def _accepts(points, starts, beta, max_len):

@@ -281,8 +281,11 @@ class WalkScaffold:
     ``point_blocks[x]`` lists the 1-based blocks through point x in block
     order.  ``pos[(x, j)]`` numbers the incidences block-major, points in
     the order their block lists them: the order of ``SetSystem.incidences``
-    and of the shift search's assignment.  Co-block distances to a start
-    point are computed on first use and cached.
+    and of the shift search's assignment.  ``steps[x]`` is the step table
+    of point x: per block k through it, in block order, ``(k, pos[(x, k)],
+    members)``, where ``members`` lists block k's ``(position, point)``
+    pairs and is shared by every point of the block.  Co-block distances
+    to a start point are computed on first use and cached.
     """
 
     def __init__(self, blocks):
@@ -295,6 +298,9 @@ class WalkScaffold:
             for x in blk:
                 self.point_blocks.setdefault(x, []).append(j)
                 self.pos[(x, j)] = len(self.pos)
+        members = [list(enumerate(b, s)) for b, s in zip(self.blocks, self.base[1:])]
+        self.steps = {x: [(k, self.pos[(x, k)], members[k - 1]) for k in ks]
+                      for x, ks in self.point_blocks.items()}
         self._dist: dict[int, dict[int, int]] = {}
 
     def distances(self, source):
@@ -351,16 +357,18 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
     result is None.  With ``balanced`` only balanced walks of exactly
     ``max_len`` steps are visited, and a branch is cut once its norm exceeds
     twice the steps left (a step changes it by at most 2).  Every branch is
-    cut once its point is further from i1 than the steps left.
+    cut once its point is further from i1 than the steps left.  A step
+    leaves a position other than the one it reaches, and moves the norm by
+    exactly 1 at each end, so a block is skipped whole when even the
+    arrival that lowers the norm would leave it over that bound.
     """
-    blocks, point_blocks, pos, base = sc.blocks, sc.point_blocks, sc.pos, sc.base
+    pos, base, steps = sc.pos, sc.base, sc.steps
     coef = [0] * len(pos)
     points: list[int] = []
     ks: list[int] = []
     touched: list[int] = []
 
-    def extend(u, norm):
-        left = max_len - len(ks)
+    def extend(u, norm, left):
         if (u == i1 and len(ks) >= 2 and ks[-1] != k1
                 and (not balanced or (norm == 0 and left == 0))
                 # the cuts below let ties at arr0 through: settle them in full
@@ -371,41 +379,42 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
         if left == 0:
             return None
         prev = ks[-1]
+        # the norm a branch may carry on (never reached without ``balanced``)
+        slack = 2 * (left - 1) if balanced else 2 * max_len
         # leaving i1 again opens a rotation, which must not arrive below arr0
         again = u == i1 and first is None
-        for k in point_blocks[u]:
-            if k == prev or (left == 1 and k == k1):
+        for k, a, members in steps[u]:
+            if k == prev:
                 continue
-            a = pos[(u, k)]
-            ca = coef[a]
             if left > 1:
                 if again and k <= k1:
                     if k < k1:
                         continue
-                    steps = enumerate(blocks[k - 1][arr0 - base[k]:], arr0)
-                else:
-                    steps = enumerate(blocks[k - 1], base[k])
-            elif (i1, k) in pos:  # the last step can only close the walk
-                steps = ((pos[(i1, k)], i1),)
+                    members = members[arr0 - base[k]:]
+            elif k != k1 and k in closing:  # the last step can only close the walk
+                members = ((closing[k], i1),)
             else:
+                continue
+            ca = coef[a]
+            norm_a = norm + 1 if ca <= 0 else norm - 1
+            if norm_a - 1 > slack:
                 continue
             # reaching i1 from a opens a reversal arriving at a: below arr0,
             # i1 is out of bounds like the points below it
             floor = i1 + 1 if a < arr0 else lo
-            norm_a = norm + abs(ca - 1) - abs(ca)
-            for b, w in steps:
+            for b, w in members:
                 # unreachable points count as too far to close the walk
                 if w == u or w < floor or dist.get(w, left) >= left:
                     continue
                 cb = coef[b]
-                n = norm_a + abs(cb + 1) - abs(cb)
-                if balanced and n > 2 * (left - 1):
+                n = norm_a + 1 if cb >= 0 else norm_a - 1
+                if n > slack:
                     continue
                 coef[a], coef[b] = ca - 1, cb + 1
                 points.append(w)
                 ks.append(k)
                 touched.extend((a, b))
-                found = extend(w, n)
+                found = extend(w, n, left - 1)
                 coef[a], coef[b] = ca, cb
                 del points[-1], ks[-1], touched[-2:]
                 if found:
@@ -415,17 +424,18 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
     if first is not None:
         starts = first
     else:
-        starts = [(i1, k1, i2) for i1 in sorted(point_blocks)
-                  for k1 in point_blocks[i1] for i2 in blocks[k1 - 1] if i2 > i1]
+        starts = [(i1, k1, i2) for i1 in sorted(steps)
+                  for k1, _, members in steps[i1] for _, i2 in members if i2 > i1]
     found = None
     for i1, k1, i2 in starts:
         lo = 0 if first is not None else i1
         dist = sc.distances(i1)
+        closing = {k: a for k, a, _ in steps[i1]}
         a, b = pos[(i1, k1)], pos[(i2, k1)]
         arr0 = -1 if first is not None else b  # positions are >= 0: no cut
         coef[a], coef[b] = -1, 1
         points[:], ks[:], touched[:] = [i1, i2], [k1], [a, b]
-        found = extend(i2, 2)
+        found = extend(i2, 2, max_len - 1)
         coef[a] = coef[b] = 0
         if found:
             break

@@ -89,7 +89,9 @@ class ShiftSearchState:
     def create(cls, fss, m, target_girth):
         """Collect the distinct forms of the closed walks shorter than
         ``target_girth``/2, bucketed by the last incidence position they
-        touch, and compile them for ``m``.
+        touch, and compile them for ``m``.  The target must be even and in
+        4..128 (walks of at most 63 steps), and ``m`` in 1..2**28 - 1, below
+        which the residue tables are exact (``_compile``).
 
         ``closed_walks`` visits each walk once per rotation/reversal class
         (rotations and reversal share a form up to sign), so the forms
@@ -104,6 +106,9 @@ class ShiftSearchState:
         the length of the walk that gave each first, and the set-up wall
         time in seconds.
         """
+        target_girth = _integer(target_girth, "target girth", 4, even=True,
+                                high=2 * _MAX_WALK)
+        m = _integer(m, "modulus", 1, high=2**28 - 1)
         start = perf_counter()
         buckets: dict[int, list[list[tuple[int, int]]]] = {}
         seen: set = set()
@@ -248,11 +253,8 @@ def search_shifts(
     policy: SearchPolicy | None = None,
 ) -> SearchResult:
     """Find a shift sequence of order ``m`` whose expansion has Tanner girth
-    at least ``target_girth``, or prove none exists for this modulus."""
-    target_girth = _integer(target_girth, "target girth", 4, even=True,
-                            high=2 * _MAX_WALK)
-    # the residue tables are exact below 2**28 (``_compile``)
-    m = _integer(m, "modulus", 1, high=2**28 - 1)
+    at least ``target_girth``, or prove none exists for this modulus.
+    ``ShiftSearchState.create`` checks both."""
     policy = policy or SearchPolicy()
     state = ShiftSearchState.create(fss, m, target_girth)
     # the first incidence of every block
@@ -289,7 +291,7 @@ def search_shifts(
         return SearchResult(status=status, **counts)
 
     shifts = ShiftSequence(
-        m=m, entries={inc: state.prefix[i] for i, inc in enumerate(state.order)}
+        m=state.m, entries={inc: state.prefix[i] for i, inc in enumerate(state.order)}
     )
     report = tanner_girth(expand(assemble(fss, shifts)), cap=target_girth)
     if report.girth is not None and report.girth < target_girth:

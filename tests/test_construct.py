@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -141,6 +142,24 @@ class TestMethod2:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             method2(4, WeightProfile((2,)), 7)
+
+    @pytest.mark.parametrize("name, queries, accepted", [
+        ("v10-b13-g16", 193, 36), ("v10-b19-g14", 282, 72)])
+    def test_stats_count_the_walk_queries(self, name, queries, accepted):
+        p = next(p for p in load_paper_tables()["weight_profiles"]
+                 if p["name"] == name)
+        res = method2(p["v"], WeightProfile(tuple(p["K"])), p["target_girth"])
+        assert res.ok
+        stats = res.stats
+        assert (stats["walk_queries"], stats["accepted"]) == (queries, accepted)
+        assert type(stats["accepted"]) is int and stats["walk_s"] > 0
+        assert res == replace(res, stats={})  # timings never compare
+
+    def test_stats_of_an_unfinished_search(self):
+        res = method2(10, WeightProfile((3,) * 13), 16,
+                      policy=SearchPolicy(budget=5))
+        assert res.status == "unknown"
+        assert res.stats["walk_queries"] >= res.stats["accepted"] > 0
 
     @pytest.mark.parametrize("name, calls_before", [
         ("v10-b13-g16", 294), ("v10-b19-g14", 430)])

@@ -40,7 +40,7 @@ from fsscode.setsystem import (
     incidence_matrix,
     validate_fss,
 )
-from fsscode.shiftsearch import SearchPolicy, search_shifts
+from fsscode.shiftsearch import SearchPolicy, ShiftSearchState, search_shifts
 from fsscode.sim import ChannelConfig, StopRule, ber_sweep, spa_decode, transmit
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
@@ -83,6 +83,9 @@ TARGETS = {
     "search_shifts": (search_shifts, dict(fss=FSS, m=5, target_girth=6,
                                           policy=POLICY),
                       ["m", "target_girth"]),
+    "ShiftSearchState.create": (ShiftSearchState.create,
+                                dict(fss=FSS, m=5, target_girth=6),
+                                ["m", "target_girth"]),
     "WeightProfile": (WeightProfile, dict(K=(2, 3, 2)), ["K"]),
     "method1": (method1, dict(primitive=FSS, target_g=12, m_schedule=[3, 5],
                               policy=POLICY), ["target_g", "m_schedule"]),
@@ -184,6 +187,8 @@ def _mutated_json(data, text):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: search_shifts(FSS, 5, 7), "target girth must be even, got 7"),
+    (lambda: ShiftSearchState.create(FSS, 5, 7),
+     "target girth must be even, got 7"),
     (lambda: method1(FSS, 7, [3]), "target girth must be even, got 7"),
     (lambda: method2(5, WeightProfile((2, 3)), 7),
      "target girth must be even, got 7"),
@@ -217,6 +222,9 @@ def test_one_parity_rule(call, message):
     (lambda: inevitable_girth(validate_fss(3, [[1, 2], [2, 3], [1, 3]]), 2000),
      ValueError, "cap"),
     (lambda: search_shifts(FSS, 2**64, 6), ValueError, "modulus"),
+    (lambda: ShiftSearchState.create(FSS, 5, 2**64), ValueError, "target girth"),
+    (lambda: ShiftSearchState.create(FSS, 0, 8), ValueError, "modulus"),
+    (lambda: ShiftSearchState.create(FSS, 2**64, 6), ValueError, "modulus"),
     (lambda: method2(2**64, WeightProfile((2, 3, 2)), 6), ValueError, "v"),
 ])
 def test_boundary_names_the_parameter(call, error, name):
