@@ -291,7 +291,7 @@ def search_shifts(
         return SearchResult(status=status, **counts)
 
     shifts = ShiftSequence(
-        m=state.m, entries={inc: state.prefix[i] for i, inc in enumerate(state.order)}
+        m=m, entries={inc: state.prefix[i] for i, inc in enumerate(state.order)}
     )
     report = tanner_girth(expand(assemble(fss, shifts)), cap=target_girth)
     if report.girth is not None and report.girth < target_girth:

@@ -187,8 +187,6 @@ def _mutated_json(data, text):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: search_shifts(FSS, 5, 7), "target girth must be even, got 7"),
-    (lambda: ShiftSearchState.create(FSS, 5, 7),
-     "target girth must be even, got 7"),
     (lambda: method1(FSS, 7, [3]), "target girth must be even, got 7"),
     (lambda: method2(5, WeightProfile((2, 3)), 7),
      "target girth must be even, got 7"),
@@ -222,14 +220,23 @@ def test_one_parity_rule(call, message):
     (lambda: inevitable_girth(validate_fss(3, [[1, 2], [2, 3], [1, 3]]), 2000),
      ValueError, "cap"),
     (lambda: search_shifts(FSS, 2**64, 6), ValueError, "modulus"),
-    (lambda: ShiftSearchState.create(FSS, 5, 2**64), ValueError, "target girth"),
-    (lambda: ShiftSearchState.create(FSS, 0, 8), ValueError, "modulus"),
-    (lambda: ShiftSearchState.create(FSS, 2**64, 6), ValueError, "modulus"),
     (lambda: method2(2**64, WeightProfile((2, 3, 2)), 6), ValueError, "v"),
 ])
 def test_boundary_names_the_parameter(call, error, name):
     with pytest.raises(error, match=f"^{name} must be"):
         call()
+
+
+@pytest.mark.parametrize("m, target, message", [
+    (5, 7, "target girth must be even, got 7"),
+    (5, 2**64, "target girth must be <= 128"),
+    (0, 8, "modulus must be positive"),
+    (2**64, 6, "modulus must be <= 268435455"),
+])
+def test_create_checks_target_and_modulus(m, target, message):
+    # the public state constructor holds the checks search_shifts relies on
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ShiftSearchState.create(FSS, m, target)
 
 
 def test_point_bound_admits_its_own_count():
