@@ -335,6 +335,59 @@ class TestTrajectoryPinned:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _feed_setup(h, state):
+    """Feed ``h`` what ``create`` built: the buckets, the walk and template
+    counts, and every residue table, bucket by bucket."""
+    h.update(repr(state.buckets).encode())
+    h.update(repr((state.stats["walks"], state.stats["templates"])).encode())
+    for e in sorted(state._compiled):
+        C, groups = state._compiled[e]
+        h.update(repr((e, C.shape, C.dtype.str)).encode() + C.tobytes())
+        for d, lo, hi, neg_inv in groups:
+            h.update(repr((d, lo, hi, neg_inv.dtype.str)).encode()
+                     + neg_inv.tobytes())
+
+
+class TestSetupPinned:
+    """Template set-up pinned to a SHA-256 digest of its buckets, counts and
+    residue tables: a rebuilt ``create`` or ``_compile`` must reproduce them
+    byte for byte, bucket order and form signs included."""
+
+    @pytest.mark.parametrize("m, target, digest", [
+        (40, 8,
+         "3aa2bbbe300b0acc1cc990b2f415be2ce0ac336b78c4cd87f9b7e231c18eabc4"),
+        (477, 10,
+         "2351a8313771757ca47457cd389eae0f06b968a1fda6d763da7121e27ede75cd"),
+    ], ids=["m40-girth8", "m477-girth10"])
+    def test_ten_triples(self, m, target, digest):
+        h = hashlib.sha256()
+        _feed_setup(h, ShiftSearchState.create(TEN_TRIPLES, m, target))
+        assert h.hexdigest() == digest
+
+    def test_seeded_systems(self):
+        rng = random.Random(19)
+        h = hashlib.sha256()
+        repeated = walks = 0
+        for _ in range(300):
+            fss = _random_system(rng)
+            repeated += len(set(fss.blocks)) < len(fss.blocks)
+            for target in (6, 8, 10):
+                m = rng.choice((1, 2, 4, 6, 7, 9, 12, 16, 30))
+                state = ShiftSearchState.create(fss, m, target)
+                walks += state.stats["walks"]
+                h.update(repr((fss.blocks, m, target)).encode())
+                _feed_setup(h, state)
+        assert repeated > 100 and walks > 50_000
+        assert h.hexdigest() == (
+            "b545e6404050f406bebda25d43e737c0a5dc3a8e6961a74b5ba8590469171018")
+
+    def test_system_closing_no_walk(self):
+        state = ShiftSearchState.create(validate_fss(4, [[1, 2], [3, 4]]), 5, 8)
+        assert state.buckets == {} and state._compiled == {}
+        assert (state.stats["walks"], state.stats["templates"]) == (0, {})
+        assert state.allowed_values(3) == [0, 1, 2, 3, 4]
+
+
 class TestSearchShifts:
     def test_finds_and_verifies(self):
         fss = validate_fss(2, [[1, 2], [1, 2], [1, 2]])
