@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _MAX_POINTS = 2**20  # block_stats' R holds one count per point
+_MAX_DIM = 2**24     # BinaryMatrix rows, cols: row_ptr <= 128 MiB, keys < 2**48
 
 
 class SetSystemError(ValueError):
@@ -182,10 +183,8 @@ class BinaryMatrix:
     """
 
     def __init__(self, rows, cols, entries, col_labels=None):
-        self.rows = _integer(rows, "rows", 0)
-        self.cols = _integer(cols, "cols", 0)
-        if self.rows * self.cols > 2**63:
-            raise ValueError(f"{rows}x{cols} is too large for int64 edge keys")
+        self.rows = _integer(rows, "rows", 0, high=_MAX_DIM)
+        self.cols = _integer(cols, "cols", 0, high=_MAX_DIM)
         e = np.asarray(entries)
         if e.shape == (0,):  # [] parses as float64
             e = np.empty((0, 2), np.int64)

@@ -20,8 +20,8 @@ Tanner-girth oracle.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain
 from time import perf_counter
 
 import numpy as np
@@ -75,11 +75,12 @@ class SearchResult:
 
 @dataclass
 class ShiftSearchState:
-    """Assigned prefix plus the precomputed template buckets."""
+    """Assigned prefix plus the int8 template ``forms`` and their ``ends``."""
 
     m: int
-    order: list = field(default_factory=list)
-    buckets: dict = field(default_factory=dict)
+    order: list
+    forms: np.ndarray = field(repr=False, compare=False)
+    ends: np.ndarray = field(repr=False, compare=False)
     prefix: list = field(default_factory=list)
     expansions: int = 0
     backtracks: int = 0
@@ -93,54 +94,74 @@ class ShiftSearchState:
         4..128 (walks of at most 63 steps), and ``m`` in 1..2**28 - 1, below
         which the residue tables are exact (``_compile``).
 
-        ``closed_walks`` visits each walk once per rotation/reversal class
-        (rotations and reversal share a form up to sign), so the forms
-        dropped here as seen are those of distinct walks.  A form and its
-        negation are one template, kept with the sign of the first walk
-        that has it.  A balanced walk has the empty form; its bucket is
-        the largest position it leaves from, and it forbids every value
-        once its incidences exist, which is right when the target exceeds
-        the maximum achievable girth.
+        Each walk is recorded as the positions its steps leave and reach,
+        padded with the sentinel E = ``len(order)``, and scattered into a
+        (walks, E + 1) int8 matrix, one add per step column (``_MAX_WALK``
+        keeps coefficients within +-63).  ``closed_walks`` visits each walk
+        once per rotation/reversal class, whose members share a form up to
+        sign, so a repeated row is the form of a distinct walk.  A form and
+        its negation are one template: rows are compared with their first
+        nonzero coefficient negative, and the first of each is kept, in
+        walk order, with its own sign.  A balanced walk has the empty form;
+        its bucket is the largest position it leaves from, and it forbids
+        every value once its incidences exist, which is right when the
+        target exceeds the maximum achievable girth.
 
         ``stats`` records the walks visited, the templates kept, counted by
-        the length of the walk that gave each first, and the set-up wall
-        time in seconds.
+        the length of the walk that gave each first, and wall times in
+        seconds: ``walks_s`` of the walk search, ``compile_s`` of
+        ``_compile`` and ``setup_s`` of the whole.
         """
         target_girth = _integer(target_girth, "target girth", 4, even=True,
                                 high=2 * _MAX_WALK)
         m = _integer(m, "modulus", 1, high=2**28 - 1)
         start = perf_counter()
-        buckets: dict[int, list[list[tuple[int, int]]]] = {}
-        seen: set = set()
-        walks = 0
-        kept: dict[int, int] = {}
-        # one shared (position, coefficient) tuple per distinct term: a
-        # girth-10 search keeps tens of thousands of forms over a few
-        # hundred terms
-        terms: dict[tuple[int, int], tuple[int, int]] = {}
+        E, width = len(fss.incidences), target_girth - 2
+        raw, pad = array("i"), [E] * width
 
-        def collect(points, ks, touched, coef):
-            nonlocal walks
-            walks += 1
-            ps = [p for p in sorted(set(touched)) if coef[p]]
-            cs = [coef[p] for p in ps]
-            # positions, then coefficients, of the form or of its negation,
-            # whichever has a negative first coefficient
-            key = tuple(ps + cs if not cs or cs[0] < 0 else ps + [-c for c in cs])
-            if key not in seen:
-                seen.add(key)
-                kept[len(ks)] = kept.get(len(ks), 0) + 1
-                last = ps[-1] if ps else max(touched[::2])
-                buckets.setdefault(last, []).append(
-                    [terms.setdefault(t, t) for t in zip(ps, cs)])
+        def record(points, ks, touched, coef):
+            raw.extend(touched)
+            raw.extend(pad[len(touched):])
 
-        closed_walks(WalkScaffold(fss.blocks), target_girth // 2 - 1, collect)
-        seen.clear()  # free the keys before the tables are built
-        state = cls(m=m, order=fss.incidences, buckets=buckets)
+        closed_walks(WalkScaffold(fss.blocks), width // 2, record)
+        walks_s = perf_counter() - start
+        steps = np.asarray(raw).reshape(-1, width)
+        K = np.zeros((len(steps), E + 1), dtype=np.int8)
+        walk = np.arange(len(steps))
+        for j in range(width):  # leave -1, arrive +1; padding nets 0 at E
+            K[walk, steps[:, j]] += 1 if j % 2 else -1
+        flip = K[walk, (K != 0).argmax(axis=1)] > 0
+        np.negative(K, out=K, where=flip[:, None])
+        keys = K.view(np.dtype((np.void, E + 1))).ravel()
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        forms, steps = K[first, :E], steps[first]
+        np.negative(forms, out=forms, where=flip[first, None])
+        # the last position of the form, or the largest departure of an empty one
+        last = E - 1 - (forms[:, ::-1] != 0).argmax(axis=1)
+        departs = np.max(steps[:, ::2], axis=1, where=steps[:, ::2] < E, initial=-1)
+        ends = np.where(forms.any(axis=1), last, departs)
+        lengths, kept = np.unique((steps < E).sum(axis=1) // 2, return_counts=True)
+        state = cls(m=m, order=fss.incidences, forms=forms, ends=ends)
+        compiled = perf_counter()
         state._compile()
-        state.stats = {"walks": walks, "templates": dict(sorted(kept.items())),
+        state.stats = {"walks": len(walk),
+                       "templates": dict(zip(lengths.tolist(), kept.tolist())),
+                       "walks_s": walks_s, "compile_s": perf_counter() - compiled,
                        "setup_s": perf_counter() - start}
         return state
+
+    @property
+    def buckets(self):
+        """The templates as ``{bucket: [form, ...]}``, each form a list of
+        its (position, coefficient) pairs in position order: a view of
+        ``forms`` and ``ends``, built on each access."""
+        rows, cols = np.nonzero(self.forms)
+        pairs = list(zip(cols.tolist(), self.forms[rows, cols].tolist()))
+        cuts = np.cumsum(np.count_nonzero(self.forms, axis=1)).tolist()
+        out: dict[int, list] = {}
+        for e, a, b in zip(self.ends.tolist(), [0] + cuts, cuts):
+            out.setdefault(e, []).append(pairs[a:b])
+        return out
 
     def _compile(self):
         """Residue tables of every bucket for this state's modulus.
@@ -152,34 +173,23 @@ class ShiftSearchState:
         ``s0 = -inv * (base/d) mod m/d`` and ``inv = (own/d)^-1 mod m/d``.
         A form with ``own == 0 mod m`` has d = m and ``inv = 0`` (Python's
         ``pow(0, -1, 1)``), so its one class ``s0 + k`` forbids every value
-        exactly when its base is 0 mod m.  The rows of ``C`` are reordered
-        into one contiguous group per d, each with its ``-inv`` array.
-        A bucket's terms are read once into flat (form, position,
-        coefficient) arrays; ``own`` and ``C`` are each one scatter of them.
-        ``C`` is float64 so that the product runs
+        exactly when its base is 0 mod m.  A bucket e's forms, in template
+        order, are reordered into one contiguous group per d, each with its
+        ``-inv`` array; ``own`` is their column e of ``forms`` and ``C``
+        their columns before e.  ``C`` is float64 so that the product runs
         through BLAS; for m below 2**28 every sum and product here is exact
         in float64 and int64.
         """
         m = self.m
         self._compiled = {}
-        for e, forms in self.buckets.items():
-            n = len(forms)
-            flat = list(chain.from_iterable(forms))
-            terms = np.fromiter(chain.from_iterable(flat), dtype=np.int64,
-                                count=2 * len(flat)).reshape(-1, 2)
-            form_of = np.repeat(np.arange(n), list(map(len, forms)))
-            pos, coef = terms[:, 0], terms[:, 1]
-            at_e = pos == e
-            own = np.zeros(n, dtype=np.int64)
-            own[form_of[at_e]] = coef[at_e]
-            own %= m
+        by_end = np.argsort(self.ends, kind="stable")
+        ends, cuts = np.unique(self.ends[by_end], return_index=True)
+        for e, rows in zip(ends.tolist(), np.split(by_end, cuts[1:])):
+            own = self.forms[rows, e].astype(np.int64) % m
             d = np.gcd(own, m)
-            rows = np.argsort(d, kind="stable")
-            own, d = own[rows], d[rows]
-            row_of = np.empty(n, dtype=np.intp)
-            row_of[rows] = np.arange(n)
-            C = np.zeros((n, e))
-            C[row_of[form_of[~at_e]], pos[~at_e]] = coef[~at_e]
+            by_d = np.argsort(d, kind="stable")
+            rows, own, d = rows[by_d], own[by_d], d[by_d]
+            C = self.forms[rows, :e].astype(np.float64)
             groups = []
             for g in sorted(set(d.tolist())):
                 lo, hi = np.searchsorted(d, [g, g + 1]).tolist()

@@ -221,6 +221,9 @@ def test_one_parity_rule(call, message):
      ValueError, "cap"),
     (lambda: search_shifts(FSS, 2**64, 6), ValueError, "modulus"),
     (lambda: method2(2**64, WeightProfile((2, 3, 2)), 6), ValueError, "v"),
+    # row_ptr holds rows + 1 int64 offsets
+    (lambda: BinaryMatrix(10**9, 3, [[0, 1]]), ValueError, "rows"),
+    (lambda: BinaryMatrix(3, 2**24 + 1, [[0, 1]]), ValueError, "cols"),
 ])
 def test_boundary_names_the_parameter(call, error, name):
     with pytest.raises(error, match=f"^{name} must be"):

@@ -503,13 +503,17 @@ class TestSetupStats:
     def test_counts_on_ten_triples(self):
         res = search_shifts(TEN_TRIPLES, 477, 10)
         state = ShiftSearchState.create(TEN_TRIPLES, 477, 10)
-        assert set(res.stats) == {"walks", "templates", "setup_s"}
+        assert set(res.stats) == {"walks", "templates", "walks_s", "compile_s",
+                                  "setup_s"}
         # one walk per rotation/reversal class, of 2..4 steps
         assert res.stats["walks"] == state.stats["walks"] == 15_705
         assert res.stats["templates"] == state.stats["templates"] == {
             2: 135, 3: 720, 4: 12_960}
         assert sum(len(forms) for forms in state.buckets.values()) == 13_815
         assert res.stats["setup_s"] > 0
+        # the walk search and the compile are phases of the set-up
+        assert 0 < res.stats["walks_s"] and 0 < res.stats["compile_s"]
+        assert res.stats["walks_s"] + res.stats["compile_s"] < res.stats["setup_s"]
 
     def test_templates_by_walk_length(self):
         # two parallel pairs close one 2-step walk and, going round it

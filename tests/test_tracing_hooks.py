@@ -40,3 +40,11 @@ def test_expand_counts_are_python_ints():
         assert H.nnz > 0
         for value in (H.rows, H.cols, H.nnz):
             assert type(value) is int, (H, type(value))
+
+
+def test_traced_template_count_matches_the_stats():
+    # perfbench's shiftsearch.templates metric counts the forms of
+    # ``buckets``, a view of the state's form matrix
+    state = ShiftSearchState.create(validate_fss(3, [[1, 2, 3]] * 10), 477, 10)
+    count = _load_spans()._templates(state)
+    assert count == sum(state.stats["templates"].values()) == 13_815
