@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -361,6 +365,106 @@ class TestBatchSize:
         for batch in (2, 7, default, 64):
             assert any(f % batch for f in by_errors)
             assert any(f % batch for f in by_cap)
+
+
+def _usable_cpus():
+    return len(os.sched_getaffinity(0))
+
+
+def _sweep_without_timings(*args, **kwargs):
+    recs = ber_sweep(*args, **kwargs)
+    for r in recs:
+        assert r.stats.pop("noise_s") >= 0.0
+        assert r.stats.pop("decode_s") >= 0.0
+    return recs, [r.stats for r in recs]
+
+
+class TestLanes:
+    """``ber_sweep`` on several decoding lanes counts their frames in frame
+    order, so records and counters equal a one-lane sweep's. No test starts
+    more threads than this process may run on."""
+
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="two lanes need two CPUs")
+    def test_two_lanes_equal_one(self, code_360, monkeypatch):
+        from fsscode import sim
+
+        batch = sim._EDGE_BUDGET // code_360.nnz
+        rnd = 2 * batch  # frames dealt per round on two lanes
+        stops = []
+        for stop, seed in ((StopRule(7, 90), 1), (StopRule(12, 400), 1)):
+            got = []
+            for lanes in (1, 2):
+                monkeypatch.setattr(sim, "_lane_count", lambda b, k=lanes: k)
+                got.append(_sweep_without_timings(
+                    code_360, [2.0, 2.5, 3.0, 3.5], rate=0.7, stop=stop,
+                    seed=seed, max_iter=20))
+            assert got[0] == got[1]
+            stops += [(r.frames, r.frame_errors, stop) for r in got[0][0]]
+        # stops inside the first lane's batch and inside the second's, and
+        # at max_frames in the middle of a round
+        by_errors = [(f - 1) % rnd for f, e, stop in stops
+                     if e == stop.min_frame_errors]
+        assert any(k < batch for k in by_errors)
+        assert any(k >= batch for k in by_errors)
+        assert any(f == stop.max_frames and f % rnd for f, e, stop in stops)
+
+    def test_long_code_default_lanes_equal_one(self, monkeypatch):
+        from fsscode import sim
+
+        H = expand(reference_code("fss-3-10-m2570"))
+        assert sim._EDGE_BUDGET // H.nnz == 0  # a frame fills a batch alone
+        args = (H, [2.5], 0.7)
+        kwargs = {"stop": StopRule(3, 24), "seed": 5}
+        default = _sweep_without_timings(*args, **kwargs)
+        monkeypatch.setattr(sim, "_lane_count", lambda batch: 1)
+        assert _sweep_without_timings(*args, **kwargs) == default
+        assert default[0][0].frames == 24
+
+    def test_one_usable_cpu_starts_no_thread(self, code_312, monkeypatch):
+        import concurrent.futures
+        import threading
+
+        from fsscode import sim
+
+        monkeypatch.setattr(sim, "_EDGE_BUDGET", code_312.nnz)  # batch == 1
+        args, kwargs = (code_312, [1.0, 3.0], 0.75), {
+            "stop": StopRule(9, 131), "seed": 11, "max_iter": 20}
+        want = _sweep_without_timings(*args, **kwargs)
+        assert sim._lane_count(1) == _usable_cpus()
+        assert sim._lane_count(2) == 1
+
+        class NoExecutor:
+            def __init__(self, *a, **kw):
+                raise AssertionError("an executor was built")
+
+        def no_start(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            NoExecutor)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        assert sim._lane_count(1) == 1
+        assert _sweep_without_timings(*args, **kwargs) == want
+
+    def test_import_leaves_the_executor_out(self):
+        from fsscode import sim
+
+        # neither the import nor a one-lane sweep loads concurrent.futures
+        code = (
+            "import sys\n"
+            "from fsscode import reference_code\n"
+            "from fsscode.qc import expand\n"
+            "from fsscode.sim import StopRule, ber_sweep\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "H = expand(reference_code('fss-3-10-m36'))\n"
+            "ber_sweep(H, [3.0], 0.7, stop=StopRule(1, 30))\n"
+            "assert 'concurrent.futures' not in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(sim.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 def _numpy_state(seed, snr_idx, frame):
