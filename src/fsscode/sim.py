@@ -474,10 +474,8 @@ class _Lane:
 
 def _lane_count(batch: int) -> int:
     """Decoding lanes of a sweep whose batches hold ``batch`` frames: one per
-    CPU this process may run on when a frame fills a batch alone, else one.
-    Threads pay only there: a lone long frame spends nearly all its time in
-    large numpy calls that release the GIL, while at the n=360 code's
-    24-frame batches two lanes ran at 0.85-1.0x, held back by the GIL."""
+    CPU this process may run on when a frame fills a batch alone, else one
+    (the module docstring says why)."""
     if batch > 1:
         return 1
     try:
@@ -500,12 +498,10 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     PCG64 takes a frame's state and draws its row of the lane's batch, and
     the LLR scaling runs once per batch.
 
-    Frames are decoded in batches, one batch per lane per round (see
-    ``_lane_count``): the calling thread decodes the first batch of a round
-    while the other lanes, threads that live only as long as this call,
-    decode the next ones. Frames are counted in frame order, so the sweep
-    stops at exactly the frame that brings in the last frame error it needs
-    and discards any decoded past it; the records do not depend on the batch
+    Frames are decoded in batches, one batch per lane per round (see the
+    module docstring), and counted in frame order, so the sweep stops at
+    exactly the frame that brings in the last frame error it needs and
+    discards any decoded past it; the records do not depend on the batch
     size or the lane count. ``seed`` must be a non-negative integer; a
     ``bool`` is rejected.
     """
@@ -546,10 +542,13 @@ def _sweep_point(lanes, pool, batch, cfg, stop, states, max_iter) -> BerRecord:
         lane.noise_s = lane.decode_s = 0.0
     while frame_errors < stop.min_frame_errors and frames < stop.max_frames:
         dealt, left = [], stop.max_frames - frames
-        for lane in lanes[:-(-left // batch)]:
+        for lane in lanes:
+            if not left:
+                break
+            count = min(batch, left)
             # islice takes no state past the batch
-            dealt.append((lane, list(islice(states, min(batch, left)))))
-            left -= batch
+            dealt.append((lane, list(islice(states, count))))
+            left -= count
         futures = [pool.submit(lane.decode, chunk, cfg, max_iter)
                    for lane, chunk in dealt[1:]]
         dealt[0][0].decode(dealt[0][1], cfg, max_iter)
