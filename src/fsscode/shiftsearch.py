@@ -26,7 +26,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .setsystem import SetSystem, _integer
+from .setsystem import _MAX_DIM, SetSystem, _integer
 from .qc import ShiftSequence, assemble, expand
 from .girth import _MAX_WALK, WalkScaffold, closed_walks, tanner_girth
 
@@ -91,8 +91,9 @@ class ShiftSearchState:
         """Collect the distinct forms of the closed walks shorter than
         ``target_girth``/2, bucketed by the last incidence position they
         touch, and compile them for ``m``.  The target must be even and in
-        4..128 (walks of at most 63 steps), and ``m`` in 1..2**28 - 1, below
-        which the residue tables are exact (``_compile``).
+        4..128 (walks of at most 63 steps), and ``m`` in 1..2**24 // max(v,
+        b), so that the oracle's expansion fits a ``BinaryMatrix``; the
+        residue tables are exact below 2**28 (``_compile``).
 
         Each walk is recorded as the positions its steps leave and reach,
         padded with the sentinel E = ``len(order)``, and scattered into a
@@ -114,7 +115,7 @@ class ShiftSearchState:
         """
         target_girth = _integer(target_girth, "target girth", 4, even=True,
                                 high=2 * _MAX_WALK)
-        m = _integer(m, "modulus", 1, high=2**28 - 1)
+        m = _integer(m, "modulus", 1, high=_MAX_DIM // max(fss.v, fss.b))
         start = perf_counter()
         E, width = len(fss.incidences), target_girth - 2
         raw, pad = array("i"), [E] * width
@@ -264,7 +265,8 @@ def search_shifts(
 ) -> SearchResult:
     """Find a shift sequence of order ``m`` whose expansion has Tanner girth
     at least ``target_girth``, or prove none exists for this modulus.
-    ``ShiftSearchState.create`` checks both."""
+    ``ShiftSearchState.create`` checks both, before any search, and bounds
+    ``m`` so that the expansion the oracle verifies fits a ``BinaryMatrix``."""
     policy = policy or SearchPolicy()
     state = ShiftSearchState.create(fss, m, target_girth)
     # the first incidence of every block

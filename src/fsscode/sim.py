@@ -40,9 +40,9 @@ in frame order and discards any decoded past its stopping frame.
 
 When a frame fills a batch alone (``batch == 1``), ``ber_sweep`` decodes on
 one lane per CPU that ``os.sched_getaffinity`` lets the process use, and on
-one lane otherwise; no parameter sets the count. A lane has its own message
-buffers and its own reused PCG64, and every lane reads one copy of H's index
-tables (``_SpaTables``). Each round deals one batch to each lane; the calling
+one lane otherwise; no parameter sets the count. A lane (``_SpaWorkspace``)
+has its own message buffers and reused PCG64, and shares the first lane's
+index tables. Each round deals one batch to each lane; the calling
 thread decodes the first and the others run on threads that live only for
 that ``ber_sweep`` call. Only the calling thread takes frame states, and it
 counts the round's frames in frame order with the usual stop rule, so the
@@ -61,7 +61,6 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
 from time import perf_counter
 
@@ -104,11 +103,11 @@ class ChannelConfig:
         if not math.isfinite(self.ebn0_db):
             raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
 
-    @cached_property
+    @property
     def noise_var(self) -> float:
         return 1.0 / (2.0 * self.rate * 10.0 ** (self.ebn0_db / 10.0))
 
-    @cached_property
+    @property
     def _sigma(self) -> float:
         return np.sqrt(self.noise_var)
 
@@ -285,9 +284,9 @@ def _frame_states(seed: int, snr_idx: int, max_frames: int):
                                  min(_SEED_CHUNK, max_frames - start))
 
 
-class _SpaTables:
-    """Slot-major index tables of H, read-only once built, so any number of
-    workspaces (and threads) can share them.
+class _SpaWorkspace:
+    """One decoding lane: H's slot-major index tables, message buffers for up
+    to ``frames`` frames, and a reused PCG64.
 
     Slot k of row r holds the k-th column of that row, so check-node
     messages are ``(frames, max row degree, rows)`` arrays and the check-node
@@ -296,41 +295,38 @@ class _SpaTables:
     Column c reads its messages through ``col_slot[:, c]``, flat slot
     positions in ascending row order (``bincount``'s order); a padding entry
     names a trailing 0.0. ``pad`` lists the flat padding slots, or is None.
-    """
 
-    def __init__(self, H: BinaryMatrix):
-        m, n, nnz, rows, cols = H.rows, H.cols, H.nnz, H.edge_rows, H.edge_cols
-        slot = np.arange(nnz) - H.row_ptr[rows]
-        flat = slot * m + rows
-        dr = int(np.diff(H.row_ptr).max(initial=0))
-        self.slot_col = np.full((dr, m), n, dtype=np.intp)
-        self.slot_col[slot, rows] = cols
-
-        by_col = np.argsort(cols, kind="stable")  # keeps rows ascending
-        cdeg = np.bincount(cols, minlength=n)
-        rank = np.arange(nnz) - (np.cumsum(cdeg) - cdeg)[cols[by_col]]
-        self.col_slot = np.full((int(cdeg.max(initial=0)), n), dr * m,
-                                dtype=np.intp)
-        self.col_slot[rank, cols[by_col]] = flat[by_col]
-
-        self.pad = np.flatnonzero(self.slot_col == n) if nnz < dr * m else None
-        self.n = n
-
-
-class _SpaWorkspace:
-    """H's index tables (``_SpaTables``, built here unless ``tables`` is
-    given) plus message buffers for up to ``frames`` frames.
-
-    The buffers are overwritten by every decode, so a workspace serves one
-    decode call at a time; workspaces that share one ``tables`` do not
-    interfere.
+    The tables are built here, or taken by reference from the workspace
+    ``share``; they are read-only once built, so any number of workspaces
+    (and threads) can share them. The buffers and the PCG64 are the
+    workspace's own and are overwritten by every decode, so a workspace
+    serves one decode call at a time, and workspaces that share tables do
+    not interfere. ``noise_s`` and ``decode_s`` add up the wall time of its
+    ``decode`` calls.
     """
 
     def __init__(self, H: BinaryMatrix, frames: int = 1,
-                 tables: _SpaTables | None = None):
-        t = tables or _SpaTables(H)
-        self.slot_col, self.col_slot, self.pad, self.n = (
-            t.slot_col, t.col_slot, t.pad, t.n)
+                 share: _SpaWorkspace | None = None):
+        if share is not None:
+            self.slot_col, self.col_slot, self.pad, self.n = (
+                share.slot_col, share.col_slot, share.pad, share.n)
+        else:
+            m, n, nnz, rows, cols = H.rows, H.cols, H.nnz, H.edge_rows, H.edge_cols
+            slot = np.arange(nnz) - H.row_ptr[rows]
+            flat = slot * m + rows
+            dr = int(np.diff(H.row_ptr).max(initial=0))
+            self.slot_col = np.full((dr, m), n, dtype=np.intp)
+            self.slot_col[slot, rows] = cols
+
+            by_col = np.argsort(cols, kind="stable")  # keeps rows ascending
+            cdeg = np.bincount(cols, minlength=n)
+            rank = np.arange(nnz) - (np.cumsum(cdeg) - cdeg)[cols[by_col]]
+            self.col_slot = np.full((int(cdeg.max(initial=0)), n), dr * m,
+                                    dtype=np.intp)
+            self.col_slot[rank, cols[by_col]] = flat[by_col]
+
+            self.pad = np.flatnonzero(self.slot_col == n) if nnz < dr * m else None
+            self.n = n
         (dr, m), n = self.slot_col.shape, self.n
         self.llr = np.empty((frames, n))
         self.total = np.zeros((frames, n + 1))
@@ -343,6 +339,24 @@ class _SpaWorkspace:
         self.bits = np.empty((frames, n), dtype=bool)
         self.converged = np.empty(frames, dtype=bool)
         self.iterations = np.empty(frames, dtype=np.intp)
+        self.bitgen = np.random.PCG64(0)  # its state is set before every frame
+        self.rng = np.random.Generator(self.bitgen)
+        self.noise_s = self.decode_s = 0.0
+
+    def decode(self, states, cfg: ChannelConfig, max_iter: int) -> None:
+        """Draw the LLRs of the frames whose PCG64 ``(state, inc)`` are
+        ``states`` into the leading rows of ``llr``, then decode them."""
+        pcg = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+        t0 = perf_counter()
+        for f, (state, inc) in enumerate(states):
+            pcg["state"] = {"state": state, "inc": inc}
+            self.bitgen.state = pcg
+            self.rng.standard_normal(out=self.llr[f])
+        _noise_to_llr(self.llr[:len(states)], cfg)
+        t1 = perf_counter()
+        _decode_frames(self, len(states), max_iter)
+        self.decode_s += perf_counter() - t1
+        self.noise_s += t1 - t0
 
 
 _LIM = 0.999999999999
@@ -352,7 +366,8 @@ _MAX_ITER = 50  # spa_decode's, ber_sweep's and ``fsscode simulate``'s default
 # the n=360 reference code (1,080 edges), whose batch buffers take ~0.7 MB,
 # and one at a time for any code with more than 12,960 edges (n=25,700 has
 # 77,100), where numpy's per-call overhead is already small. Those one-frame
-# batches, and only they, run on one lane per usable CPU (``_lane_count``).
+# batches, and only they, run on one lane (a ``_SpaWorkspace``) per usable
+# CPU (``_lane_count``).
 _EDGE_BUDGET = 25_920
 
 
@@ -444,34 +459,6 @@ def spa_decode(H: BinaryMatrix, llr, max_iter: int = _MAX_ITER) -> DecodeResult:
                         iterations=int(ws.iterations[0]))
 
 
-class _Lane:
-    """One decoding lane: message buffers and a reused PCG64 of its own, so
-    lanes share nothing writable. ``noise_s`` and ``decode_s`` add up the
-    wall time of its own calls."""
-
-    def __init__(self, H: BinaryMatrix, tables: _SpaTables, batch: int):
-        self.ws = _SpaWorkspace(H, batch, tables)
-        self.bitgen = np.random.PCG64(0)  # its state is set before every frame
-        self.rng = np.random.Generator(self.bitgen)
-        self.pcg = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-        self.noise_s = self.decode_s = 0.0
-
-    def decode(self, states, cfg: ChannelConfig, max_iter: int) -> None:
-        """Draw the LLRs of the frames whose PCG64 ``(state, inc)`` are
-        ``states`` into the leading rows of the workspace, then decode them."""
-        ws, pcg = self.ws, self.pcg
-        t0 = perf_counter()
-        for f, (state, inc) in enumerate(states):
-            pcg["state"] = {"state": state, "inc": inc}
-            self.bitgen.state = pcg
-            self.rng.standard_normal(out=ws.llr[f])
-        _noise_to_llr(ws.llr[:len(states)], cfg)
-        t1 = perf_counter()
-        _decode_frames(ws, len(states), max_iter)
-        self.decode_s += perf_counter() - t1
-        self.noise_s += t1 - t0
-
-
 def _lane_count(batch: int) -> int:
     """Decoding lanes of a sweep whose batches hold ``batch`` frames: one per
     CPU this process may run on when a frame fills a batch alone, else one
@@ -509,14 +496,12 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     seed = _integer(seed, "seed", 0)
     cfgs = [ChannelConfig(e, rate) for e in _iterable(ebn0_list, "ebn0_list")]
     stop = stop or StopRule()
-    for cfg in cfgs:  # fill the cached properties before any lane reads them
-        cfg._sigma
     # columns bound the batch too: a workspace holds O(edges + columns)
     # floats per frame, and H may have few or no edges
     batch = max(1, _EDGE_BUDGET // max(H.nnz, H.cols, 1))
-    tables = _SpaTables(H)
-    lanes = [_Lane(H, tables, batch) for _ in
-             range(max(1, min(_lane_count(batch), stop.max_frames)))]
+    lanes = [_SpaWorkspace(H, batch)]
+    lanes += [_SpaWorkspace(H, batch, share=lanes[0])
+              for _ in range(min(_lane_count(batch), stop.max_frames) - 1)]
     pool = None
     if len(lanes) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -554,8 +539,8 @@ def _sweep_point(lanes, pool, batch, cfg, stop, states, max_iter) -> BerRecord:
         dealt[0][0].decode(dealt[0][1], cfg, max_iter)
         for fut in futures:
             fut.result()  # re-raises a lane's exception here
-        for lane, chunk in dealt:
-            ws, count = lane.ws, len(chunk)
+        for ws, chunk in dealt:
+            count = len(chunk)
             nerr = ws.bits[:count].sum(axis=1)
             # the frame errors still needed; the sweep ends at the last one
             need = stop.min_frame_errors - frame_errors

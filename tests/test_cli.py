@@ -513,6 +513,20 @@ class TestPointBoundAndDefaults:
         assert doc["error"] == "SetSystemError"
         assert "point count" in doc["message"]
 
+    def test_shifts_rejects_a_modulus_too_large_to_expand(self, capsys,
+                                                          tmp_path):
+        # the expansion of one 5-point block at m = 2**22 has 5 * 2**22 rows
+        path = tmp_path / "block.json"
+        path.write_text(validate_fss(5, [[1, 2, 3, 4, 5]]).to_json())
+        start = time.perf_counter()
+        code, out, err = _run(capsys, ["shifts", "--fss", str(path), "--m",
+                                       str(2**22), "--girth", "6"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_ERROR, "")
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError"
+        assert doc["message"].startswith("modulus must be <= 3355443")
+
     @pytest.mark.parametrize("argv, dest, fn, value", [
         (["simulate", "--alist", "h", "--snr", "1", "--rate", "0.5", "-o", "o"],
          "max_iter", ber_sweep, 50),

@@ -220,6 +220,9 @@ def test_one_parity_rule(call, message):
     (lambda: inevitable_girth(validate_fss(3, [[1, 2], [2, 3], [1, 3]]), 2000),
      ValueError, "cap"),
     (lambda: search_shifts(FSS, 2**64, 6), ValueError, "modulus"),
+    # its expansion would have 5 * 2**22 rows, over BinaryMatrix's bound
+    (lambda: search_shifts(validate_fss(5, [[1, 2, 3, 4, 5]]), 2**22, 6),
+     ValueError, "modulus"),
     (lambda: method2(2**64, WeightProfile((2, 3, 2)), 6), ValueError, "v"),
     # row_ptr holds rows + 1 int64 offsets
     (lambda: BinaryMatrix(10**9, 3, [[0, 1]]), ValueError, "rows"),
@@ -234,7 +237,7 @@ def test_boundary_names_the_parameter(call, error, name):
     (5, 7, "target girth must be even, got 7"),
     (5, 2**64, "target girth must be <= 128"),
     (0, 8, "modulus must be positive"),
-    (2**64, 6, "modulus must be <= 268435455"),
+    (2**64, 6, "modulus must be <= 4194304"),
 ])
 def test_create_checks_target_and_modulus(m, target, message):
     # the public state constructor holds the checks search_shifts relies on

@@ -447,6 +447,27 @@ class TestLanes:
         assert sim._lane_count(1) == 1
         assert _sweep_without_timings(*args, **kwargs) == want
 
+    def test_lanes_share_the_tables_and_nothing_writable(self, code_360):
+        # the RSS bound and the lanes' thread safety rest on this split
+        from fsscode.sim import _SpaWorkspace
+
+        first = _SpaWorkspace(code_360, frames=4)
+        other = _SpaWorkspace(code_360, frames=4, share=first)
+        tables = ("slot_col", "col_slot", "pad")
+        for name in tables:
+            assert getattr(other, name) is getattr(first, name), name
+
+        def buffers(ws):
+            return [(name, x) for name, x in vars(ws).items()
+                    if isinstance(x, np.ndarray) and name not in tables]
+
+        assert len(buffers(first)) == len(buffers(other)) >= 10
+        for a, x in buffers(first):
+            for b, y in buffers(other):
+                assert not np.shares_memory(x, y), (a, b)
+        assert other.bitgen is not first.bitgen
+        assert other.rng is not first.rng
+
     def test_import_leaves_the_executor_out(self):
         from fsscode import sim
 

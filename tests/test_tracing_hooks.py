@@ -9,7 +9,7 @@ from pathlib import Path
 from fsscode import reference_code
 from fsscode.qc import assemble, expand, shift_sequence_from_list
 from fsscode.setsystem import validate_fss
-from fsscode.shiftsearch import ShiftSearchState
+from fsscode.shiftsearch import ShiftSearchState, search_shifts
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -48,3 +48,21 @@ def test_traced_template_count_matches_the_stats():
     state = ShiftSearchState.create(validate_fss(3, [[1, 2, 3]] * 10), 477, 10)
     count = _load_spans()._templates(state)
     assert count == sum(state.stats["templates"].values()) == 13_815
+
+
+def test_created_state_carries_the_search_counters(monkeypatch):
+    # the traced run reads ``backtracks`` off the state ``create`` returned
+    # (spans.layer_metrics and Tracer.dump), after search_shifts has run on it
+    created = []
+    create = ShiftSearchState.create.__func__
+
+    def capture(cls, *args):
+        created.append(create(cls, *args))
+        return created[-1]
+
+    monkeypatch.setattr(ShiftSearchState, "create", classmethod(capture))
+    res = search_shifts(validate_fss(3, [[1, 2, 3]] * 10), 40, 8)
+    assert res.status == "ok"
+    (state,) = created
+    assert state.backtracks == res.backtracks == 1496
+    assert state.expansions == res.expansions
