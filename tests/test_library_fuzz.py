@@ -220,9 +220,6 @@ def test_one_parity_rule(call, message):
     (lambda: inevitable_girth(validate_fss(3, [[1, 2], [2, 3], [1, 3]]), 2000),
      ValueError, "cap"),
     (lambda: search_shifts(FSS, 2**64, 6), ValueError, "modulus"),
-    # its expansion would have 5 * 2**22 rows, over BinaryMatrix's bound
-    (lambda: search_shifts(validate_fss(5, [[1, 2, 3, 4, 5]]), 2**22, 6),
-     ValueError, "modulus"),
     (lambda: method2(2**64, WeightProfile((2, 3, 2)), 6), ValueError, "v"),
     # row_ptr holds rows + 1 int64 offsets
     (lambda: BinaryMatrix(10**9, 3, [[0, 1]]), ValueError, "rows"),
@@ -231,6 +228,12 @@ def test_one_parity_rule(call, message):
 def test_boundary_names_the_parameter(call, error, name):
     with pytest.raises(error, match=f"^{name} must be"):
         call()
+
+
+def test_modulus_bound_follows_the_expansion_size():
+    # its expansion would have 5 * 2**22 rows, over BinaryMatrix's bound
+    with pytest.raises(ValueError, match="^modulus must be"):
+        search_shifts(validate_fss(5, [[1, 2, 3, 4, 5]]), 2**22, 6)
 
 
 @pytest.mark.parametrize("m, target, message", [
