@@ -38,20 +38,37 @@ one), so short codes decode many frames at once while long ones, whose
 per-call overhead is already small, decode one at a time; it counts frames
 in frame order and discards any decoded past its stopping frame.
 
-When a frame fills a batch alone (``batch == 1``), ``ber_sweep`` decodes on
-one lane per CPU that ``os.sched_getaffinity`` lets the process use, and on
-one lane otherwise; no parameter sets the count. A lane (``_SpaWorkspace``)
-has its own message buffers and reused PCG64, and shares the first lane's
-index tables. Each round deals one batch to each lane; the calling
-thread decodes the first and the others run on threads that live only for
-that ``ber_sweep`` call. Only the calling thread takes frame states, and it
-counts the round's frames in frame order with the usual stop rule, so the
-records equal a one-lane sweep's bit for bit. Threads pay only for such long
-frames, whose time goes almost all to large numpy calls that release the
-GIL: on a 2-CPU Xeon VM two lanes took a 16-frame sweep of the n=25,700 code
-at 2.5 dB from ~0.21 to ~0.15 s, while at the n=360 code's 24-frame batches
-they ran at 0.85-1.0x, held back by the GIL. A record's ``noise_s`` and
-``decode_s`` are summed over lanes, so they can exceed its wall time.
+``ber_sweep`` decodes on one lane per CPU that ``os.sched_getaffinity`` lets
+the process use, and never on more lanes than the batches of the stop rule's
+``max_frames`` can fill; no parameter sets the count. The calling process is
+the first lane. Each other lane is a worker process forked at the start of
+the ``ber_sweep`` call and reaped at its end, on return or on raise; it
+inherits the first lane's index tables through the fork and builds its own
+buffers (``_Worker``). A fork happens only where ``os.fork`` exists and no
+other thread is alive; otherwise, and on one usable CPU, the sweep runs the
+same rounds on one lane in process.
+
+Each round deals every lane a share of whole batches, at least
+``ceil(min(left, need) / lanes)`` frames, where ``need`` is the frame errors
+still to collect and ``left`` the frames ``max_frames`` still allows: every
+one of the next ``min(left, need)`` frames is counted whatever it decodes
+to, so dealing them wastes nothing. While ``need`` is small the share also
+doubles each round from one batch up to a cap of ``_SHARE_BATCHES``
+batches' worth of edges, so the frames decoded past the stopping frame are
+at most ``lanes`` times that cap per SNR point. No share exceeds the larger
+of that cap and ``_SEED_CHUNK`` frames, which bounds the states a round
+lists and pipes. On one lane the share stays one batch.
+The calling process alone hashes frame states. It sends each worker its
+frames' ``(state, inc)`` over a pipe, decodes the first share itself, reads
+back per-frame bit errors, convergence flags and iteration counts, and counts
+the round's frames in frame order with the usual stop rule, so the records
+equal a one-lane sweep's bit for bit. A worker's failure or death raises
+``RuntimeError``. On a 2-CPU Xeon VM two lanes ran acceptance criterion 09
+(its 1.5 M-frame sweep of the n=360 code at 4.5 dB) at 0.63-0.68x of one
+lane's time side by side; a frame there costs 57-85 us on each of two busy
+CPUs against 50-57 us alone. A record's ``noise_s`` and ``decode_s`` are
+summed over lanes, so they can exceed its wall time, and a worker's memory
+is counted in ``RUSAGE_CHILDREN``, not in the caller's RSS.
 """
 
 from __future__ import annotations
@@ -60,6 +77,8 @@ import csv
 import math
 import numbers
 import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 from itertools import islice
 from time import perf_counter
@@ -126,7 +145,8 @@ class BerRecord:
     decoder iterations indexed by iteration count; ``undetected_errors``, the
     frames that converged to a nonzero codeword; and ``noise_s`` and
     ``decode_s``, the wall seconds spent making LLRs and decoding them,
-    summed over decoding lanes, so they can exceed the point's wall time."""
+    summed over decoding lanes (worker processes included), so they can
+    exceed the point's wall time."""
 
     ebn0_db: float
     bits: int
@@ -297,15 +317,15 @@ class _SpaWorkspace:
     names a trailing 0.0. ``pad`` lists the flat padding slots, or is None.
 
     The tables are built here, or taken by reference from the workspace
-    ``share``; they are read-only once built, so any number of workspaces
-    (and threads) can share them. The buffers and the PCG64 are the
-    workspace's own and are overwritten by every decode, so a workspace
-    serves one decode call at a time, and workspaces that share tables do
-    not interfere. ``noise_s`` and ``decode_s`` add up the wall time of its
-    ``decode`` calls.
+    ``share`` (in a forked worker, the first lane's inherited copy); they are
+    read-only once built, so any number of workspaces can share them. The
+    buffers and the PCG64 are the workspace's own and are overwritten by
+    every decode, so a workspace serves one decode call at a time, and
+    workspaces that share tables do not interfere. ``noise_s`` and
+    ``decode_s`` add up the wall time of its ``decode`` calls.
     """
 
-    def __init__(self, H: BinaryMatrix, frames: int = 1,
+    def __init__(self, H: BinaryMatrix | None, frames: int = 1,
                  share: _SpaWorkspace | None = None):
         if share is not None:
             self.slot_col, self.col_slot, self.pad, self.n = (
@@ -343,20 +363,32 @@ class _SpaWorkspace:
         self.rng = np.random.Generator(self.bitgen)
         self.noise_s = self.decode_s = 0.0
 
-    def decode(self, states, cfg: ChannelConfig, max_iter: int) -> None:
-        """Draw the LLRs of the frames whose PCG64 ``(state, inc)`` are
-        ``states`` into the leading rows of ``llr``, then decode them."""
+    def decode(self, states, cfg: ChannelConfig, max_iter: int):
+        """Decode the frames whose PCG64 ``(state, inc)`` are ``states``, a
+        batch of up to ``frames`` at a time: draw their LLRs into the leading
+        rows of ``llr``, then decode them. Returns each frame's bit errors,
+        convergence flag and iteration count, as three arrays."""
+        count = len(states)
+        nerr = np.empty(count, dtype=np.int64)
+        converged = np.empty(count, dtype=bool)
+        iterations = np.empty(count, dtype=np.intp)
         pcg = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-        t0 = perf_counter()
-        for f, (state, inc) in enumerate(states):
-            pcg["state"] = {"state": state, "inc": inc}
-            self.bitgen.state = pcg
-            self.rng.standard_normal(out=self.llr[f])
-        _noise_to_llr(self.llr[:len(states)], cfg)
-        t1 = perf_counter()
-        _decode_frames(self, len(states), max_iter)
-        self.decode_s += perf_counter() - t1
-        self.noise_s += t1 - t0
+        for lo in range(0, count, len(self.llr)):
+            size = min(len(self.llr), count - lo)
+            t0 = perf_counter()
+            for f, (state, inc) in enumerate(states[lo:lo + size]):
+                pcg["state"] = {"state": state, "inc": inc}
+                self.bitgen.state = pcg
+                self.rng.standard_normal(out=self.llr[f])
+            _noise_to_llr(self.llr[:size], cfg)
+            t1 = perf_counter()
+            _decode_frames(self, size, max_iter)
+            nerr[lo:lo + size] = self.bits[:size].sum(axis=1)
+            converged[lo:lo + size] = self.converged[:size]
+            iterations[lo:lo + size] = self.iterations[:size]
+            self.decode_s += perf_counter() - t1
+            self.noise_s += t1 - t0
+        return nerr, converged, iterations
 
 
 _LIM = 0.999999999999
@@ -365,10 +397,14 @@ _MAX_ITER = 50  # spa_decode's, ber_sweep's and ``fsscode simulate``'s default
 # ber_sweep decodes max(1, _EDGE_BUDGET // edges) frames per batch: 24 of
 # the n=360 reference code (1,080 edges), whose batch buffers take ~0.7 MB,
 # and one at a time for any code with more than 12,960 edges (n=25,700 has
-# 77,100), where numpy's per-call overhead is already small. Those one-frame
-# batches, and only they, run on one lane (a ``_SpaWorkspace``) per usable
-# CPU (``_lane_count``).
+# 77,100), where numpy's per-call overhead is already small.
 _EDGE_BUDGET = 25_920
+# while few frame errors are still needed, a worker lane's share of a round
+# doubles up to this many batches of _EDGE_BUDGET edges (768 frames of the
+# n=360 code, 10 of n=25,700), ~50 ms of decoding or more, which spreads a
+# round's messages and waits and bounds the frames wasted past the stopping
+# frame
+_SHARE_BATCHES = 32
 
 
 def _decode_frames(ws: _SpaWorkspace, count: int, max_iter: int) -> None:
@@ -459,16 +495,129 @@ def spa_decode(H: BinaryMatrix, llr, max_iter: int = _MAX_ITER) -> DecodeResult:
                         iterations=int(ws.iterations[0]))
 
 
-def _lane_count(batch: int) -> int:
-    """Decoding lanes of a sweep whose batches hold ``batch`` frames: one per
-    CPU this process may run on when a frame fills a batch alone, else one
-    (the module docstring says why)."""
-    if batch > 1:
+def _lane_count(batch: int, max_frames: int) -> int:
+    """Decoding lanes of a sweep: one per CPU this process may run on, no
+    more than the ``batch``-frame batches ``max_frames`` can fill, and one
+    where a worker cannot be forked safely (no ``os.fork``, or another
+    thread is alive, whose locks a child would inherit held)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, -(-max_frames // batch)))
+
+
+class _Worker:
+    """A decoding lane in a child process forked for one ``ber_sweep`` call.
+
+    The child inherits the first lane's workspace ``ws`` through the fork,
+    builds its own buffers around ws's tables, and decodes each task it reads
+    from its pipe, ``(states, cfg, max_iter)``, writing back what
+    ``_SpaWorkspace.decode`` returns and that task's ``noise_s`` and
+    ``decode_s``, until the pipe closes. Tasks and results alternate, so
+    neither side writes while the other is writing, and a result larger
+    than the pipe's buffer cannot deadlock. The child leaves only through
+    ``os._exit``: it never returns into the caller's stack, runs no
+    ``atexit`` handler and flushes none of the parent's buffered output.
+    A failure in the child is sent back as text; ``result`` raises
+    ``RuntimeError`` for it and for a child that died.
+    """
+
+    def __init__(self, ws: _SpaWorkspace, others: list[_Worker]):
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (task_r, task_w, result_r, result_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(task_w)
+                os.close(result_r)
+                # the parent's ends of earlier workers' pipes: were a copy
+                # kept here, closing the parent's would not end those workers
+                for w in others:
+                    w.tasks.close()
+                    w.results.close()
+                with open(task_r, "rb") as tasks, open(result_w, "wb") as out:
+                    _serve(_SpaWorkspace(None, len(ws.llr), share=ws), tasks,
+                           out)
+                code = 0
+            except BaseException:  # noqa: BLE001 - _serve sent it to the parent
+                pass
+            finally:
+                os._exit(code)
+        os.close(task_r)
+        os.close(result_w)
+        self.tasks, self.results = open(task_w, "wb"), open(result_r, "rb")
+        self.noise_s = self.decode_s = 0.0
+
+    def send(self, states, cfg: ChannelConfig, max_iter: int) -> None:
+        try:
+            pickle.dump((states, cfg, max_iter), self.tasks,
+                        pickle.HIGHEST_PROTOCOL)
+            self.tasks.flush()
+        except OSError as ex:  # a broken pipe: the child is gone
+            raise RuntimeError(f"decoding worker {self.pid} died") from ex
+
+    def result(self):
+        try:
+            out = pickle.load(self.results)
+        except Exception as ex:  # noqa: BLE001 - a cut or garbled stream
+            raise RuntimeError(f"decoding worker {self.pid} died") from ex
+        if isinstance(out, str):
+            raise RuntimeError(f"decoding worker {self.pid} failed: {out}")
+        out, noise_s, decode_s = out
+        self.noise_s += noise_s
+        self.decode_s += decode_s
+        return out
+
+    def kill(self) -> None:
+        """End the child without waiting for its task (on an error path)."""
+        import signal  # loaded only here
+
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+        except ProcessLookupError:  # reaped elsewhere
+            pass
+
+    def close(self) -> None:
+        """Close the pipes, which ends an idle child, and reap it."""
+        for f in (self.tasks, self.results):
+            try:
+                f.close()
+            except OSError:  # unsent task bytes of a dead child
+                pass
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:  # reaped elsewhere
+            pass
+
+
+def _serve(ws: _SpaWorkspace, tasks, out) -> None:
+    """A worker's loop: decode every task read from ``tasks`` on ``ws`` and
+    write the result to ``out``, until ``tasks`` reaches its end. A failure
+    is written as text before it propagates."""
+    try:
+        while True:
+            try:
+                states, cfg, max_iter = pickle.load(tasks)
+            except EOFError:
+                return
+            ws.noise_s = ws.decode_s = 0.0
+            result = ws.decode(states, cfg, max_iter)
+            pickle.dump((result, ws.noise_s, ws.decode_s), out,
+                        pickle.HIGHEST_PROTOCOL)
+            out.flush()
+    except BaseException as ex:
+        pickle.dump(f"{type(ex).__name__}: {ex}", out)
+        out.flush()
+        raise
 
 
 def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
@@ -485,12 +634,12 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     PCG64 takes a frame's state and draws its row of the lane's batch, and
     the LLR scaling runs once per batch.
 
-    Frames are decoded in batches, one batch per lane per round (see the
-    module docstring), and counted in frame order, so the sweep stops at
-    exactly the frame that brings in the last frame error it needs and
-    discards any decoded past it; the records do not depend on the batch
-    size or the lane count. ``seed`` must be a non-negative integer; a
-    ``bool`` is rejected.
+    Frames are decoded in batches, dealt to lanes in rounds (see the module
+    docstring), and counted in frame order, so the sweep stops at exactly
+    the frame that brings in the last frame error it needs and discards any
+    decoded past it; the records do not depend on the batch size or the
+    lane count. ``seed`` must be a non-negative integer; a ``bool`` is
+    rejected.
     """
     max_iter = _integer(max_iter, "max_iter", 0)
     seed = _integer(seed, "seed", 0)
@@ -498,50 +647,56 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     stop = stop or StopRule()
     # columns bound the batch too: a workspace holds O(edges + columns)
     # floats per frame, and H may have few or no edges
-    batch = max(1, _EDGE_BUDGET // max(H.nnz, H.cols, 1))
-    lanes = [_SpaWorkspace(H, batch)]
-    lanes += [_SpaWorkspace(H, batch, share=lanes[0])
-              for _ in range(min(_lane_count(batch), stop.max_frames) - 1)]
-    pool = None
-    if len(lanes) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(len(lanes) - 1,
-                                  thread_name_prefix="ber_sweep-lane")
+    edges = max(H.nnz, H.cols, 1)
+    batch = max(1, _EDGE_BUDGET // edges)
+    ws = _SpaWorkspace(H, batch)
+    workers: list[_Worker] = []
     try:
-        return [_sweep_point(lanes, pool, batch, cfg, stop,
+        for _ in range(_lane_count(batch, stop.max_frames) - 1):
+            workers.append(_Worker(ws, workers))
+        # one lane sends no messages, so its share stays one batch
+        cap = batch if not workers else max(
+            1, _SHARE_BATCHES * _EDGE_BUDGET // edges // batch) * batch
+        return [_sweep_point(ws, workers, batch, cap, cfg, stop,
                              _frame_states(seed, snr_idx, stop.max_frames),
                              max_iter)
                 for snr_idx, cfg in enumerate(cfgs)]
+    except BaseException:
+        for w in workers:
+            w.kill()
+        raise
     finally:
-        if pool is not None:
-            pool.shutdown()
+        for w in workers:
+            w.close()
 
 
-def _sweep_point(lanes, pool, batch, cfg, stop, states, max_iter) -> BerRecord:
-    """One SNR point of ``ber_sweep``: rounds of one batch per lane, the
-    first on this thread and the rest on ``pool``, counted in frame order."""
+def _sweep_point(ws, workers, batch, cap, cfg, stop, states,
+                 max_iter) -> BerRecord:
+    """One SNR point of ``ber_sweep``: rounds that deal each lane a share of
+    whole batches, the first to ``ws`` in this process and the rest to
+    ``workers``, counted in frame order."""
     bits = errors = frames = frame_errors = undetected = 0
     iterations = np.zeros(max_iter + 1, dtype=np.int64)
+    lanes = [ws, *workers]
     for lane in lanes:
         lane.noise_s = lane.decode_s = 0.0
+    floor = batch
+    # a round lists and pipes no more states than one hashing pass holds
+    limit = max(cap, _SEED_CHUNK) if workers else cap
     while frame_errors < stop.min_frame_errors and frames < stop.max_frames:
-        dealt, left = [], stop.max_frames - frames
-        for lane in lanes:
-            if not left:
-                break
-            count = min(batch, left)
-            # islice takes no state past the batch
-            dealt.append((lane, list(islice(states, count))))
-            left -= count
-        futures = [pool.submit(lane.decode, chunk, cfg, max_iter)
-                   for lane, chunk in dealt[1:]]
-        dealt[0][0].decode(dealt[0][1], cfg, max_iter)
-        for fut in futures:
-            fut.result()  # re-raises a lane's exception here
-        for ws, chunk in dealt:
-            count = len(chunk)
-            nerr = ws.bits[:count].sum(axis=1)
+        left = stop.max_frames - frames
+        need = stop.min_frame_errors - frame_errors
+        share = _share(min(left, need), len(lanes), batch, floor, limit)
+        floor = min(2 * floor, cap)
+        # islice takes no state past a share
+        chunks = [list(islice(states, min(share, left - start)))
+                  for start in range(0, min(left, share * len(lanes)), share)]
+        for w, chunk in zip(workers, chunks[1:]):
+            w.send(chunk, cfg, max_iter)
+        results = [ws.decode(chunks[0], cfg, max_iter)]
+        results += [w.result() for w in workers[:len(chunks) - 1]]
+        for nerr, converged, iters in results:
+            count = len(nerr)
             # the frame errors still needed; the sweep ends at the last one
             need = stop.min_frame_errors - frame_errors
             failed = np.flatnonzero(nerr)[:need]
@@ -550,9 +705,8 @@ def _sweep_point(lanes, pool, batch, cfg, stop, states, max_iter) -> BerRecord:
             errors += int(nerr[:used].sum())
             frames += used
             frame_errors += failed.size
-            undetected += int(ws.converged[failed].sum())
-            iterations += np.bincount(ws.iterations[:used],
-                                      minlength=max_iter + 1)
+            undetected += int(converged[failed].sum())
+            iterations += np.bincount(iters[:used], minlength=max_iter + 1)
             if frame_errors == stop.min_frame_errors:
                 break
     return BerRecord(
@@ -562,6 +716,14 @@ def _sweep_point(lanes, pool, batch, cfg, stop, states, max_iter) -> BerRecord:
                "undetected_errors": undetected,
                "noise_s": sum(lane.noise_s for lane in lanes),
                "decode_s": sum(lane.decode_s for lane in lanes)})
+
+
+def _share(counted: int, lanes: int, batch: int, floor: int,
+           limit: int) -> int:
+    """Frames per lane in one round, in whole batches: an even split of the
+    ``counted`` frames that the stop rule counts whatever they decode to,
+    but no fewer than ``floor`` and no more than ``limit`` rounded up."""
+    return -(-min(limit, max(floor, -(-counted // lanes))) // batch) * batch
 
 
 def write_ber_csv(records, path) -> None:

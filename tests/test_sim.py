@@ -13,6 +13,7 @@ from fsscode.sim import (
     BerRecord,
     ChannelConfig,
     StopRule,
+    _lane_count,
     ber_sweep,
     spa_decode,
     transmit,
@@ -379,34 +380,106 @@ def _sweep_without_timings(*args, **kwargs):
     return recs, [r.stats for r in recs]
 
 
-class TestLanes:
-    """``ber_sweep`` on several decoding lanes counts their frames in frame
-    order, so records and counters equal a one-lane sweep's. No test starts
-    more threads than this process may run on."""
+def _pinned_lanes(monkeypatch, lanes):
+    """Make ``ber_sweep`` use at most ``lanes`` lanes, never more than the
+    default count allows."""
+    from fsscode import sim
 
-    @pytest.mark.skipif(_usable_cpus() < 2, reason="two lanes need two CPUs")
+    monkeypatch.setattr(sim, "_lane_count", lambda batch, max_frames: min(
+        lanes, _lane_count(batch, max_frames)))
+
+
+def _fork_spy(monkeypatch, fail=None, in_child=True):
+    """Record the pid of every child ``os.fork`` starts. ``fail`` (if given)
+    runs before every decoding kernel call in the children, or in the
+    calling process when ``in_child`` is false."""
+    from fsscode import sim
+
+    pids, fork, parent = [], os.fork, os.getpid()
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def kernel(ws, count, max_iter):
+        if (os.getpid() != parent) == in_child:
+            fail()
+        decode(ws, count, max_iter)
+
+    decode = sim._decode_frames
+    monkeypatch.setattr(os, "fork", spy)
+    if fail is not None:
+        monkeypatch.setattr(sim, "_decode_frames", kernel)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _no_fork():
+    raise AssertionError("a worker was forked")
+
+
+two_cpus = pytest.mark.skipif(_usable_cpus() < 2, reason="two lanes need two CPUs")
+
+
+class TestLanes:
+    """``ber_sweep`` on several decoding lanes, worker processes forked for
+    the call, counts their frames in frame order, so records and counters
+    equal a one-lane sweep's. No test starts more lanes than this process
+    may run on."""
+
+    @two_cpus
     def test_two_lanes_equal_one(self, code_360, monkeypatch):
         from fsscode import sim
 
-        batch = sim._EDGE_BUDGET // code_360.nnz
-        rnd = 2 * batch  # frames dealt per round on two lanes
-        stops = []
-        for stop, seed in ((StopRule(7, 90), 1), (StopRule(12, 400), 1)):
+        deals, share, sweep_point = [], sim._share, sim._sweep_point
+
+        def spy_share(*args):
+            deals[-1].append(share(*args))
+            return deals[-1][-1]
+
+        def spy_point(*args):
+            deals.append([])
+            return sweep_point(*args)
+
+        monkeypatch.setattr(sim, "_share", spy_share)
+        monkeypatch.setattr(sim, "_sweep_point", spy_point)
+        last_rounds, shares_seen = [], []
+        for stop, seed in ((StopRule(7, 90), 1), (StopRule(12, 400), 1),
+                           (StopRule(3, 50), 2)):
             got = []
             for lanes in (1, 2):
-                monkeypatch.setattr(sim, "_lane_count", lambda b, k=lanes: k)
+                _pinned_lanes(monkeypatch, lanes)
+                deals.clear()
                 got.append(_sweep_without_timings(
                     code_360, [2.0, 2.5, 3.0, 3.5], rate=0.7, stop=stop,
                     seed=seed, max_iter=20))
             assert got[0] == got[1]
-            stops += [(r.frames, r.frame_errors, stop) for r in got[0][0]]
-        # stops inside the first lane's batch and inside the second's, and
+            # where each two-lane point's last round began, and its share
+            shares_seen += deals
+            for rec, shares in zip(got[1][0], deals):
+                start = 0
+                for s in shares[:-1]:
+                    start += min(stop.max_frames - start, 2 * s)
+                last_rounds.append((rec, stop, start, shares[-1]))
+        # stops inside the first lane's share and inside the second's, and
         # at max_frames in the middle of a round
-        by_errors = [(f - 1) % rnd for f, e, stop in stops
-                     if e == stop.min_frame_errors]
-        assert any(k < batch for k in by_errors)
-        assert any(k >= batch for k in by_errors)
-        assert any(f == stop.max_frames and f % rnd for f, e, stop in stops)
+        by_errors = [(r.frames - 1 - start, s) for r, stop, start, s
+                     in last_rounds if r.frame_errors == stop.min_frame_errors]
+        assert any(k < s for k, s in by_errors)
+        assert any(s <= k < 2 * s for k, s in by_errors)
+        assert any(r.frames == stop.max_frames
+                   and r.frames - start < 2 * s
+                   for r, stop, start, s in last_rounds)
+        # while few errors are needed, the share doubles from one batch
+        batch = sim._EDGE_BUDGET // code_360.nnz
+        assert [batch, 2 * batch, 4 * batch, 8 * batch] in shares_seen
 
     def test_long_code_default_lanes_equal_one(self, monkeypatch):
         from fsscode import sim
@@ -416,39 +489,129 @@ class TestLanes:
         args = (H, [2.5], 0.7)
         kwargs = {"stop": StopRule(3, 24), "seed": 5}
         default = _sweep_without_timings(*args, **kwargs)
-        monkeypatch.setattr(sim, "_lane_count", lambda batch: 1)
+        _pinned_lanes(monkeypatch, 1)
         assert _sweep_without_timings(*args, **kwargs) == default
         assert default[0][0].frames == 24
 
-    def test_one_usable_cpu_starts_no_thread(self, code_312, monkeypatch):
-        import concurrent.futures
+    def test_dealing_rule(self):
+        from fsscode.sim import _share
+
+        # an even split of the frames counted anyway, in whole batches
+        assert _share(1000, 2, 24, 24, 1024) == 504
+        assert _share(17, 2, 1, 1, 1024) == 9
+        assert _share(100, 3, 24, 24, 1024) == 48
+        # while few errors are needed, the doubling floor sets the share
+        assert _share(3, 2, 24, 96, 1024) == 96
+        assert _share(0, 2, 24, 24, 1024) == 24
+        # the limit bounds a round, in whole batches; one lane's is one batch
+        assert _share(10**6, 2, 24, 24, 1024) == 1032
+        assert _share(100, 1, 24, 24, 24) == 24
+
+    @pytest.mark.parametrize("case", ["one-cpu", "live-thread", "one-batch"])
+    def test_forks_nothing(self, code_360, monkeypatch, case):
         import threading
 
         from fsscode import sim
 
-        monkeypatch.setattr(sim, "_EDGE_BUDGET", code_312.nnz)  # batch == 1
-        args, kwargs = (code_312, [1.0, 3.0], 0.75), {
-            "stop": StopRule(9, 131), "seed": 11, "max_iter": 20}
+        stop = StopRule(5, 24 if case == "one-batch" else 200)
+        args, kwargs = (code_360, [2.0, 3.0], 0.7), {"stop": stop, "seed": 3}
         want = _sweep_without_timings(*args, **kwargs)
-        assert sim._lane_count(1) == _usable_cpus()
-        assert sim._lane_count(2) == 1
+        monkeypatch.setattr(os, "fork", _no_fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif case == "live-thread":
+            thread.start()
+        try:
+            assert sim._lane_count(sim._EDGE_BUDGET // code_360.nnz,
+                                   stop.max_frames) == 1
+            assert _sweep_without_timings(*args, **kwargs) == want
+        finally:
+            release.set()
+            if thread.ident is not None:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
 
-        class NoExecutor:
-            def __init__(self, *a, **kw):
-                raise AssertionError("an executor was built")
+    @two_cpus
+    def test_no_worker_outlives_a_sweep(self, code_360, monkeypatch):
+        from fsscode import sim
 
-        def no_start(self):
-            raise AssertionError("a thread was started")
+        pids = _fork_spy(monkeypatch)
+        recs = ber_sweep(code_360, [2.0, 3.0], 0.7, stop=StopRule(5, 200),
+                         seed=3)
+        lanes = sim._lane_count(sim._EDGE_BUDGET // code_360.nnz, 200)
+        assert len(pids) == lanes - 1 >= 1
+        assert all(r.frame_errors == 5 for r in recs)
+        _assert_reaped(pids)
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            NoExecutor)
-        monkeypatch.setattr(threading.Thread, "start", no_start)
-        assert sim._lane_count(1) == 1
-        assert _sweep_without_timings(*args, **kwargs) == want
+    @two_cpus
+    @pytest.mark.parametrize("how", ["raises", "exits"])
+    def test_failed_worker_raises_and_is_reaped(self, code_360, monkeypatch,
+                                                how):
+        def fail():
+            if how == "exits":
+                os._exit(3)
+            raise ValueError("kernel failed")
+
+        pids = _fork_spy(monkeypatch, fail)
+        want = "failed: ValueError: kernel failed" if how == "raises" else "died"
+        with pytest.raises(RuntimeError, match=want):
+            ber_sweep(code_360, [2.0], 0.7, stop=StopRule(5, 200), seed=3)
+        assert pids
+        _assert_reaped(pids)
+
+    @two_cpus
+    def test_caller_failure_kills_and_reaps_workers(self, code_360,
+                                                    monkeypatch):
+        # the calling process fails while its workers still decode their
+        # shares: the sweep re-raises its error and leaves no child behind
+        def interrupt():
+            raise KeyboardInterrupt
+
+        pids = _fork_spy(monkeypatch, interrupt, in_child=False)
+        with pytest.raises(KeyboardInterrupt):
+            ber_sweep(code_360, [2.0], 0.7, stop=StopRule(1001, 1000), seed=3)
+        assert pids
+        _assert_reaped(pids)
+
+    @two_cpus
+    @pytest.mark.parametrize("how", ["raise ValueError('kernel failed')",
+                                     "os._exit(3)"], ids=["raises", "exits"])
+    def test_failed_worker_leaves_the_caller_once(self, how):
+        # stdout is a pipe, so "before" sits in the parent's buffer when the
+        # workers fork: a child that flushed it, or that returned into the
+        # script, would print a line twice
+        from fsscode import sim
+
+        code = (
+            "import os\n"
+            "from fsscode import reference_code, sim\n"
+            "from fsscode.qc import expand\n"
+            "H = expand(reference_code('fss-3-10-m36'))\n"
+            "parent, decode = os.getpid(), sim._decode_frames\n"
+            "def kernel(ws, count, max_iter):\n"
+            "    if os.getpid() != parent:\n"
+            f"        {how}\n"
+            "    decode(ws, count, max_iter)\n"
+            "sim._decode_frames = kernel\n"
+            "print('before')\n"
+            "try:\n"
+            "    sim.ber_sweep(H, [3.0], 0.7, stop=sim.StopRule(5, 200))\n"
+            "except RuntimeError as ex:\n"
+            "    print('raised', str(ex).startswith('decoding worker'))\n"
+            "print('after')\n")
+        src = os.path.dirname(os.path.dirname(sim.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "before\nraised True\nafter\n"
 
     def test_lanes_share_the_tables_and_nothing_writable(self, code_360):
-        # the RSS bound and the lanes' thread safety rest on this split
+        # a worker builds its buffers around the tables it inherits; the
+        # workspaces of one process must not share a writable buffer either
         from fsscode.sim import _SpaWorkspace
 
         first = _SpaWorkspace(code_360, frames=4)
@@ -468,19 +631,23 @@ class TestLanes:
         assert other.bitgen is not first.bitgen
         assert other.rng is not first.rng
 
-    def test_import_leaves_the_executor_out(self):
+    def test_import_and_sweep_load_no_module(self):
         from fsscode import sim
 
-        # neither the import nor a one-lane sweep loads concurrent.futures
+        # the workers need no pool module: neither the import nor a sweep on
+        # every usable CPU loads one, and the sweep loads nothing at all
         code = (
             "import sys\n"
             "from fsscode import reference_code\n"
             "from fsscode.qc import expand\n"
             "from fsscode.sim import StopRule, ber_sweep\n"
-            "assert 'concurrent.futures' not in sys.modules\n"
+            "pools = {'concurrent.futures', 'multiprocessing'}\n"
+            "assert not pools & set(sys.modules)\n"
             "H = expand(reference_code('fss-3-10-m36'))\n"
-            "ber_sweep(H, [3.0], 0.7, stop=StopRule(1, 30))\n"
-            "assert 'concurrent.futures' not in sys.modules\n")
+            "import numpy.random  # numpy loads it on first use\n"
+            "loaded = set(sys.modules)\n"
+            "ber_sweep(H, [3.0], 0.7, stop=StopRule(5, 200))\n"
+            "assert set(sys.modules) == loaded, set(sys.modules) - loaded\n")
         src = os.path.dirname(os.path.dirname(sim.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -538,6 +705,8 @@ class TestBatchedSeeding:
             decode(ws, count, max_iter)
 
         monkeypatch.setattr(sim, "_decode_frames", capture)
+        # a worker's rows would be captured in the worker
+        _pinned_lanes(monkeypatch, 1)
         seed, snrs, frames = 10**11 + 7, (1.5, 4.5), 1100
         recs = ber_sweep(code_360, snrs, rate=0.7,
                          stop=StopRule(frames + 1, frames), seed=seed)
