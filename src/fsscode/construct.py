@@ -17,7 +17,8 @@ from itertools import accumulate
 from math import ceil
 from time import perf_counter
 
-from .setsystem import _MAX_POINTS, SetSystem, _integer, _iterable, validate_fss
+from .setsystem import (_MAX_POINTS, SetSystem, _integer, _iterable,
+                        _or_default, validate_fss)
 from .girth import (_MAX_WALK, GirthReport, WalkScaffold, inevitable_girth,
                     min_edge_walk)
 from .qc import ShiftSequence, _lift, assemble
@@ -105,7 +106,7 @@ def method1(
     target_g = _integer(target_g, "target girth", 6, even=True,
                         high=2 * _MAX_WALK)
     m_schedule = _iterable(m_schedule, "m_schedule")
-    policy = policy or SearchPolicy()
+    policy = _or_default(policy, SearchPolicy, "policy")
     cap = target_g // 2
     current = primitive
     report = inevitable_girth(current, cap=cap)
@@ -164,7 +165,7 @@ def method2(
         raise ValueError(f"profile must be a WeightProfile, got {profile!r}")
     if v < max(profile.K):
         raise ValueError(f"v={v} is smaller than the largest block size")
-    policy = policy or SearchPolicy()
+    policy = _or_default(policy, SearchPolicy, "policy")
     rng = random.Random(policy.seed)
     max_len = target_g // 2 - 1
 

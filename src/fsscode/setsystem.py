@@ -105,6 +105,16 @@ def _iterable(x, name: str):
         raise ValueError(f"{name} must be iterable, got {x!r}") from None
 
 
+def _or_default(x, cls: type, name: str):
+    """``x`` if it is a ``cls``, a default ``cls()`` if it is None;
+    ValueError naming ``name`` otherwise."""
+    if x is None:
+        return cls()
+    if not isinstance(x, cls):
+        raise ValueError(f"{name} must be a {cls.__name__} or None, got {x!r}")
+    return x
+
+
 def validate_fss(v, blocks, t=2) -> SetSystem:
     """Check raw input and build a :class:`SetSystem`.
 

@@ -26,7 +26,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .setsystem import _MAX_DIM, SetSystem, _integer
+from .setsystem import _MAX_DIM, SetSystem, _integer, _or_default
 from .qc import ShiftSequence, assemble, expand
 from .girth import _MAX_WALK, WalkScaffold, closed_walks, tanner_girth
 
@@ -267,7 +267,7 @@ def search_shifts(
     at least ``target_girth``, or prove none exists for this modulus.
     ``ShiftSearchState.create`` checks both, before any search, and bounds
     ``m`` so that the expansion the oracle verifies fits a ``BinaryMatrix``."""
-    policy = policy or SearchPolicy()
+    policy = _or_default(policy, SearchPolicy, "policy")
     state = ShiftSearchState.create(fss, m, target_girth)
     # the first incidence of every block
     pinned = {e for e, (i, j) in enumerate(state.order) if i == fss.blocks[j - 1][0]}

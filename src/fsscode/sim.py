@@ -39,14 +39,14 @@ per-call overhead is already small, decode one at a time; it counts frames
 in frame order and discards any decoded past its stopping frame.
 
 ``ber_sweep`` decodes on one lane per CPU that ``os.sched_getaffinity`` lets
-the process use, and never on more lanes than the batches of the stop rule's
-``max_frames`` can fill; no parameter sets the count. The calling process is
-the first lane. Each other lane is a worker process forked at the start of
-the ``ber_sweep`` call and reaped at its end, on return or on raise; it
-inherits the first lane's index tables through the fork and builds its own
-buffers (``_Worker``). A fork happens only where ``os.fork`` exists and no
-other thread is alive; otherwise, and on one usable CPU, the sweep runs the
-same rounds on one lane in process.
+the process use, but on no more lanes than the blocks of ``_LANE_BATCHES``
+batches' worth of edges that the stop rule's ``max_frames`` begins; no
+parameter sets the count. The calling process is the first lane. Each
+other lane is a worker process forked at the start of the ``ber_sweep``
+call and reaped at its end, on return or on raise, that decodes on its
+copy-on-write copy of the caller's workspace (``_Worker``). A fork happens
+only where ``os.fork`` exists and no other thread is alive; otherwise, and
+on one usable CPU, the sweep runs the same rounds on one lane in process.
 
 Each round deals every lane a share of whole batches, at least
 ``ceil(min(left, need) / lanes)`` frames, where ``need`` is the frame errors
@@ -60,15 +60,15 @@ of that cap and ``_SEED_CHUNK`` frames, which bounds the states a round
 lists and pipes. On one lane the share stays one batch.
 The calling process alone hashes frame states. It sends each worker its
 frames' ``(state, inc)`` over a pipe, decodes the first share itself, reads
-back per-frame bit errors, convergence flags and iteration counts, and counts
-the round's frames in frame order with the usual stop rule, so the records
-equal a one-lane sweep's bit for bit. A worker's failure or death raises
-``RuntimeError``. On a 2-CPU Xeon VM two lanes ran acceptance criterion 09
-(its 1.5 M-frame sweep of the n=360 code at 4.5 dB) at 0.63-0.68x of one
-lane's time side by side; a frame there costs 57-85 us on each of two busy
-CPUs against 50-57 us alone. A record's ``noise_s`` and ``decode_s`` are
-summed over lanes, so they can exceed its wall time, and a worker's memory
-is counted in ``RUSAGE_CHILDREN``, not in the caller's RSS.
+back per-frame bit errors, convergence flags, iteration counts and the
+lane's timings, and counts the round's frames in frame order with the usual
+stop rule, so the records equal a one-lane sweep's bit for bit. A worker's
+failure or death raises ``RuntimeError``. On a 2-CPU Xeon VM two lanes ran
+acceptance criterion 09 (its 1.5 M-frame sweep of the n=360 code at 4.5 dB)
+at 0.63-0.68x of one lane's time side by side; a frame there costs 57-85 us
+on each of two busy CPUs against 50-57 us alone. A record's ``noise_s`` and
+``decode_s`` sum every lane's, so they can exceed its wall time, and a
+worker's memory is counted in ``RUSAGE_CHILDREN``, not in the caller's RSS.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .setsystem import BinaryMatrix, _integer, _iterable
+from .setsystem import BinaryMatrix, _integer, _iterable, _or_default
 
 __all__ = [
     "ChannelConfig",
@@ -144,9 +144,9 @@ class BerRecord:
     stay out of equality and of the CSV: ``iterations``, a histogram of
     decoder iterations indexed by iteration count; ``undetected_errors``, the
     frames that converged to a nonzero codeword; and ``noise_s`` and
-    ``decode_s``, the wall seconds spent making LLRs and decoding them,
-    summed over decoding lanes (worker processes included), so they can
-    exceed the point's wall time."""
+    ``decode_s``, the wall seconds spent making LLRs and decoding them, as
+    every decoding lane (worker processes included) returns them with its
+    frames, so they can exceed the point's wall time."""
 
     ebn0_db: float
     bits: int
@@ -316,38 +316,28 @@ class _SpaWorkspace:
     positions in ascending row order (``bincount``'s order); a padding entry
     names a trailing 0.0. ``pad`` lists the flat padding slots, or is None.
 
-    The tables are built here, or taken by reference from the workspace
-    ``share`` (in a forked worker, the first lane's inherited copy); they are
-    read-only once built, so any number of workspaces can share them. The
-    buffers and the PCG64 are the workspace's own and are overwritten by
-    every decode, so a workspace serves one decode call at a time, and
-    workspaces that share tables do not interfere. ``noise_s`` and
-    ``decode_s`` add up the wall time of its ``decode`` calls.
+    The buffers and the PCG64 are overwritten by every decode, so a
+    workspace serves one decode call at a time. ``ber_sweep`` builds one per
+    call; each forked worker decodes on its own copy-on-write copy of it.
     """
 
-    def __init__(self, H: BinaryMatrix | None, frames: int = 1,
-                 share: _SpaWorkspace | None = None):
-        if share is not None:
-            self.slot_col, self.col_slot, self.pad, self.n = (
-                share.slot_col, share.col_slot, share.pad, share.n)
-        else:
-            m, n, nnz, rows, cols = H.rows, H.cols, H.nnz, H.edge_rows, H.edge_cols
-            slot = np.arange(nnz) - H.row_ptr[rows]
-            flat = slot * m + rows
-            dr = int(np.diff(H.row_ptr).max(initial=0))
-            self.slot_col = np.full((dr, m), n, dtype=np.intp)
-            self.slot_col[slot, rows] = cols
+    def __init__(self, H: BinaryMatrix, frames: int = 1):
+        m, n, nnz, rows, cols = H.rows, H.cols, H.nnz, H.edge_rows, H.edge_cols
+        slot = np.arange(nnz) - H.row_ptr[rows]
+        flat = slot * m + rows
+        dr = int(np.diff(H.row_ptr).max(initial=0))
+        self.slot_col = np.full((dr, m), n, dtype=np.intp)
+        self.slot_col[slot, rows] = cols
 
-            by_col = np.argsort(cols, kind="stable")  # keeps rows ascending
-            cdeg = np.bincount(cols, minlength=n)
-            rank = np.arange(nnz) - (np.cumsum(cdeg) - cdeg)[cols[by_col]]
-            self.col_slot = np.full((int(cdeg.max(initial=0)), n), dr * m,
-                                    dtype=np.intp)
-            self.col_slot[rank, cols[by_col]] = flat[by_col]
+        by_col = np.argsort(cols, kind="stable")  # keeps rows ascending
+        cdeg = np.bincount(cols, minlength=n)
+        rank = np.arange(nnz) - (np.cumsum(cdeg) - cdeg)[cols[by_col]]
+        self.col_slot = np.full((int(cdeg.max(initial=0)), n), dr * m,
+                                dtype=np.intp)
+        self.col_slot[rank, cols[by_col]] = flat[by_col]
 
-            self.pad = np.flatnonzero(self.slot_col == n) if nnz < dr * m else None
-            self.n = n
-        (dr, m), n = self.slot_col.shape, self.n
+        self.pad = np.flatnonzero(self.slot_col == n) if nnz < dr * m else None
+        self.n = n
         self.llr = np.empty((frames, n))
         self.total = np.zeros((frames, n + 1))
         self.v2c = np.empty((frames, dr, m))
@@ -361,17 +351,17 @@ class _SpaWorkspace:
         self.iterations = np.empty(frames, dtype=np.intp)
         self.bitgen = np.random.PCG64(0)  # its state is set before every frame
         self.rng = np.random.Generator(self.bitgen)
-        self.noise_s = self.decode_s = 0.0
 
     def decode(self, states, cfg: ChannelConfig, max_iter: int):
         """Decode the frames whose PCG64 ``(state, inc)`` are ``states``, a
         batch of up to ``frames`` at a time: draw their LLRs into the leading
-        rows of ``llr``, then decode them. Returns each frame's bit errors,
-        convergence flag and iteration count, as three arrays."""
+        rows of ``llr``, then decode them. Returns three per-frame arrays (bit
+        errors, convergence, iterations) and the seconds spent on each step."""
         count = len(states)
         nerr = np.empty(count, dtype=np.int64)
         converged = np.empty(count, dtype=bool)
         iterations = np.empty(count, dtype=np.intp)
+        noise_s = decode_s = 0.0
         pcg = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
         for lo in range(0, count, len(self.llr)):
             size = min(len(self.llr), count - lo)
@@ -386,9 +376,9 @@ class _SpaWorkspace:
             nerr[lo:lo + size] = self.bits[:size].sum(axis=1)
             converged[lo:lo + size] = self.converged[:size]
             iterations[lo:lo + size] = self.iterations[:size]
-            self.decode_s += perf_counter() - t1
-            self.noise_s += t1 - t0
-        return nerr, converged, iterations
+            decode_s += perf_counter() - t1
+            noise_s += t1 - t0
+        return nerr, converged, iterations, noise_s, decode_s
 
 
 _LIM = 0.999999999999
@@ -405,6 +395,10 @@ _EDGE_BUDGET = 25_920
 # round's messages and waits and bounds the frames wasted past the stopping
 # frame
 _SHARE_BATCHES = 32
+# a worker costs ~4 ms to fork and reap, what two lanes save on 8 batches of
+# _EDGE_BUDGET edges (192 frames of the n=360 code at 4.5 dB: 19.7 ms on one
+# lane, 19.6 on two); a sweep gets a lane per such block its frames begin
+_LANE_BATCHES = 8
 
 
 def _decode_frames(ws: _SpaWorkspace, count: int, max_iter: int) -> None:
@@ -495,9 +489,10 @@ def spa_decode(H: BinaryMatrix, llr, max_iter: int = _MAX_ITER) -> DecodeResult:
                         iterations=int(ws.iterations[0]))
 
 
-def _lane_count(batch: int, max_frames: int) -> int:
-    """Decoding lanes of a sweep: one per CPU this process may run on, no
-    more than the ``batch``-frame batches ``max_frames`` can fill, and one
+def _lane_count(edges: int, max_frames: int) -> int:
+    """Decoding lanes of a sweep of ``max_frames`` frames of ``edges`` edges:
+    one per CPU this process may run on, no more than the blocks of
+    ``_LANE_BATCHES`` batches' worth of edges those frames begin, and one
     where a worker cannot be forked safely (no ``os.fork``, or another
     thread is alive, whose locks a child would inherit held)."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
@@ -506,23 +501,23 @@ def _lane_count(batch: int, max_frames: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, -(-max_frames // batch)))
+    block = _LANE_BATCHES * _EDGE_BUDGET
+    return max(1, min(cpus, -(-max_frames * edges // block)))
 
 
 class _Worker:
     """A decoding lane in a child process forked for one ``ber_sweep`` call.
 
-    The child inherits the first lane's workspace ``ws`` through the fork,
-    builds its own buffers around ws's tables, and decodes each task it reads
-    from its pipe, ``(states, cfg, max_iter)``, writing back what
-    ``_SpaWorkspace.decode`` returns and that task's ``noise_s`` and
-    ``decode_s``, until the pipe closes. Tasks and results alternate, so
-    neither side writes while the other is writing, and a result larger
-    than the pipe's buffer cannot deadlock. The child leaves only through
-    ``os._exit``: it never returns into the caller's stack, runs no
-    ``atexit`` handler and flushes none of the parent's buffered output.
-    A failure in the child is sent back as text; ``result`` raises
-    ``RuntimeError`` for it and for a child that died.
+    The child decodes on its copy-on-write copy of the caller's workspace
+    ``ws``, which no decode has touched before the fork: it reads each task
+    from its pipe, ``(states, cfg, max_iter)``, and writes back what
+    ``_SpaWorkspace.decode`` returns, until the pipe closes. Tasks and
+    results alternate, so neither side writes while the other is writing,
+    and a result larger than the pipe's buffer cannot deadlock. The child
+    leaves only through ``os._exit``: it never returns into the caller's
+    stack, runs no ``atexit`` handler and flushes none of the parent's
+    buffered output. A failure in the child is sent back as text;
+    ``result`` raises ``RuntimeError`` for it and for a child that died.
     """
 
     def __init__(self, ws: _SpaWorkspace, others: list[_Worker]):
@@ -545,8 +540,7 @@ class _Worker:
                     w.tasks.close()
                     w.results.close()
                 with open(task_r, "rb") as tasks, open(result_w, "wb") as out:
-                    _serve(_SpaWorkspace(None, len(ws.llr), share=ws), tasks,
-                           out)
+                    _serve(ws, tasks, out)
                 code = 0
             except BaseException:  # noqa: BLE001 - _serve sent it to the parent
                 pass
@@ -555,7 +549,6 @@ class _Worker:
         os.close(task_r)
         os.close(result_w)
         self.tasks, self.results = open(task_w, "wb"), open(result_r, "rb")
-        self.noise_s = self.decode_s = 0.0
 
     def send(self, states, cfg: ChannelConfig, max_iter: int) -> None:
         try:
@@ -572,9 +565,6 @@ class _Worker:
             raise RuntimeError(f"decoding worker {self.pid} died") from ex
         if isinstance(out, str):
             raise RuntimeError(f"decoding worker {self.pid} failed: {out}")
-        out, noise_s, decode_s = out
-        self.noise_s += noise_s
-        self.decode_s += decode_s
         return out
 
     def kill(self) -> None:
@@ -609,9 +599,7 @@ def _serve(ws: _SpaWorkspace, tasks, out) -> None:
                 states, cfg, max_iter = pickle.load(tasks)
             except EOFError:
                 return
-            ws.noise_s = ws.decode_s = 0.0
-            result = ws.decode(states, cfg, max_iter)
-            pickle.dump((result, ws.noise_s, ws.decode_s), out,
+            pickle.dump(ws.decode(states, cfg, max_iter), out,
                         pickle.HIGHEST_PROTOCOL)
             out.flush()
     except BaseException as ex:
@@ -644,7 +632,7 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     max_iter = _integer(max_iter, "max_iter", 0)
     seed = _integer(seed, "seed", 0)
     cfgs = [ChannelConfig(e, rate) for e in _iterable(ebn0_list, "ebn0_list")]
-    stop = stop or StopRule()
+    stop = _or_default(stop, StopRule, "stop")
     # columns bound the batch too: a workspace holds O(edges + columns)
     # floats per frame, and H may have few or no edges
     edges = max(H.nnz, H.cols, 1)
@@ -652,7 +640,7 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     ws = _SpaWorkspace(H, batch)
     workers: list[_Worker] = []
     try:
-        for _ in range(_lane_count(batch, stop.max_frames) - 1):
+        for _ in range(_lane_count(edges, stop.max_frames) - 1):
             workers.append(_Worker(ws, workers))
         # one lane sends no messages, so its share stays one batch
         cap = batch if not workers else max(
@@ -676,46 +664,46 @@ def _sweep_point(ws, workers, batch, cap, cfg, stop, states,
     whole batches, the first to ``ws`` in this process and the rest to
     ``workers``, counted in frame order."""
     bits = errors = frames = frame_errors = undetected = 0
+    noise_s = decode_s = 0.0
     iterations = np.zeros(max_iter + 1, dtype=np.int64)
-    lanes = [ws, *workers]
-    for lane in lanes:
-        lane.noise_s = lane.decode_s = 0.0
+    lanes = 1 + len(workers)
     floor = batch
     # a round lists and pipes no more states than one hashing pass holds
     limit = max(cap, _SEED_CHUNK) if workers else cap
     while frame_errors < stop.min_frame_errors and frames < stop.max_frames:
         left = stop.max_frames - frames
         need = stop.min_frame_errors - frame_errors
-        share = _share(min(left, need), len(lanes), batch, floor, limit)
+        share = _share(min(left, need), lanes, batch, floor, limit)
         floor = min(2 * floor, cap)
         # islice takes no state past a share
         chunks = [list(islice(states, min(share, left - start)))
-                  for start in range(0, min(left, share * len(lanes)), share)]
+                  for start in range(0, min(left, share * lanes), share)]
         for w, chunk in zip(workers, chunks[1:]):
             w.send(chunk, cfg, max_iter)
         results = [ws.decode(chunks[0], cfg, max_iter)]
         results += [w.result() for w in workers[:len(chunks) - 1]]
-        for nerr, converged, iters in results:
-            count = len(nerr)
+        for nerr, converged, iters, noise, decode in results:
+            # every lane's time counts, frames past the stopping frame too
+            noise_s += noise
+            decode_s += decode
             # the frame errors still needed; the sweep ends at the last one
             need = stop.min_frame_errors - frame_errors
+            if not need:
+                continue
             failed = np.flatnonzero(nerr)[:need]
-            used = int(failed[-1]) + 1 if failed.size == need else count
+            used = int(failed[-1]) + 1 if failed.size == need else len(nerr)
             bits += used * ws.n
             errors += int(nerr[:used].sum())
             frames += used
             frame_errors += failed.size
             undetected += int(converged[failed].sum())
             iterations += np.bincount(iters[:used], minlength=max_iter + 1)
-            if frame_errors == stop.min_frame_errors:
-                break
     return BerRecord(
         ebn0_db=cfg.ebn0_db, bits=bits, bit_errors=errors, frames=frames,
         frame_errors=frame_errors,
         stats={"iterations": iterations.tolist(),
                "undetected_errors": undetected,
-               "noise_s": sum(lane.noise_s for lane in lanes),
-               "decode_s": sum(lane.decode_s for lane in lanes)})
+               "noise_s": noise_s, "decode_s": decode_s})
 
 
 def _share(counted: int, lanes: int, batch: int, floor: int,

@@ -7,10 +7,11 @@ numpy values), shape (wrapped, unwrapped, an item replaced or reshaped, a
 JSON value replaced or dropped) or size (truncated, repeated, off by one,
 doubled).  Whatever the input, the call
 returns or raises ValueError (``SetSystemError`` is one) within a time
-limit.  Set systems, matrices, policies and other objects are always valid:
-the library duck-types them, so an object of a wrong class is out of scope,
-and so are file paths, which go to ``open`` as they are.  Sizes stay small,
-and every search runs under a small budget.
+limit.  Search policies and stop rules are mutated too, since the library
+checks their class; set systems, matrices and other objects are always
+valid: the library duck-types them, so an object of a wrong class is out of
+scope, and so are file paths, which go to ``open`` as they are.  Sizes stay
+small, and every search runs under a small budget.
 """
 
 import json
@@ -82,16 +83,18 @@ TARGETS = {
                      ["order", "budget", "seed"]),
     "search_shifts": (search_shifts, dict(fss=FSS, m=5, target_girth=6,
                                           policy=POLICY),
-                      ["m", "target_girth"]),
+                      ["m", "target_girth", "policy"]),
     "ShiftSearchState.create": (ShiftSearchState.create,
                                 dict(fss=FSS, m=5, target_girth=6),
                                 ["m", "target_girth"]),
     "WeightProfile": (WeightProfile, dict(K=(2, 3, 2)), ["K"]),
     "method1": (method1, dict(primitive=FSS, target_g=12, m_schedule=[3, 5],
-                              policy=POLICY), ["target_g", "m_schedule"]),
+                              policy=POLICY),
+                ["target_g", "m_schedule", "policy"]),
     "method1_lift": (method1_lift, dict(primitive=FSS, m=3, S=SHIFTS), ["m"]),
     "method2": (method2, dict(v=5, profile=WeightProfile((2, 3, 2)),
-                              target_g=6, policy=POLICY), ["v", "target_g"]),
+                              target_g=6, policy=POLICY),
+                ["v", "target_g", "policy"]),
     "ChannelConfig": (ChannelConfig, dict(ebn0_db=3.0, rate=0.5, seed=1),
                       ["ebn0_db", "rate", "seed"]),
     "StopRule": (StopRule, dict(min_frame_errors=2, max_frames=6),
@@ -101,7 +104,7 @@ TARGETS = {
                    ["llr", "max_iter"]),
     "ber_sweep": (ber_sweep, dict(H=H, ebn0_list=[1.0, 3.0], rate=0.34,
                                   stop=StopRule(2, 6), seed=1, max_iter=4),
-                  ["ebn0_list", "rate", "seed", "max_iter"]),
+                  ["ebn0_list", "rate", "stop", "seed", "max_iter"]),
 }
 
 # one value of each type.  The only large value is 10**9 in a JSON document,
@@ -142,10 +145,13 @@ def _call(fn, kwargs):
 
 def _resized(data, x):
     """A number moved off its valid value; a sequence, mapping or text
-    truncated or repeated."""
+    truncated or repeated; any other object as a list of copies."""
     if isinstance(x, (int, float)):
         return data.draw(st.sampled_from([x - 1, x + 1, -x, 0, 2 * x, x + 0.5]))
-    items = list(x.items()) if isinstance(x, dict) else x
+    if isinstance(x, dict):
+        items = list(x.items())
+    else:
+        items = x if isinstance(x, (str, list, tuple)) else [x]
     items = (items * 3)[:data.draw(st.integers(0, 3 * len(items)))]
     return dict(items) if isinstance(x, dict) else items
 
@@ -208,6 +214,13 @@ def test_one_parity_rule(call, message):
     (lambda: method2(10, (3, 3), 8), ValueError, "profile"),
     (lambda: ber_sweep(H, None, 0.5), ValueError, "ebn0_list"),
     (lambda: ber_sweep(H, 3.0, 0.5), ValueError, "ebn0_list"),
+    # a config object is None or of its class: 0 is no default, a tuple no rule
+    (lambda: ber_sweep(H, [3.0], 0.5, stop=0), ValueError, "stop"),
+    (lambda: ber_sweep(H, [3.0], 0.5, stop=(5, 10)), ValueError, "stop"),
+    (lambda: search_shifts(FSS, 5, 6, policy="random"), ValueError, "policy"),
+    (lambda: method1(FSS, 12, [3], policy=3), ValueError, "policy"),
+    (lambda: method2(5, WeightProfile((2, 3, 2)), 6, policy=0), ValueError,
+     "policy"),
     (lambda: validate_fss(10**9, [[1, 2]]), SetSystemError, "point count"),
     (lambda: validate_fss(2**20 + 1, [[1, 2]]), SetSystemError, "point count"),
     (lambda: SetSystem.from_json('{"v": 1000000000, "blocks": [[1, 2]]}'),

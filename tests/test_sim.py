@@ -13,7 +13,6 @@ from fsscode.sim import (
     BerRecord,
     ChannelConfig,
     StopRule,
-    _lane_count,
     ber_sweep,
     spa_decode,
     transmit,
@@ -381,12 +380,12 @@ def _sweep_without_timings(*args, **kwargs):
 
 
 def _pinned_lanes(monkeypatch, lanes):
-    """Make ``ber_sweep`` use at most ``lanes`` lanes, never more than the
-    default count allows."""
+    """Make ``ber_sweep`` use exactly ``lanes`` lanes, never more than the
+    CPUs this process may run on."""
     from fsscode import sim
 
-    monkeypatch.setattr(sim, "_lane_count", lambda batch, max_frames: min(
-        lanes, _lane_count(batch, max_frames)))
+    monkeypatch.setattr(sim, "_lane_count", lambda edges, max_frames: min(
+        lanes, _usable_cpus()))
 
 
 def _fork_spy(monkeypatch, fail=None, in_child=True):
@@ -507,13 +506,16 @@ class TestLanes:
         assert _share(10**6, 2, 24, 24, 1024) == 1032
         assert _share(100, 1, 24, 24, 24) == 24
 
-    @pytest.mark.parametrize("case", ["one-cpu", "live-thread", "one-batch"])
+    @pytest.mark.parametrize("case", ["one-cpu", "live-thread", "one-batch",
+                                      "short-sweep"])
     def test_forks_nothing(self, code_360, monkeypatch, case):
+        # a short sweep is one that a worker's fork and reap would slow down
         import threading
 
         from fsscode import sim
 
-        stop = StopRule(5, 24 if case == "one-batch" else 200)
+        frames = {"one-batch": 24, "short-sweep": 96}.get(case, 200)
+        stop = StopRule(5, frames)
         args, kwargs = (code_360, [2.0, 3.0], 0.7), {"stop": stop, "seed": 3}
         want = _sweep_without_timings(*args, **kwargs)
         monkeypatch.setattr(os, "fork", _no_fork)
@@ -524,8 +526,7 @@ class TestLanes:
         elif case == "live-thread":
             thread.start()
         try:
-            assert sim._lane_count(sim._EDGE_BUDGET // code_360.nnz,
-                                   stop.max_frames) == 1
+            assert sim._lane_count(code_360.nnz, stop.max_frames) == 1
             assert _sweep_without_timings(*args, **kwargs) == want
         finally:
             release.set()
@@ -540,7 +541,7 @@ class TestLanes:
         pids = _fork_spy(monkeypatch)
         recs = ber_sweep(code_360, [2.0, 3.0], 0.7, stop=StopRule(5, 200),
                          seed=3)
-        lanes = sim._lane_count(sim._EDGE_BUDGET // code_360.nnz, 200)
+        lanes = sim._lane_count(code_360.nnz, 200)
         assert len(pids) == lanes - 1 >= 1
         assert all(r.frame_errors == 5 for r in recs)
         _assert_reaped(pids)
@@ -609,27 +610,28 @@ class TestLanes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "before\nraised True\nafter\n"
 
-    def test_lanes_share_the_tables_and_nothing_writable(self, code_360):
-        # a worker builds its buffers around the tables it inherits; the
-        # workspaces of one process must not share a writable buffer either
-        from fsscode.sim import _SpaWorkspace
+    @pytest.mark.parametrize("lanes", [1, pytest.param(2, marks=two_cpus)])
+    def test_timings_sum_every_lane(self, code_360, monkeypatch, lanes):
+        # each decode returns its lane's timings, and the record sums them
+        from fsscode import sim
 
-        first = _SpaWorkspace(code_360, frames=4)
-        other = _SpaWorkspace(code_360, frames=4, share=first)
-        tables = ("slot_col", "col_slot", "pad")
-        for name in tables:
-            assert getattr(other, name) is getattr(first, name), name
+        parent, decode, own = os.getpid(), sim._SpaWorkspace.decode, [0.0, 0.0]
 
-        def buffers(ws):
-            return [(name, x) for name, x in vars(ws).items()
-                    if isinstance(x, np.ndarray) and name not in tables]
+        def spy(ws, states, cfg, max_iter):
+            out = decode(ws, states, cfg, max_iter)
+            if os.getpid() == parent:
+                own[0] += out[3]
+                own[1] += out[4]
+            return out
 
-        assert len(buffers(first)) == len(buffers(other)) >= 10
-        for a, x in buffers(first):
-            for b, y in buffers(other):
-                assert not np.shares_memory(x, y), (a, b)
-        assert other.bitgen is not first.bitgen
-        assert other.rng is not first.rng
+        monkeypatch.setattr(sim._SpaWorkspace, "decode", spy)
+        _pinned_lanes(monkeypatch, lanes)
+        rec, = ber_sweep(code_360, [2.5], 0.7, stop=StopRule(30, 1000), seed=3)
+        if lanes == 1:
+            assert [rec.stats["noise_s"], rec.stats["decode_s"]] == own
+        else:
+            # the worker's decoding is counted too
+            assert rec.stats["decode_s"] > own[1] > 0.0
 
     def test_import_and_sweep_load_no_module(self):
         from fsscode import sim
