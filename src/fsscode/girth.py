@@ -16,9 +16,12 @@
   verifier checks the balance alone).  One query, ``min_edge_walk``, finds
   the shortest such walk, optionally among those opening with given steps:
   its length L gives the maximum girth 2L achievable over all moduli and
-  shift sequences (``inevitable_girth``), and ``method2`` asks it about the
-  steps to a candidate point.  The shift search keeps the forms of all
-  short closed walks as the templates a shift sequence must not zero.
+  shift sequences (``inevitable_girth``).  ``method2`` asks the same query,
+  with ``shortest=False``, only whether some walk opening with a step to a
+  candidate point exists: passes that take balanced walks of every length
+  up to L, for L = 2, 4, 8, ..., stop at the first one met.  The shift
+  search keeps the forms of all short closed walks as the templates a shift
+  sequence must not zero.
 """
 
 from __future__ import annotations
@@ -320,7 +323,8 @@ class WalkScaffold:
         return dist
 
 
-def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
+def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False,
+                 up_to=False):
     """Depth-first search over the closed walks of 2..``max_len`` steps.
 
     A step goes from a point to another point of one block; successive
@@ -361,6 +365,14 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
     leaves a position other than the one it reaches, and moves the norm by
     exactly 1 at each end, so a block is skipped whole when even the
     arrival that lowers the norm would leave it over that bound.
+
+    With ``up_to`` as well, balanced walks of every length up to
+    ``max_len`` are visited, each as it closes.  Both cuts hold for "at most
+    the steps left" as they do for "exactly": a branch either cuts cannot
+    return to i1 with norm 0 in any number of steps up to the steps left.
+    So the pass searches the same tree as the exact pass at ``max_len`` and
+    visits what the exact passes at 2..``max_len`` visit, in one
+    depth-first order rather than shortest first.
     """
     pos, base, steps = sc.pos, sc.base, sc.steps
     coef = [0] * len(pos)
@@ -370,7 +382,7 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
 
     def extend(u, norm, left):
         if (u == i1 and len(ks) >= 2 and ks[-1] != k1
-                and (not balanced or (norm == 0 and left == 0))
+                and (not balanced or (norm == 0 and (left == 0 or up_to)))
                 # the cuts below let ties at arr0 through: settle them in full
                 and (touched.count(arr0) < 2 or _least_in_class(points, touched))):
             found = visit(points[:-1], ks, touched, coef)
@@ -472,17 +484,30 @@ def inevitable_girth(fss: SetSystem, cap: int = DEFAULT_WALK_CAP) -> GirthReport
                        witness=WalkWitness(*found))
 
 
-def min_edge_walk(scaffold: WalkScaffold, max_len, steps=None):
+def min_edge_walk(scaffold: WalkScaffold, max_len, steps=None, *, shortest=True):
     """(points, block_idx) of the first balanced closed walk of the
     smallest length L <= ``max_len`` in ``closed_walks`` order, or None.
     With ``steps``, only walks opening with one of those (x, k, y) steps
     count.  Every length is searched through one scaffold, which keeps the
-    distances it caches."""
+    distances it caches.
+
+    With ``shortest=False`` the query asks only whether such a walk exists:
+    up-to passes at L = 2, 4, 8, ..., ``max_len`` return the first balanced
+    walk they meet, of any length <= L, or None when there is none.  The
+    doubling is the bound: a depth-first pass at ``max_len`` alone can
+    spend its time on long branches before it meets a short walk.  With
+    block [1, 2, 3] growing in the system [2, 3, 4, 5], [2, 4], [1, 2, 3]
+    and three more [2, 3, 4, 5], at ``max_len`` 12, that pass took 7.7 s,
+    against 0.7 ms for the deepening.  Doubling stops by the first L that
+    reaches the shortest walk's length, and that L is below twice it."""
     def witness(points, ks, *_):
         return tuple(points), tuple(ks)
 
-    for L in range(2, max_len + 1):
-        found = closed_walks(scaffold, L, witness, steps, balanced=True)
+    L = 1
+    while L < max_len:
+        L = L + 1 if shortest else min(2 * L, max_len)
+        found = closed_walks(scaffold, L, witness, steps, balanced=True,
+                             up_to=not shortest)
         if found is not None:
             return found
     return None

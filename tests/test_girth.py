@@ -1,6 +1,7 @@
 import hashlib
 import random
-from collections import deque
+import time
+from collections import Counter, deque
 from math import gcd
 
 import numpy as np
@@ -583,6 +584,85 @@ class TestEdgeGirth:
             assert verify_walk_raw(blocks, *walk)
             assert (walk[0][0], walk[1][0], walk[0][1]) in steps
         assert repeated > 50 and found > 50 and missing > 50 and hard >= 15, (found, missing, hard)
+
+
+def _growing_state(rng):
+    """A random state of ``method2``'s search, drawn as in
+    ``test_construct.TestAccepts``: complete blocks, then a partial block
+    with ascending points and a candidate above its last point.  Returns
+    the blocks with the candidate appended and the steps to it."""
+    v = rng.randint(3, 5)
+    blocks = [sorted(rng.sample(range(1, v + 1), rng.randint(2, 3)))
+              for _ in range(rng.randint(1, 7))]
+    grown = sorted(rng.sample(range(1, v), rng.randint(1, 2)))
+    beta = rng.randint(grown[-1] + 1, v)
+    blocks.append(grown + [beta])
+    return blocks, [(x, len(blocks), beta) for x in grown]
+
+
+class TestExistenceQuery:
+    """``min_edge_walk(..., shortest=False)``, the query ``method2`` asks,
+    and the up-to pass of ``closed_walks`` it runs, against the per-length
+    passes."""
+
+    # the system of TestWalkClasses.test_worst_case_for_the_deepening
+    WORST_CASE = [(2, 3, 4, 5), (2, 4), (1, 2, 3),
+                  (2, 3, 4, 5), (2, 3, 4, 5), (2, 3, 4, 5)]
+
+    @staticmethod
+    def _visited(sc, max_len, first, up_to):
+        seen = Counter()
+
+        def visit(points, ks, *_):
+            seen[tuple(points), tuple(ks)] += 1
+
+        closed_walks(sc, max_len, visit, first, balanced=True, up_to=up_to)
+        return seen
+
+    def test_up_to_pass_is_the_union_of_exact_passes(self):
+        rng = random.Random(20261020)
+        found = missing = longer = visits = 0
+        for _ in range(300):
+            blocks, steps = _growing_state(rng)
+            sc = WalkScaffold(blocks)
+            max_len = rng.randint(3, 7)
+            for first in (steps, None):
+                union = Counter()
+                for L in range(2, max_len + 1):
+                    union += self._visited(sc, L, first, False)
+                    assert self._visited(sc, L, first, True) == union, (
+                        blocks, first, L)
+                visits += sum(union.values())
+            walk = min_edge_walk(sc, max_len, steps, shortest=False)
+            shortest = min_edge_walk(sc, max_len, steps)
+            assert (walk is None) == (shortest is None), (blocks, steps, max_len)
+            if walk is None:
+                missing += 1
+                continue
+            found += 1
+            assert verify_walk_raw(blocks, *walk)
+            assert (walk[0][0], walk[1][0], walk[0][1]) in steps
+            assert len(walk[0]) <= max_len
+            longer += len(walk[0]) > len(shortest[0])
+        # some queries meet a longer walk than the shortest before it
+        assert found > 50 and missing > 50 and longer > 0 and visits > 1000, (
+            found, missing, longer, visits)
+
+    def test_bounded_on_the_worst_case_system(self):
+        # each block in turn grows to its last point, as in method2; one
+        # up-to pass at max_len 12 took 7.7 s with block (1, 2, 3) growing
+        start = time.perf_counter()
+        for j, grown in enumerate(self.WORST_CASE):
+            blocks = [b for i, b in enumerate(self.WORST_CASE) if i != j]
+            blocks.append(grown)
+            steps = [(x, len(blocks), grown[-1]) for x in grown[:-1]]
+            for max_len in (8, 10, 12):
+                walk = min_edge_walk(WalkScaffold(blocks), max_len, steps,
+                                     shortest=False)
+                shortest = min_edge_walk(WalkScaffold(blocks), max_len, steps)
+                assert (walk is None) == (shortest is None), (j, max_len)
+                assert walk is None or verify_walk_raw(blocks, *walk)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestVerifyWalk:
