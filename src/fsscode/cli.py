@@ -146,6 +146,8 @@ def cmd_shifts(args):
 def cmd_expand(args):
     fss = _load_fss(args.fss)
     if args.shifts is not None:
+        if args.m is not None:
+            raise ValueError("--shifts takes m from its file: drop --m")
         with open(args.shifts) as fh:
             S = shifts_from_json(fss, fh.read())
     elif args.m is None:

@@ -157,9 +157,9 @@ def method2(
     is re-checked by ``inevitable_girth`` over the whole system: the same
     ``closed_walks`` engine that the per-step queries use, run once more
     from every start rather than through the new steps only.  A per-step
-    query asks only whether a short balanced walk exists
-    (``min_edge_walk(..., shortest=False)``), so the verdicts, and with
-    them the search path, are those of a shortest-walk query.
+    query asks only whether a short balanced walk exists, in passes of six
+    steps or more (``min_edge_walk(..., shortest=False)``), so the verdicts,
+    and with them the search path, are those of a shortest-walk query.
     """
     target_g = _integer(target_g, "target girth", 6, even=True,
                         high=2 * _MAX_WALK)
@@ -217,7 +217,7 @@ def _accepts(points, starts, beta, max_len):
     ``starts`` (the last one being grown), closes no balanced walk of length
     <= max_len through any new incidence step (x, last block, beta).  Only
     existence matters, so the query asks for any such walk
-    (``shortest=False``), not the shortest."""
+    (``shortest=False``), not the shortest; its passes start at six steps."""
     trial = [tuple(points[a:b]) for a, b in zip(starts, [*starts[1:], len(points)])]
     trial[-1] += (beta,)
     steps = [(x, len(trial), beta) for x in trial[-1][:-1]]

@@ -16,12 +16,12 @@
   verifier checks the balance alone).  One query, ``min_edge_walk``, finds
   the shortest such walk, optionally among those opening with given steps:
   its length L gives the maximum girth 2L achievable over all moduli and
-  shift sequences (``inevitable_girth``).  ``method2`` asks the same query,
-  with ``shortest=False``, only whether some walk opening with a step to a
-  candidate point exists: passes that take balanced walks of every length
-  up to L, for L = 2, 4, 8, ..., stop at the first one met.  The shift
-  search keeps the forms of all short closed walks as the templates a shift
-  sequence must not zero.
+  shift sequences (``inevitable_girth``); its passes visit each balanced
+  walk as it closes, from six steps, the fewest one can take.  ``method2``
+  asks it, with ``shortest=False``, only whether some walk opening with a
+  step to a candidate point exists: passes at L = 8, 16, ... up to the cap
+  stop at the first one met.  The shift search keeps the forms of all
+  short closed walks as the templates a shift sequence must not zero.
 """
 
 from __future__ import annotations
@@ -323,8 +323,7 @@ class WalkScaffold:
         return dist
 
 
-def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False,
-                 up_to=False):
+def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
     """Depth-first search over the closed walks of 2..``max_len`` steps.
 
     A step goes from a point to another point of one block; successive
@@ -358,21 +357,17 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False,
     without the final return to i1, its blocks, the flat list of the
     positions each step leaves and reaches, and the coefficient vector.  A
     true value from ``visit`` ends the search and is returned; otherwise the
-    result is None.  With ``balanced`` only balanced walks of exactly
-    ``max_len`` steps are visited, and a branch is cut once its norm exceeds
-    twice the steps left (a step changes it by at most 2).  Every branch is
-    cut once its point is further from i1 than the steps left.  A step
-    leaves a position other than the one it reaches, and moves the norm by
-    exactly 1 at each end, so a block is skipped whole when even the
-    arrival that lowers the norm would leave it over that bound.
-
-    With ``up_to`` as well, balanced walks of every length up to
-    ``max_len`` are visited, each as it closes.  Both cuts hold for "at most
-    the steps left" as they do for "exactly": a branch either cuts cannot
-    return to i1 with norm 0 in any number of steps up to the steps left.
-    So the pass searches the same tree as the exact pass at ``max_len`` and
-    visits what the exact passes at 2..``max_len`` visit, in one
-    depth-first order rather than shortest first.
+    result is None.  Each walk is visited as it closes, so a pass at
+    ``max_len`` visits walks of 2..``max_len`` steps; with ``balanced``
+    only the balanced ones, and a branch is cut once its norm exceeds twice
+    the steps left (a step changes it by at most 2).  Every branch is cut
+    once its point is further from i1 than the steps left.  A step leaves a
+    position other than the one it reaches, and moves the norm by exactly 1
+    at each end, so a block is skipped whole when even the arrival that
+    lowers the norm would leave it over that bound.  Neither cut loses a
+    balanced walk of at most ``max_len`` steps, so every shorter pass's
+    walks lie in this pass's tree: after shorter passes that found none, a
+    balanced pass meets only walks of ``max_len`` steps.
     """
     pos, base, steps = sc.pos, sc.base, sc.steps
     coef = [0] * len(pos)
@@ -382,7 +377,7 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False,
 
     def extend(u, norm, left):
         if (u == i1 and len(ks) >= 2 and ks[-1] != k1
-                and (not balanced or (norm == 0 and (left == 0 or up_to)))
+                and (not balanced or norm == 0)
                 # the cuts below let ties at arr0 through: settle them in full
                 and (touched.count(arr0) < 2 or _least_in_class(points, touched))):
             found = visit(points[:-1], ks, touched, coef)
@@ -492,22 +487,25 @@ def min_edge_walk(scaffold: WalkScaffold, max_len, steps=None, *, shortest=True)
     distances it caches.
 
     With ``shortest=False`` the query asks only whether such a walk exists:
-    up-to passes at L = 2, 4, 8, ..., ``max_len`` return the first balanced
-    walk they meet, of any length <= L, or None when there is none.  The
-    doubling is the bound: a depth-first pass at ``max_len`` alone can
-    spend its time on long branches before it meets a short walk.  With
-    block [1, 2, 3] growing in the system [2, 3, 4, 5], [2, 4], [1, 2, 3]
-    and three more [2, 3, 4, 5], at ``max_len`` 12, that pass took 7.7 s,
-    against 0.7 ms for the deepening.  Doubling stops by the first L that
-    reaches the shortest walk's length, and that L is below twice it."""
+    passes at L = 8, 16, ... below ``max_len``, then at ``max_len``, return
+    the first balanced walk met, or None.  The doubling is the bound: one
+    pass at ``max_len`` can spend its time on long branches before it meets
+    a short walk; with block [1, 2, 3] growing in [2, 3, 4, 5], [2, 4],
+    [1, 2, 3] and three more [2, 3, 4, 5], at 12, it took 7.7 s against
+    0.7 ms for the deepening.  Doubling stops by the first L that reaches
+    the shortest walk's length, below twice it.  No pass is below six."""
     def witness(points, ks, *_):
         return tuple(points), tuple(ks)
 
     L = 1
     while L < max_len:
         L = L + 1 if shortest else min(2 * L, max_len)
-        found = closed_walks(scaffold, L, witness, steps, balanced=True,
-                             up_to=not shortest)
+        # a balanced walk has six steps or more: each of its blocks takes two
+        # steps or more, never two in a row (it enters every point it leaves),
+        # and two blocks alternating would need a step from a point to itself
+        if L < 6:
+            continue
+        found = closed_walks(scaffold, L, witness, steps, balanced=True)
         if found is not None:
             return found
     return None

@@ -640,7 +640,7 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     ws = _SpaWorkspace(H, batch)
     workers: list[_Worker] = []
     try:
-        for _ in range(_lane_count(edges, stop.max_frames) - 1):
+        for _ in range(_lane_count(edges, stop.max_frames if cfgs else 0) - 1):
             workers.append(_Worker(ws, workers))
         # one lane sends no messages, so its share stays one batch
         cap = batch if not workers else max(

@@ -311,6 +311,24 @@ class TestShiftPipeline:
         assert json.loads(err)["message"] == "--shift-list requires --m"
         assert not alist_path.exists()
 
+    def test_expand_rejects_m_with_shifts(self, capsys, fss_file, tmp_path):
+        # the shift file carries its own m; a second one is not dropped
+        # silently
+        shifts_path = tmp_path / "s.json"
+        shifts_path.write_text(json.dumps({"m": 5, "shifts": [
+            {"point": x, "block": k, "s": k * x % 5}
+            for k in (1, 2, 3) for x in (1, 2)]}))
+        alist_path = tmp_path / "h.alist"
+        argv = ["expand", "--fss", fss_file, "--shifts", str(shifts_path),
+                "-o", str(alist_path)]
+        code, out, err = _run(capsys, [*argv, "--m", "7"])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert json.loads(err)["error"] == "ValueError"
+        assert "--m" in json.loads(err)["message"]
+        assert not alist_path.exists()
+        assert _run(capsys, argv)[0] == EXIT_OK
+        assert alist_path.exists()
+
     @pytest.mark.parametrize("cmd", ["shifts", "method1"])
     def test_negative_seed_exits_1(self, capsys, fss_file, cmd):
         more = ["--m", "5", "--girth", "8"] if cmd == "shifts" else [

@@ -534,6 +534,12 @@ class TestLanes:
                 thread.join(timeout=10)
                 assert not thread.is_alive()
 
+    def test_empty_sweep_forks_nothing(self, code_360, monkeypatch):
+        # two usable CPUs would give the default stop rule's frames a worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert ber_sweep(code_360, [], 0.7) == []
+
     @two_cpus
     def test_no_worker_outlives_a_sweep(self, code_360, monkeypatch):
         from fsscode import sim
