@@ -7,7 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from fsscode import girth, reference_code
+from fsscode import girth, load_paper_tables, reference_code
 from fsscode.girth import (
     GirthReport,
     WalkScaffold,
@@ -213,6 +213,51 @@ class TestCirculantOracle:
         assert tanner_girth(self._code(m=3), cap=6).to_json() == (
             '{"girth": "unbounded", "cap": 6}'
         )
+
+
+def _circulant_oracle_corpus():
+    """``(H, cap)`` of ``TestCirculantOracle.test_matches_generic_on_random_qc_matrices``,
+    drawn from the same seed in the same order."""
+    rng = random.Random(20261018)
+    for case in range(240):
+        v = rng.randint(2, 6)
+        b = (rng.randint(v + 1, 8), rng.randint(1, v - 1), v)[case % 3]
+        blocks = [rng.sample(range(1, v + 1), rng.randint(1, min(4, v)))
+                  for _ in range(b)]
+        fss = validate_fss(v, blocks, t=1)
+        m = rng.randint(1, 13)
+        cap = rng.choice(range(4, 17, 2))
+        yield expand(assemble(fss, _random_shifts(rng, fss, m))), cap
+
+
+class TestTannerGirthPinned:
+    """``tanner_girth``'s reports, witnesses included, pinned by digests: a
+    faster BFS must find the same cycle through the same visit order."""
+
+    TABLE_DIGEST = "9f0623ad4544443b3abb9d31f467e3bc5df99e429611adfa7f39075bf79fd878"
+    RANDOM_DIGEST = "ed24bf70a4db56eb300b69523203901b536acdac6a1c32b23e14d3578eef850e"
+
+    @staticmethod
+    def _digest(reports):
+        h = hashlib.sha256()
+        for rep in reports:
+            h.update(rep.to_json().encode() + b"\n")
+        return h.hexdigest()
+
+    def test_table_codes(self):
+        """The seven bundled codes at ``verify-table``'s cap and at 16."""
+        reports = []
+        for row in load_paper_tables()["girth_codes"]:
+            H = expand(reference_code(row["name"]))
+            for cap in (row["girth"] + 2, 16):
+                reports.append(tanner_girth(H, cap))
+        assert len(reports) == 14
+        assert self._digest(reports) == self.TABLE_DIGEST
+
+    def test_random_qc_matrices(self):
+        reports = [tanner_girth(H, cap) for H, cap in _circulant_oracle_corpus()]
+        assert len(reports) == 240
+        assert self._digest(reports) == self.RANDOM_DIGEST
 
 
 def _ref_lift(q):
