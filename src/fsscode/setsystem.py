@@ -186,10 +186,11 @@ def block_stats(fss: SetSystem) -> SystemStats:
 class BinaryMatrix:
     """Sparse 0/1 matrix stored once, as its edges: int64 arrays
     ``edge_rows`` and ``edge_cols`` sorted by row, then column, with row r
-    at ``row_ptr[r]:row_ptr[r + 1]``.  The sorted index lists
-    ``row_support[i]`` and ``col_support[j]`` hold Python ints and are
-    built on first use.  ``entries`` holds integer ``(row, col)`` pairs;
-    ``col_labels`` optionally records the point subset of each column.
+    at ``row_ptr[r]:row_ptr[r + 1]``; ``column_order()`` gives the
+    column-major order.  The sorted index lists ``row_support[i]`` and
+    ``col_support[j]`` hold Python ints and are built on first use.
+    ``entries`` holds integer ``(row, col)`` pairs; ``col_labels``
+    optionally records the point subset of each column.
     """
 
     def __init__(self, rows, cols, entries, col_labels=None):
@@ -223,7 +224,19 @@ class BinaryMatrix:
 
     @cached_property
     def col_support(self) -> list[list[int]]:
-        return self.transpose().row_support
+        order, ptr = self.column_order()
+        rows, ptr = self.edge_rows[order].tolist(), ptr.tolist()
+        return [rows[a:b] for a, b in zip(ptr, ptr[1:])]
+
+    def column_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, col_ptr)``: the stable argsort of ``edge_cols``, which
+        lists each column's edges by ascending row, and the column start
+        offsets, column c at ``order[col_ptr[c]:col_ptr[c + 1]]``.  Computed
+        on every call, never cached."""
+        order = np.argsort(self.edge_cols, kind="stable")
+        col_ptr = np.zeros(self.cols + 1, np.int64)
+        np.cumsum(np.bincount(self.edge_cols, minlength=self.cols), out=col_ptr[1:])
+        return order, col_ptr
 
     def transpose(self) -> "BinaryMatrix":
         return BinaryMatrix(self.cols, self.rows,

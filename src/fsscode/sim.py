@@ -329,11 +329,10 @@ class _SpaWorkspace:
         self.slot_col = np.full((dr, m), n, dtype=np.intp)
         self.slot_col[slot, rows] = cols
 
-        by_col = np.argsort(cols, kind="stable")  # keeps rows ascending
-        cdeg = np.bincount(cols, minlength=n)
-        rank = np.arange(nnz) - (np.cumsum(cdeg) - cdeg)[cols[by_col]]
-        self.col_slot = np.full((int(cdeg.max(initial=0)), n), dr * m,
-                                dtype=np.intp)
+        by_col, col_ptr = H.column_order()  # rows ascending in each column
+        rank = np.arange(nnz) - col_ptr[cols[by_col]]
+        self.col_slot = np.full((int(np.diff(col_ptr).max(initial=0)), n),
+                                dr * m, dtype=np.intp)
         self.col_slot[rank, cols[by_col]] = flat[by_col]
 
         self.pad = np.flatnonzero(self.slot_col == n) if nnz < dr * m else None

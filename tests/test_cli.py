@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -517,6 +520,20 @@ class TestSimulateAndTables:
         assert (code, out) == (EXIT_ERROR, "")
         assert json.loads(err)["error"] == "ArgumentError"
         assert not path.exists()
+
+    @pytest.mark.parametrize("row, code", [("fss-3-12-m13", EXIT_OK),
+                                           ("nope", EXIT_ERROR)])
+    def test_python_dash_m_runs_the_cli(self, row, code):
+        # ``python -m fsscode`` from the source tree, exit code passed through
+        import fsscode
+
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(fsscode.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "fsscode", "verify-table",
+                               "--row", row], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout.startswith("PASS fss-3-12-m13") == (code == EXIT_OK)
 
 
 class TestPointBoundAndDefaults:

@@ -1,7 +1,8 @@
 import hashlib
+import json
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from math import gcd
 
 import numpy as np
@@ -258,6 +259,99 @@ class TestTannerGirthPinned:
         reports = [tanner_girth(H, cap) for H, cap in _circulant_oracle_corpus()]
         assert len(reports) == 240
         assert self._digest(reports) == self.RANDOM_DIGEST
+
+
+def _ref_tanner_girth(rows, cols, entries, cap):
+    """The Tanner BFS rebuilt from the ``(row, col)`` pairs alone, as the
+    JSON report ``tanner_girth`` gives.  Per-vertex neighbour lists in plain
+    Python are filled from the sorted pairs, so a check lists its bits by
+    ascending column and a bit its checks by ascending row.  Every check is
+    a root, in order.  The visit and cycle rules are ``tanner_girth``'s: a
+    vertex at half the depth limit is not expanded, the edge back to the
+    parent is skipped, and an edge to a reached vertex gives a cycle when
+    it is shorter than the best and its two tree paths meet only at the
+    root; the best then lowers the limit."""
+    adj = [[] for _ in range(rows + cols)]
+    for r, c in sorted(entries):
+        adj[r].append(rows + c)
+        adj[rows + c].append(r)
+
+    def path(v, parent):
+        out = []
+        while v is not None:
+            out.append(v)
+            v = parent[v]
+        return out
+
+    best = best_nodes = None
+    for root in range(rows):
+        limit = cap if best is None else min(cap, best - 2)
+        dist, parent = {root: 0}, {root: None}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            if dist[u] >= limit // 2:
+                continue
+            for w in adj[u]:
+                if w == parent[u]:
+                    continue
+                if w not in dist:
+                    dist[w], parent[w] = dist[u] + 1, u
+                    queue.append(w)
+                elif best is None or dist[u] + dist[w] + 1 < best:
+                    nodes = path(u, parent)[::-1] + path(w, parent)[:-1]
+                    if len(set(nodes)) == len(nodes):
+                        best, best_nodes = dist[u] + dist[w] + 1, nodes
+                        limit = min(cap, best - 2)
+    if best is None:
+        return GirthReport(girth=None, cap=cap).to_json()
+    return GirthReport(best, cap, girth.CycleWitness(tuple(best_nodes))).to_json()
+
+
+class TestTannerReferenceDifferential:
+    """``tanner_girth`` against ``_ref_tanner_girth``: equal girth and
+    witness.  The witness is the first shortest cycle in BFS order, so a
+    neighbour list read in another order shows up here."""
+
+    @staticmethod
+    def _check(H, cap):
+        entries = list(zip(H.edge_rows.tolist(), H.edge_cols.tolist()))
+        rng = random.Random(len(entries))
+        rng.shuffle(entries)  # the reference sorts them itself
+        got = tanner_girth(H, cap).to_json()
+        assert got == _ref_tanner_girth(H.rows, H.cols, entries, cap), (H, cap)
+        return got
+
+    def test_random_qc_matrices(self):
+        rng = random.Random(2710)
+        girths = Counter()
+        for case in range(300):
+            fss = _random_system(rng, vmax=5, bmax=4)
+            m = 1 if case % 5 == 0 else rng.randint(2, 13)
+            H = expand(assemble(fss, _random_shifts(rng, fss, m)))
+            cap = rng.choice(range(4, 17, 2))
+            girths[json.loads(self._check(H, cap))["girth"]] += 1
+        long_girths = sum(n for g, n in girths.items() if g != "unbounded" and g >= 8)
+        assert girths["unbounded"] > 0 and long_girths >= 30, girths
+
+    def test_random_sparse_matrices(self):
+        """Matrices that are not quasi-cyclic, with empty rows and columns,
+        single rows and ``0 x n`` shapes among them."""
+        rng = np.random.default_rng(2711)
+        girths = Counter()
+        shapes = Counter()
+        for case in range(300):
+            rows = (0, 1)[case // 10 % 2] if case % 10 == 0 else int(rng.integers(2, 16))
+            cols = int(rng.integers(0, 24))
+            D = rng.random((rows, cols)) < rng.uniform(0.08, 0.4)
+            H = BinaryMatrix(rows, cols, np.argwhere(D))
+            cap = int(rng.choice(np.arange(4, 17, 2)))
+            girths[json.loads(self._check(H, cap))["girth"]] += 1
+            shapes[min(rows, 2)] += 1
+            shapes["empty"] += bool(rows > 1 and cols and (~D.any(axis=0)).any()
+                                    and (~D.any(axis=1)).any())
+        assert shapes[0] == shapes[1] == 15 and shapes["empty"] >= 30, shapes
+        assert len(girths) >= 4, girths
 
 
 def _ref_lift(q):

@@ -181,6 +181,27 @@ class TestBinaryMatrix:
             assert H.transpose().row_support == col_sup
             assert H.transpose().transpose() == H
 
+    def test_column_order_matches_transpose(self):
+        """``column_order`` and the ``col_support`` read from it against
+        the transposed matrix, with empty rows and columns common."""
+        rng = np.random.default_rng(27)
+        empty_rows = empty_cols = 0
+        for _ in range(200):
+            rows, cols = (int(x) for x in rng.integers(0, 12, size=2))
+            D = rng.random((rows, cols)) < rng.uniform(0.05, 0.5)
+            H = BinaryMatrix(rows, cols, np.argwhere(D))
+            before = set(vars(H))
+            order, col_ptr = H.column_order()
+            assert set(vars(H)) == before  # nothing cached on H
+            T = H.transpose()
+            assert col_ptr.tolist() == T.row_ptr.tolist()
+            assert H.edge_rows[order].tolist() == T.edge_cols.tolist()
+            assert H.edge_cols[order].tolist() == T.edge_rows.tolist()
+            assert H.col_support == T.row_support
+            empty_rows += (~D.any(axis=1)).any()
+            empty_cols += (~D.any(axis=0)).any()
+        assert min(empty_rows, empty_cols) >= 50
+
 
 class TestIncidenceMatrix:
     def test_example_matrix_shape(self, example):
