@@ -218,8 +218,8 @@ def _accepts(points, starts, beta, max_len):
     <= max_len through any new incidence step (x, last block, beta).  Only
     existence matters, so the query asks for any such walk
     (``shortest=False``), not the shortest; its passes start at six steps."""
-    trial = [tuple(points[a:b]) for a, b in zip(starts, [*starts[1:], len(points)])]
-    trial[-1] += (beta,)
+    trial = [points[a:b] for a, b in zip(starts, [*starts[1:], len(points)])]
+    trial[-1].append(beta)
     steps = [(x, len(trial), beta) for x in trial[-1][:-1]]
     return min_edge_walk(WalkScaffold(trial), max_len, steps,
                          shortest=False) is None

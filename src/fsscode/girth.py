@@ -7,11 +7,11 @@
   oracle everything else is checked against.  It finds the circulant block
   size of H itself, so quasi-cyclic input needs only one BFS root per
   block-row and no caller declares the size.
-* Closed walks in a set system: alternating point/block walks whose
-  symbolic shift sum telescopes to sum_k sum_x (in_k(x) - out_k(x)) s_{x,k},
-  a linear form over the incidences.  One scaffold (``WalkScaffold``) and
-  one depth-first search (``closed_walks``) serve every caller.  A walk is
-  inevitable when its form is identically zero (per-block degree balance;
+* Closed walks in a set system: alternating point/block walks whose symbolic
+  shift sum telescopes to sum_k sum_x (in_k(x) - out_k(x)) s_{x,k}, a linear
+  form over the incidences.  One scaffold of step tables (``WalkScaffold``)
+  and one depth-first search (``closed_walks``) serve every caller.  A walk
+  is inevitable when its form is identically zero (per-block degree balance;
   a balanced multigraph always decomposes into per-block cycles, so the
   verifier checks the balance alone).  One query, ``min_edge_walk``, finds
   the shortest such walk, optionally among those opening with given steps:
@@ -20,8 +20,8 @@
   walk as it closes, from six steps, the fewest one can take.  ``method2``
   asks it, with ``shortest=False``, only whether some walk opening with a
   step to a candidate point exists: passes at L = 8, 16, ... up to the cap
-  stop at the first one met.  The shift search keeps the forms of all
-  short closed walks as the templates a shift sequence must not zero.
+  stop at the first one met.  The shift search keeps the forms of all short
+  closed walks as the templates a shift sequence must not zero.
 """
 
 from __future__ import annotations
@@ -289,31 +289,24 @@ def _cycle_nodes(u, w, parent, dist):
 # ----------------------------------------------------------------------
 
 class WalkScaffold:
-    """Adjacency of an ordered block list for closed-walk search.
+    """Step tables of an ordered block list for closed-walk search.
 
-    ``point_blocks[x]`` lists the 1-based blocks through point x in block
-    order.  ``pos[(x, j)]`` numbers the incidences block-major, points in
-    the order their block lists them: the order of ``SetSystem.incidences``
-    and of the shift search's assignment.  ``steps[x]`` is the step table
-    of point x: per block k through it, in block order, ``(k, pos[(x, k)],
-    members)``, where ``members`` lists block k's ``(position, point)``
-    pairs and is shared by every point of the block.  Co-block distances
-    to a start point are computed on first use and cached.
+    ``steps[x]`` lists, per block k through point x in block order, ``(k,
+    position, members)``: ``members`` is block k's ``(position, point)``
+    pairs, one list shared by the block's points.  The ``size`` incidence
+    positions go block-major, points in block order, as in
+    ``SetSystem.incidences`` and the shift search's assignment.  Co-block
+    distances to a start point are computed on first use and cached.
     """
 
     def __init__(self, blocks):
-        self.blocks = [tuple(b) for b in blocks]
-        self.point_blocks: dict[int, list[int]] = {}
-        self.pos: dict[tuple[int, int], int] = {}
-        self.base = [0]  # base[j] = position of block j's first point
-        for j, blk in enumerate(self.blocks, start=1):
-            self.base.append(len(self.pos))
-            for x in blk:
-                self.point_blocks.setdefault(x, []).append(j)
-                self.pos[(x, j)] = len(self.pos)
-        members = [list(enumerate(b, s)) for b, s in zip(self.blocks, self.base[1:])]
-        self.steps = {x: [(k, self.pos[(x, k)], members[k - 1]) for k in ks]
-                      for x, ks in self.point_blocks.items()}
+        self.steps: dict[int, list] = {}
+        self.size = 0
+        for k, blk in enumerate(blocks, start=1):
+            members = list(enumerate(blk, self.size))
+            for a, x in members:
+                self.steps.setdefault(x, []).append((k, a, members))
+            self.size += len(members)
         self._dist: dict[int, dict[int, int]] = {}
 
     def distances(self, source):
@@ -325,8 +318,8 @@ class WalkScaffold:
             queue = deque([source])
             while queue:
                 u = queue.popleft()
-                for k in self.point_blocks[u]:
-                    for w in self.blocks[k - 1]:
+                for _, _, members in self.steps[u]:
+                    for _, w in members:
                         if w not in dist:
                             dist[w] = dist[u] + 1
                             queue.append(w)
@@ -358,10 +351,11 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
     taken.  A walk with such a step at exactly ``arr0`` is compared in full
     with its class on closing.
 
-    As the walk grows, its coefficient vector over incidence positions (-1
-    where a step leaves a point, +1 where it arrives) is kept with its L1
-    norm.  The walk is balanced, its symbolic shift sum vanishing for every
-    shift assignment, exactly when the norm is 0.
+    As the walk grows, its coefficient vector over the ``sc.size``
+    incidence positions (-1 where a step leaves a point, +1 where it
+    arrives) is kept with its L1 norm.  The walk is balanced, its symbolic
+    shift sum vanishing for every shift assignment, exactly when the norm
+    is 0.  Every position is read from the step tables.
 
     ``visit(points, ks, touched, coef)`` gets each closed walk: its points
     without the final return to i1, its blocks, the flat list of the
@@ -379,8 +373,8 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
     walks lie in this pass's tree: after shorter passes that found none, a
     balanced pass meets only walks of ``max_len`` steps.
     """
-    pos, base, steps = sc.pos, sc.base, sc.steps
-    coef = [0] * len(pos)
+    steps = sc.steps
+    coef = [0] * sc.size
     points: list[int] = []
     ks: list[int] = []
     touched: list[int] = []
@@ -407,7 +401,7 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
                 if again and k <= k1:
                     if k < k1:
                         continue
-                    members = members[arr0 - base[k]:]
+                    members = members[arr0 - members[0][0]:]  # consecutive
             elif k != k1 and k in closing:  # the last step can only close the walk
                 members = ((closing[k], i1),)
             else:
@@ -448,7 +442,8 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
         lo = 0 if first is not None else i1
         dist = sc.distances(i1)
         closing = {k: a for k, a, _ in steps[i1]}
-        a, b = pos[(i1, k1)], pos[(i2, k1)]
+        a = closing[k1]
+        b = next(p for k, p, _ in steps[i2] if k == k1)
         arr0 = -1 if first is not None else b  # positions are >= 0: no cut
         coef[a], coef[b] = -1, 1
         points[:], ks[:], touched[:] = [i1, i2], [k1], [a, b]

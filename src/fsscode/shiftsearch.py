@@ -117,14 +117,15 @@ class ShiftSearchState:
                                 high=2 * _MAX_WALK)
         m = _integer(m, "modulus", 1, high=_MAX_DIM // max(fss.v, fss.b))
         start = perf_counter()
-        E, width = len(fss.incidences), target_girth - 2
+        sc = WalkScaffold(fss.blocks)
+        E, width = sc.size, target_girth - 2
         raw, pad = array("i"), [E] * width
 
         def record(points, ks, touched, coef):
             raw.extend(touched)
             raw.extend(pad[len(touched):])
 
-        closed_walks(WalkScaffold(fss.blocks), width // 2, record)
+        closed_walks(sc, width // 2, record)
         walks_s = perf_counter() - start
         steps = np.asarray(raw).reshape(-1, width)
         K = np.zeros((len(steps), E + 1), dtype=np.int8)

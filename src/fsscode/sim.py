@@ -382,6 +382,7 @@ class _SpaWorkspace:
 
 _LIM = 0.999999999999
 _MAX_ITER = 50  # spa_decode's, ber_sweep's and ``fsscode simulate``'s default
+_ITER_CAP = 10_000  # its bound: a sweep point keeps max_iter + 1 counts
 
 # ber_sweep decodes max(1, _EDGE_BUDGET // edges) frames per batch: 24 of
 # the n=360 reference code (1,080 edges), whose batch buffers take ~0.7 MB,
@@ -473,8 +474,8 @@ def _decode_frames(ws: _SpaWorkspace, count: int, max_iter: int) -> None:
 def spa_decode(H: BinaryMatrix, llr, max_iter: int = _MAX_ITER) -> DecodeResult:
     """Log-domain sum-product (tanh rule) with a flooding schedule and early
     exit on a zero syndrome. LLRs may be infinite but not NaN; ``max_iter``
-    is a non-negative integer, not a bool."""
-    max_iter = _integer(max_iter, "max_iter", 0)
+    is an integer in 0..``_ITER_CAP``, not a bool."""
+    max_iter = _integer(max_iter, "max_iter", 0, high=_ITER_CAP)
     ws = _SpaWorkspace(H)
     llr = np.asarray(llr)
     if llr.dtype.kind not in "iuf" or llr.shape != (ws.n,):
@@ -625,10 +626,10 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     docstring), and counted in frame order, so the sweep stops at exactly
     the frame that brings in the last frame error it needs and discards any
     decoded past it; the records do not depend on the batch size or the
-    lane count. ``seed`` must be a non-negative integer; a ``bool`` is
-    rejected.
+    lane count. ``seed`` must be a non-negative integer and ``max_iter``
+    one of at most ``_ITER_CAP``; a ``bool`` is rejected.
     """
-    max_iter = _integer(max_iter, "max_iter", 0)
+    max_iter = _integer(max_iter, "max_iter", 0, high=_ITER_CAP)
     seed = _integer(seed, "seed", 0)
     cfgs = [ChannelConfig(e, rate) for e in _iterable(ebn0_list, "ebn0_list")]
     stop = _or_default(stop, StopRule, "stop")

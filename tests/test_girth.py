@@ -689,7 +689,7 @@ class TestEdgeGirth:
         assert _walk_len(min_edge_walk(sc, 7, [(2, 1, 1)])) == 6
         walk = min_edge_walk(sc, 7, [(2, 1, 1)])
         assert walk[0][:2] == (2, 1) and walk[1][0] == 1
-        assert verify_walk_raw(sc.blocks, *walk)
+        assert verify_walk_raw([(1, 2), (1, 2), (1, 2)], *walk)
 
     def test_steps_query_is_min_of_single_steps(self):
         # on systems with repeated blocks: the multi-step query finds the
@@ -1302,6 +1302,54 @@ class TestVisitOrderPinned:
                     balanced_visits += run(sc, max_len, pinned, True)
         assert (visits, balanced_visits) == (236_983, 7_328)
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestScaffoldNumbering:
+    """The scaffold numbers incidences as ``SetSystem.incidences`` lists
+    them: the shift search reads template position e as ``order[e]``."""
+
+    @staticmethod
+    def _check(blocks, incidences):
+        sc = WalkScaffold(blocks)
+        assert sc.size == len(incidences)
+        assert sorted(sc.steps) == sorted({x for blk in blocks for x in blk})
+        shared = {}
+        for x, table in sc.steps.items():
+            assert [k for k, _, _ in table] == [
+                k for k, blk in enumerate(blocks, start=1) if x in blk]
+            for k, a, members in table:
+                assert a == incidences.index((x, k))
+                assert members == [(incidences.index((w, k)), w)
+                                   for w in blocks[k - 1]]
+                assert shared.setdefault(k, members) is members
+        assert len(shared) == len(blocks)
+
+    def test_positions_are_the_incidence_order(self):
+        rng = random.Random(20261020)
+        repeated = 0
+        for _ in range(100):
+            fss = _random_system_with_repeats(rng, vmax=7, bmax=10)
+            repeated += len(set(fss.blocks)) < len(fss.blocks)
+            self._check(fss.blocks, fss.incidences)
+        assert repeated > 30
+
+    def test_point_in_many_blocks(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            v = rng.randint(3, 8)
+            blocks = [[1, *rng.sample(range(2, v + 1), rng.randint(1, v - 1))]
+                      for _ in range(rng.randint(5, 12))]
+            fss = validate_fss(v, blocks)
+            self._check(fss.blocks, fss.incidences)
+            assert len(WalkScaffold(fss.blocks).steps[1]) == len(blocks)
+
+    def test_method2_list_blocks(self):
+        # ``_accepts`` passes its trial blocks as ascending lists
+        rng = random.Random(11)
+        for _ in range(100):
+            blocks, _ = _growing_state(rng)
+            fss = validate_fss(max(map(max, blocks)), blocks)
+            self._check(blocks, fss.incidences)
 
 
 class TestIntegerCaps:

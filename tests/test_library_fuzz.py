@@ -234,6 +234,11 @@ def test_one_parity_rule(call, message):
      ValueError, "cap"),
     (lambda: search_shifts(FSS, 2**64, 6), ValueError, "modulus"),
     (lambda: method2(2**64, WeightProfile((2, 3, 2)), 6), ValueError, "v"),
+    # a sweep point's iteration histogram holds max_iter + 1 counts
+    (lambda: spa_decode(H, [1.5] * H.cols, 10_001), ValueError, "max_iter"),
+    (lambda: spa_decode(H, [1.5] * H.cols, 2**64), ValueError, "max_iter"),
+    (lambda: ber_sweep(H, [3.0], 0.5, max_iter=10_001), ValueError,
+     "max_iter"),
     # row_ptr holds rows + 1 int64 offsets
     (lambda: BinaryMatrix(10**9, 3, [[0, 1]]), ValueError, "rows"),
     (lambda: BinaryMatrix(3, 2**24 + 1, [[0, 1]]), ValueError, "cols"),
@@ -263,6 +268,13 @@ def test_create_checks_target_and_modulus(m, target, message):
 
 def test_point_bound_admits_its_own_count():
     assert validate_fss(2**20, [[1, 2**20]]).v == 2**20
+
+
+def test_iteration_bound_admits_its_own_count():
+    # the LLRs satisfy every check, so the decoder stops at once
+    assert spa_decode(H, [1.5] * H.cols, 10_000).converged
+    record, = ber_sweep(H, [3.0], 0.34, stop=StopRule(1, 2), max_iter=10_000)
+    assert len(record.stats["iterations"]) == 10_001
 
 
 def test_schedule_may_be_any_iterable():

@@ -937,7 +937,7 @@ class TestBoundaries:
     @pytest.mark.parametrize("flag, value", [
         ("--min-frame-errors", "0"), ("--max-frames", "-1"),
         ("--max-iter", "-1"), ("--snr", "nan"), ("--snr", "2,inf"),
-        ("--seed", "-1"),
+        ("--seed", "-1"), ("--max-iter", "10001"),
     ])
     def test_simulate_exits_1_with_json_error(self, capsys, tmp_path, flag,
                                               value):
