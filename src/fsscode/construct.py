@@ -160,6 +160,11 @@ def method2(
     query asks only whether a short balanced walk exists, in passes of six
     steps or more (``min_edge_walk(..., shortest=False)``), so the verdicts,
     and with them the search path, are those of a shortest-walk query.
+    Each block builds one ``WalkScaffold`` of the placed points when the
+    search enters its second slot, and its candidate lists grow it: each
+    candidate is pushed onto the last block for its query (``_accepts``)
+    and popped off once rejected, or, once accepted, when the search draws
+    the list's next candidate.
     """
     target_g = _integer(target_g, "target girth", 6, even=True,
                         high=2 * _MAX_WALK)
@@ -177,14 +182,21 @@ def method2(
     starts = [0, *accumulate(K)]  # block j is points[starts[j]:starts[j + 1]]
     points: list[int] = []
     stats = {"walk_queries": 0, "accepted": 0, "walk_s": 0.0}
+    scaffolds = {}  # block j's, built on entering its second slot
 
-    def accepts(x, block_starts):
-        start = perf_counter()
-        ok = _accepts(points, block_starts, x, max_len)
-        stats["walk_s"] += perf_counter() - start
-        stats["walk_queries"] += 1
-        stats["accepted"] += ok
-        return ok
+    def grown(sc):
+        # drawn only while ``points`` holds the slots before this one, and
+        # the block's later slots ask with an accepted x still in place
+        for x in range(points[-1] + 1, v + 1):
+            sc.push(x)
+            start = perf_counter()
+            ok = _accepts(sc, x, max_len)
+            stats["walk_s"] += perf_counter() - start
+            stats["walk_queries"] += 1
+            stats["accepted"] += ok
+            if ok:
+                yield x
+            sc.pop()
 
     def candidates(e):
         j, i = slots[e]
@@ -193,8 +205,10 @@ def method2(
             if policy.order == "random":
                 rng.shuffle(cands)
             return cands
-        return (x for x in range(points[-1] + 1, v + 1)
-                if accepts(x, starts[:j + 1]))
+        if i == 1:
+            scaffolds[j] = WalkScaffold(
+                [points[a:b] for a, b in zip(starts, [*starts[1:j + 1], e])])
+        return grown(scaffolds[j])
 
     status, expansions, _ = backtrack(len(slots), candidates, points,
                                       policy.budget)
@@ -212,14 +226,12 @@ def method2(
                               expansions=expansions, stats=stats)
 
 
-def _accepts(points, starts, beta, max_len):
-    """True iff appending ``beta`` to ``points``, whose blocks begin at
-    ``starts`` (the last one being grown), closes no balanced walk of length
-    <= max_len through any new incidence step (x, last block, beta).  Only
+def _accepts(sc, beta, max_len):
+    """True iff ``beta``, the last point of the scaffold ``sc``'s last block
+    (the block being grown), closes no balanced walk of length <= max_len
+    through any of its incidence steps (x, last block, beta).  Only
     existence matters, so the query asks for any such walk
     (``shortest=False``), not the shortest; its passes start at six steps."""
-    trial = [points[a:b] for a, b in zip(starts, [*starts[1:], len(points)])]
-    trial[-1].append(beta)
-    steps = [(x, len(trial), beta) for x in trial[-1][:-1]]
-    return min_edge_walk(WalkScaffold(trial), max_len, steps,
-                         shortest=False) is None
+    k, _, members = sc.steps[beta][-1]
+    steps = [(x, k, beta) for _, x in members[:-1]]
+    return min_edge_walk(sc, max_len, steps, shortest=False) is None

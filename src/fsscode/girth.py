@@ -10,18 +10,24 @@
 * Closed walks in a set system: alternating point/block walks whose symbolic
   shift sum telescopes to sum_k sum_x (in_k(x) - out_k(x)) s_{x,k}, a linear
   form over the incidences.  One scaffold of step tables (``WalkScaffold``)
-  and one depth-first search (``closed_walks``) serve every caller.  A walk
-  is inevitable when its form is identically zero (per-block degree balance;
-  a balanced multigraph always decomposes into per-block cycles, so the
-  verifier checks the balance alone).  One query, ``min_edge_walk``, finds
+  and one depth-first search (``closed_walks``) serve every caller; its
+  balanced passes cut each branch that could no longer close balanced,
+  among them a tight one (every step left must cancel an earlier one)
+  stepping to a point not yet on the walk.  A walk is inevitable when its
+  form is identically zero (per-block degree balance; a balanced
+  multigraph always decomposes into per-block cycles, so the verifier
+  checks the balance alone).  One query, ``min_edge_walk``, finds
   the shortest such walk, optionally among those opening with given steps:
   its length L gives the maximum girth 2L achievable over all moduli and
   shift sequences (``inevitable_girth``); its passes visit each balanced
   walk as it closes, from six steps, the fewest one can take.  ``method2``
   asks it, with ``shortest=False``, only whether some walk opening with a
   step to a candidate point exists: passes at L = 8, 16, ... up to the cap
-  stop at the first one met.  The shift search keeps the forms of all short
-  closed walks as the templates a shift sequence must not zero.
+  stop at the first one met.  It asks through one scaffold per block it
+  grows, pushing each candidate onto the last block and popping it off
+  once rejected, or once the search backtracks past it.  The shift search
+  keeps the forms of all short closed walks as the templates a shift
+  sequence must not zero.
 """
 
 from __future__ import annotations
@@ -297,6 +303,11 @@ class WalkScaffold:
     positions go block-major, points in block order, as in
     ``SetSystem.incidences`` and the shift search's assignment.  Co-block
     distances to a start point are computed on first use and cached.
+
+    ``push(x)`` appends a point to the last block as the last incidence, so
+    the positions stay block-major, and ``pop()`` takes it off again: the
+    tables are then those of a fresh scaffold of the blocks as they stand.
+    ``method2`` grows one scaffold per block this way.
     """
 
     def __init__(self, blocks):
@@ -307,18 +318,42 @@ class WalkScaffold:
             for a, x in members:
                 self.steps.setdefault(x, []).append((k, a, members))
             self.size += len(members)
+            self._last = k, members
         self._dist: dict[int, dict[int, int]] = {}
+
+    def push(self, x):
+        """Append ``x``, a point not in it, to the last block."""
+        k, members = self._last
+        members.append((self.size, x))
+        self.steps.setdefault(x, []).append((k, self.size, members))
+        self.size += 1
+        self._dist.clear()
+
+    def pop(self):
+        """Take the last block's last point off again."""
+        _, x = self._last[1].pop()
+        del self.steps[x][-1]
+        if not self.steps[x]:
+            del self.steps[x]
+        self.size -= 1
+        self._dist.clear()
 
     def distances(self, source):
         """BFS distances to ``source`` in the co-block graph; unreachable
-        points are absent."""
+        points are absent.  Each block is expanded once, from the first of
+        its points the BFS pops: every member is then at most one further,
+        so a later expansion would find them all placed."""
         dist = self._dist.get(source)
         if dist is None:
             dist = self._dist[source] = {source: 0}
+            expanded = set()
             queue = deque([source])
             while queue:
                 u = queue.popleft()
-                for _, _, members in self.steps[u]:
+                for k, _, members in self.steps[u]:
+                    if k in expanded:
+                        continue
+                    expanded.add(k)
                     for _, w in members:
                         if w not in dist:
                             dist[w] = dist[u] + 1
@@ -368,10 +403,17 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
     once its point is further from i1 than the steps left.  A step leaves a
     position other than the one it reaches, and moves the norm by exactly 1
     at each end, so a block is skipped whole when even the arrival that
-    lowers the norm would leave it over that bound.  Neither cut loses a
-    balanced walk of at most ``max_len`` steps, so every shorter pass's
-    walks lie in this pass's tree: after shorter passes that found none, a
-    balanced pass meets only walks of ``max_len`` steps.
+    lowers the norm would leave it over that bound.  A step that leaves a
+    branch tight, its norm exactly twice the steps left, commits every
+    step after it to lower the norm by 2 (the norm is even, and a step
+    moves it by -2, 0 or +2): each must leave a position of positive
+    coefficient, in a block other than the one it arrived by.  A point not
+    yet on the walk holds no such position, only the +1 of its arrival, so
+    a tight step to one is not taken.  (The last step reaches i1, which is
+    on the walk; without ``balanced`` a branch is tight only there.)  No
+    cut loses a balanced walk of at most ``max_len`` steps, so every
+    shorter pass's walks lie in this pass's tree: after shorter passes that
+    found none, a balanced pass meets only walks of ``max_len`` steps.
     """
     steps = sc.steps
     coef = [0] * sc.size
@@ -419,7 +461,9 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
                     continue
                 cb = coef[b]
                 n = norm_a + 1 if cb >= 0 else norm_a - 1
-                if n > slack:
+                # tight (norm twice the steps left): a point not yet on the
+                # walk has no positive coefficient the next step could leave
+                if n >= slack and (n > slack or w not in points):
                     continue
                 coef[a], coef[b] = ca - 1, cb + 1
                 points.append(w)

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import accumulate
 
 import pytest
 
@@ -161,6 +162,46 @@ class TestMethod2:
         assert res.status == "unknown"
         assert res.stats["walk_queries"] >= res.stats["accepted"] > 0
 
+    def test_heavy_random_trajectory_pinned(self):
+        # random order with seed 3 falls into v10-b19-g14's heavy tail: its
+        # first 1,500 expansions pin the verdicts of 3,791 walk queries,
+        # each asked of a scaffold grown and shrunk in place
+        p = next(p for p in load_paper_tables()["weight_profiles"]
+                 if p["name"] == "v10-b19-g14")
+        res = method2(p["v"], WeightProfile(tuple(p["K"])), p["target_girth"],
+                      policy=SearchPolicy(order="random", seed=3, budget=1500))
+        assert (res.status, res.expansions) == ("unknown", 1500)
+        assert (res.stats["walk_queries"], res.stats["accepted"]) == (3791, 1137)
+
+    def test_every_query_sees_a_fresh_scaffold(self, monkeypatch):
+        # a block's scaffold is grown and shrunk across its candidate lists,
+        # through backtracks; each query must see the scaffold of the placed
+        # points plus its candidate, as if built afresh
+        p = next(p for p in load_paper_tables()["weight_profiles"]
+                 if p["name"] == "v10-b19-g14")
+        starts = [0, *accumulate(p["K"])]
+        real_accepts, real_backtrack = construct._accepts, construct.backtrack
+        placed, checked = [], []
+
+        def backtrack(n, candidates, prefix, budget):
+            placed.append(prefix)
+            return real_backtrack(n, candidates, prefix, budget)
+
+        def accepts(sc, beta, max_len):
+            trial = placed[0] + [beta]
+            fresh = WalkScaffold([trial[a:b] for a, b in zip(starts, starts[1:])
+                                  if a < len(trial)])
+            assert (sc.steps, sc.size) == (fresh.steps, fresh.size), trial
+            checked.append(beta)
+            return real_accepts(sc, beta, max_len)
+
+        monkeypatch.setattr(construct, "_accepts", accepts)
+        monkeypatch.setattr(construct, "backtrack", backtrack)
+        res = method2(p["v"], WeightProfile(tuple(p["K"])), p["target_girth"],
+                      policy=SearchPolicy(order="random", seed=3, budget=300))
+        assert res.status == "unknown"
+        assert len(checked) == res.stats["walk_queries"] > 500
+
     @pytest.mark.parametrize("name, calls_before", [
         ("v10-b13-g16", 294), ("v10-b19-g14", 430)])
     def test_tests_only_the_points_it_draws(self, monkeypatch, name,
@@ -174,9 +215,10 @@ class TestMethod2:
         events = []
         real_accepts, real_backtrack = construct._accepts, construct.backtrack
 
-        def accepts(points, starts, beta, max_len):
-            ok = real_accepts(points, starts, beta, max_len)
-            events.append(("approve" if ok else "reject", len(points), beta))
+        def accepts(sc, beta, max_len):
+            ok = real_accepts(sc, beta, max_len)
+            # the scaffold holds the placed points, then ``beta``
+            events.append(("approve" if ok else "reject", sc.size - 1, beta))
             return ok
 
         def backtrack(n, candidates, prefix, budget):
@@ -235,7 +277,10 @@ class TestAccepts:
             beta = rng.randint(points[-1] + 1, v)
             max_len = rng.randint(3, 7)
             want = _ref_accepts(points, starts, beta, max_len)
-            assert _accepts(points, starts, beta, max_len) == want, (
+            sc = WalkScaffold([points[a:b] for a, b in
+                               zip(starts, [*starts[1:], len(points)])])
+            sc.push(beta)
+            assert _accepts(sc, beta, max_len) == want, (
                 points, starts, beta, max_len)
             verdicts[want] += 1
         assert min(verdicts.values()) >= 100, verdicts

@@ -727,14 +727,15 @@ class TestEdgeGirth:
         assert repeated > 50 and found > 50 and missing > 50 and hard >= 15, (found, missing, hard)
 
 
-def _growing_state(rng):
+def _growing_state(rng, complete=(1, 7)):
     """A random state of ``method2``'s search, drawn as in
-    ``test_construct.TestAccepts``: complete blocks, then a partial block
-    with ascending points and a candidate above its last point.  Returns
-    the blocks with the candidate appended and the steps to it."""
+    ``test_construct.TestAccepts``: complete blocks, as many as
+    ``complete`` bounds, then a partial block with ascending points and a
+    candidate above its last point.  Returns the blocks with the candidate
+    appended and the steps to it."""
     v = rng.randint(3, 5)
     blocks = [sorted(rng.sample(range(1, v + 1), rng.randint(2, 3)))
-              for _ in range(rng.randint(1, 7))]
+              for _ in range(rng.randint(*complete))]
     grown = sorted(rng.sample(range(1, v), rng.randint(1, 2)))
     beta = rng.randint(grown[-1] + 1, v)
     blocks.append(grown + [beta])
@@ -794,6 +795,24 @@ class TestExistenceQuery:
         # some passes hold walks of both 6 and 7 steps
         assert found > 50 and missing > 50 and longer > 0, (found, missing, longer)
         assert compared > 400 and mixed >= 10, (compared, mixed)
+
+    def test_tight_cut_on_dense_growing_states(self):
+        # the tight-branch cut fires most on many blocks over few points,
+        # from the steps method2 pins (~600 times here); the unbalanced
+        # pass is the slow reference, ~1 s on these states, while a single
+        # denser one can take 4 s at seven steps
+        rng = random.Random(20261022)
+        compared = nonempty = 0
+        for _ in range(20):
+            blocks, steps = _growing_state(rng, complete=(5, 6))
+            sc = WalkScaffold(blocks)
+            for max_len in (6, 7):
+                want = self._visited(sc, max_len, steps, False)
+                assert self._visited(sc, max_len, steps, True) == want, (
+                    blocks, steps, max_len)
+                compared += len(want)
+                nonempty += bool(want)
+        assert compared > 600 and nonempty > 25, (compared, nonempty)
 
     def test_no_balanced_walk_below_six_steps(self):
         # the ground for min_edge_walk's six-step floor: every closed walk
@@ -1149,6 +1168,21 @@ class TestWalkEngineDifferential:
                 assert got == _ref_enumerate_templates(fss, max_len), fss.blocks
         assert repeated > 0
 
+    def test_distances_match_reference_bfs(self):
+        # ``distances`` expands each block once; a plain BFS over the
+        # co-block graph gives the same map, unreachable points left out
+        rng = random.Random(20261023)
+        unreachable = 0
+        for _ in range(250):
+            fss = _random_system_with_repeats(rng, vmax=9, bmax=8)
+            sc = WalkScaffold(fss.blocks)
+            for x in sc.steps:
+                want = _ref_coblock_distances(fss.blocks, list(sc.steps), x)
+                assert sc.distances(x) == {
+                    w: d for w, d in want.items() if d < 1 << 20}, (fss.blocks, x)
+                unreachable += max(want.values()) == 1 << 20
+        assert unreachable > 50, unreachable
+
 
 def _all_closed_walks(blocks, max_len):
     """Every closed walk of 2..max_len steps from every start, as a tuple of
@@ -1309,8 +1343,8 @@ class TestScaffoldNumbering:
     them: the shift search reads template position e as ``order[e]``."""
 
     @staticmethod
-    def _check(blocks, incidences):
-        sc = WalkScaffold(blocks)
+    def _check(blocks, incidences, sc=None):
+        sc = WalkScaffold(blocks) if sc is None else sc
         assert sc.size == len(incidences)
         assert sorted(sc.steps) == sorted({x for blk in blocks for x in blk})
         shared = {}
@@ -1344,12 +1378,43 @@ class TestScaffoldNumbering:
             assert len(WalkScaffold(fss.blocks).steps[1]) == len(blocks)
 
     def test_method2_list_blocks(self):
-        # ``_accepts`` passes its trial blocks as ascending lists
+        # ``method2`` builds its scaffolds from ascending lists
         rng = random.Random(11)
         for _ in range(100):
             blocks, _ = _growing_state(rng)
             fss = validate_fss(max(map(max, blocks)), blocks)
             self._check(blocks, fss.incidences)
+
+    def test_push_and_pop_match_a_fresh_scaffold(self):
+        # as method2 grows its last block: after every push and pop the
+        # tables, the size and the distances are a fresh scaffold's, even
+        # with the distances of the state before cached
+        rng = random.Random(12)
+        pushes = 0
+        for _ in range(100):
+            blocks, _ = _growing_state(rng)
+            blocks[-1].pop()
+            sc = WalkScaffold(blocks)
+            base = sc.size
+            grown = [x for x in range(blocks[-1][-1] + 1, 8)
+                     if rng.random() < 0.6]
+            # push every point of ``grown``, then pop them all
+            for n in [*range(1, len(grown) + 1), *range(len(grown) - 1, -1, -1)]:
+                for x in sc.steps:
+                    sc.distances(x)
+                if n > sc.size - base:
+                    sc.push(grown[n - 1])
+                    pushes += 1
+                else:
+                    sc.pop()
+                trial = blocks[:-1] + [blocks[-1] + grown[:n]]
+                fresh = WalkScaffold(trial)
+                assert (sc.steps, sc.size) == (fresh.steps, fresh.size), trial
+                assert all(sc.distances(x) == fresh.distances(x)
+                           for x in fresh.steps), trial
+                fss = validate_fss(max(map(max, trial)), trial)
+                self._check(trial, fss.incidences, sc)
+        assert pushes > 150, pushes
 
 
 class TestIntegerCaps:

@@ -66,3 +66,21 @@ def test_created_state_carries_the_search_counters(monkeypatch):
     (state,) = created
     assert state.backtracks == res.backtracks == 1496
     assert state.expansions == res.expansions
+
+
+def test_every_method2_walk_query_is_traced():
+    # the traced analyze run times method2's walk queries through the
+    # ``construct.min_edge_walk`` attribute: a query that went round it
+    # would drop out of the girth.min_edge_walk span unseen
+    from fsscode import construct, load_paper_tables
+
+    p = next(p for p in load_paper_tables()["weight_profiles"]
+             if p["name"] == "v10-b13-g16")
+    tracer = _load_spans().Tracer()
+    with tracer.install():
+        res = construct.method2(p["v"], construct.WeightProfile(tuple(p["K"])),
+                                p["target_girth"])
+    assert res.ok
+    queries = [s for s in tracer.spans if s[0] == "girth.min_edge_walk"]
+    assert len(queries) == res.stats["walk_queries"] == 193
+    assert sum(s[5] is False for s in queries) == res.stats["accepted"] == 36
