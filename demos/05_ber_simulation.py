@@ -2,8 +2,8 @@
 
 Transmits all-zero codewords (valid for linear codes on a symmetric
 channel), decodes with the tanh-rule sum-product algorithm, and measures
-BER/FER with an early-stopping Monte-Carlo loop.  Expect a couple of
-minutes of runtime.
+BER/FER with an early-stopping Monte-Carlo loop.  It runs in a few
+seconds.
 """
 
 from fsscode import (

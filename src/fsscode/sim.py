@@ -6,12 +6,12 @@ so serial and parallel schedules produce identical results.
 
 Frame f of SNR point i uses ``PCG64(SeedSequence(seed, spawn_key=(i, f)))``.
 Building that object costs more than drawing the frame's noise, but the
-SeedSequence hash is fixed uint32 arithmetic, so ``ber_sweep`` runs it for a
-chunk of up to ``_SEED_CHUNK`` frames at once in numpy, one uint32 column
+SeedSequence hash is fixed uint32 arithmetic, so a decoding lane runs it for
+all the frames of its share of a round at once in numpy, one uint32 column
 per entropy word, and turns each frame's words into its PCG64 state. One
 reused ``PCG64`` takes each state in turn and draws that frame's noise, so
 every frame's LLRs are byte-identical to ``transmit`` with numpy's own
-generator. The first frame of every chunk is also seeded by numpy, and a
+generator. The first frame of every share is also seeded by numpy, and a
 mismatch raises ``RuntimeError``.
 
 The decoder stores its messages slot-major: slot k of check row r carries
@@ -48,27 +48,24 @@ copy-on-write copy of the caller's workspace (``_Worker``). A fork happens
 only where ``os.fork`` exists and no other thread is alive; otherwise, and
 on one usable CPU, the sweep runs the same rounds on one lane in process.
 
-Each round deals every lane a share of whole batches, at least
-``ceil(min(left, need) / lanes)`` frames, where ``need`` is the frame errors
-still to collect and ``left`` the frames ``max_frames`` still allows: every
-one of the next ``min(left, need)`` frames is counted whatever it decodes
-to, so dealing them wastes nothing. While ``need`` is small the share also
-doubles each round from one batch up to a cap of ``_SHARE_BATCHES``
-batches' worth of edges, so the frames decoded past the stopping frame are
-at most ``lanes`` times that cap per SNR point. No share exceeds the larger
-of that cap and ``_SEED_CHUNK`` frames, which bounds the states a round
-lists and pipes. On one lane the share stays one batch.
-The calling process alone hashes frame states. It sends each worker its
-frames' ``(state, inc)`` over a pipe, decodes the first share itself, reads
-back per-frame bit errors, convergence flags, iteration counts and the
-lane's timings, and counts the round's frames in frame order with the usual
-stop rule, so the records equal a one-lane sweep's bit for bit. A worker's
-failure or death raises ``RuntimeError``. On a 2-CPU Xeon VM two lanes ran
-acceptance criterion 09 (its 1.5 M-frame sweep of the n=360 code at 4.5 dB)
-at 0.63-0.68x of one lane's time side by side; a frame there costs 57-85 us
-on each of two busy CPUs against 50-57 us alone. A record's ``noise_s`` and
-``decode_s`` sum every lane's, so they can exceed its wall time, and a
-worker's memory is counted in ``RUSAGE_CHILDREN``, not in the caller's RSS.
+Each round deals every lane, one lane included, a contiguous share of whole
+batches, at least ``ceil(min(left, need) / lanes)`` frames, where ``need``
+is the frame errors still to collect and ``left`` the frames ``max_frames``
+still allows: every one of the next ``min(left, need)`` frames is counted
+whatever it decodes to, so dealing them wastes nothing. While ``need`` is
+small the share also doubles each round from one batch up to a cap of
+``_SHARE_BATCHES`` batches' worth of edges or ``_SEED_CHUNK`` frames,
+whichever is fewer, in whole batches and at least one. A lane is told only
+its first frame, its frame count and ``need``: it hashes its own frames'
+states, and stops after the batch that gives it ``need`` frame errors by
+itself, since no frame after that batch can be counted. The calling process
+decodes the first share itself, reads back each worker's per-frame bit
+errors, convergence flags, iteration counts and timings, and counts the
+round's frames in frame order with the usual stop rule, so the records equal
+a one-lane sweep's bit for bit. A worker's failure or death raises
+``RuntimeError``. A record's ``noise_s`` and ``decode_s`` sum every lane's,
+so they can exceed its wall time, and a worker's memory is counted in
+``RUSAGE_CHILDREN``, not in the caller's RSS.
 """
 
 from __future__ import annotations
@@ -80,7 +77,6 @@ import os
 import pickle
 import threading
 from dataclasses import dataclass, field
-from itertools import islice
 from time import perf_counter
 
 import numpy as np
@@ -105,7 +101,9 @@ CSV_HEADER = ["ebn0_db", "bits", "bit_errors", "frames", "frame_errors", "ber", 
 class ChannelConfig:
     """AWGN channel at a given Eb/N0 for a code of the given rate.
     ``ebn0_db`` and ``rate`` must be real numbers and ``seed`` a
-    non-negative integer; a bool is neither."""
+    non-negative integer; a bool is neither. ``rate`` lies in (0, 1] and
+    ``ebn0_db`` must give a finite positive ``noise_var`` at that rate, so
+    it is finite too."""
 
     ebn0_db: float
     rate: float
@@ -119,8 +117,14 @@ class ChannelConfig:
                 raise ValueError(f"{name} must be a real number, got {x!r}")
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"rate must be in (0, 1], got {self.rate}")
-        if not math.isfinite(self.ebn0_db):
-            raise ValueError(f"ebn0_db must be finite, got {self.ebn0_db}")
+        try:
+            with np.errstate(over="ignore", divide="ignore"):
+                var = self.noise_var
+        except ArithmeticError:  # 10 ** (ebn0_db / 10) overflows, or 1 / 0.0
+            var = 0.0
+        if not 0.0 < var < math.inf:  # a NaN or infinite ebn0_db fails too
+            raise ValueError("ebn0_db must give a finite positive noise "
+                             f"variance at rate {self.rate}: {self.ebn0_db}")
 
     @property
     def noise_var(self) -> float:
@@ -206,7 +210,8 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
 _PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
 _MASK128 = (1 << 128) - 1
 
-# frames whose PCG64 states ber_sweep works out in one pass
+# a lane's share of a round holds no more frames than this (or one batch),
+# so one pass works out at most this many PCG64 states
 _SEED_CHUNK = 1024
 
 
@@ -296,14 +301,6 @@ def _pcg64_states(seed: int, snr_idx: int, start: int,
     return states
 
 
-def _frame_states(seed: int, snr_idx: int, max_frames: int):
-    """PCG64 ``(state, inc)`` of frames 0 .. max_frames - 1 of one SNR point,
-    hashed ``_SEED_CHUNK`` frames at a time as they are taken."""
-    for start in range(0, max_frames, _SEED_CHUNK):
-        yield from _pcg64_states(seed, snr_idx, start,
-                                 min(_SEED_CHUNK, max_frames - start))
-
-
 class _SpaWorkspace:
     """One decoding lane: H's slot-major index tables, message buffers for up
     to ``frames`` frames, and a reused PCG64.
@@ -351,18 +348,24 @@ class _SpaWorkspace:
         self.bitgen = np.random.PCG64(0)  # its state is set before every frame
         self.rng = np.random.Generator(self.bitgen)
 
-    def decode(self, states, cfg: ChannelConfig, max_iter: int):
-        """Decode the frames whose PCG64 ``(state, inc)`` are ``states``, a
-        batch of up to ``frames`` at a time: draw their LLRs into the leading
-        rows of ``llr``, then decode them. Returns three per-frame arrays (bit
-        errors, convergence, iterations) and the seconds spent on each step."""
-        count = len(states)
+    def decode(self, seed: int, snr_idx: int, start: int, count: int,
+               need: int, cfg: ChannelConfig, max_iter: int):
+        """Decode frames ``start .. start + count - 1`` of SNR point
+        ``snr_idx``, count >= 1: hash their PCG64 states in one pass, then,
+        a batch of up to ``frames`` at a time, draw their LLRs into the
+        leading rows of ``llr`` and decode them. Stops after the batch that
+        brings this lane's frame errors to ``need``, as no later frame can be
+        counted. Returns three arrays (bit errors, convergence, iterations)
+        over the frames decoded and the seconds spent drawing LLRs and
+        decoding them."""
+        states = _pcg64_states(seed, snr_idx, start, count)
         nerr = np.empty(count, dtype=np.int64)
         converged = np.empty(count, dtype=bool)
         iterations = np.empty(count, dtype=np.intp)
         noise_s = decode_s = 0.0
         pcg = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-        for lo in range(0, count, len(self.llr)):
+        lo = 0
+        while lo < count and need > 0:
             size = min(len(self.llr), count - lo)
             t0 = perf_counter()
             for f, (state, inc) in enumerate(states[lo:lo + size]):
@@ -377,7 +380,9 @@ class _SpaWorkspace:
             iterations[lo:lo + size] = self.iterations[:size]
             decode_s += perf_counter() - t1
             noise_s += t1 - t0
-        return nerr, converged, iterations, noise_s, decode_s
+            need -= np.count_nonzero(nerr[lo:lo + size])
+            lo += size
+        return nerr[:lo], converged[:lo], iterations[:lo], noise_s, decode_s
 
 
 _LIM = 0.999999999999
@@ -389,11 +394,11 @@ _ITER_CAP = 10_000  # its bound: a sweep point keeps max_iter + 1 counts
 # and one at a time for any code with more than 12,960 edges (n=25,700 has
 # 77,100), where numpy's per-call overhead is already small.
 _EDGE_BUDGET = 25_920
-# while few frame errors are still needed, a worker lane's share of a round
-# doubles up to this many batches of _EDGE_BUDGET edges (768 frames of the
-# n=360 code, 10 of n=25,700), ~50 ms of decoding or more, which spreads a
-# round's messages and waits and bounds the frames wasted past the stopping
-# frame
+# while few frame errors are still needed, a lane's share of a round doubles
+# up to this many batches of _EDGE_BUDGET edges (768 frames of the n=360
+# code, 10 of n=25,700), ~50 ms of decoding or more, which spreads a round's
+# messages, waits and hashing passes and bounds the frames wasted past the
+# stopping frame
 _SHARE_BATCHES = 32
 # a worker costs ~4 ms to fork and reap, what two lanes save on 8 batches of
 # _EDGE_BUDGET edges (192 frames of the n=360 code at 4.5 dB: 19.7 ms on one
@@ -510,8 +515,8 @@ class _Worker:
 
     The child decodes on its copy-on-write copy of the caller's workspace
     ``ws``, which no decode has touched before the fork: it reads each task
-    from its pipe, ``(states, cfg, max_iter)``, and writes back what
-    ``_SpaWorkspace.decode`` returns, until the pipe closes. Tasks and
+    from its pipe, the arguments of one ``_SpaWorkspace.decode`` call, and
+    writes back what that call returns, until the pipe closes. Tasks and
     results alternate, so neither side writes while the other is writing,
     and a result larger than the pipe's buffer cannot deadlock. The child
     leaves only through ``os._exit``: it never returns into the caller's
@@ -550,10 +555,9 @@ class _Worker:
         os.close(result_w)
         self.tasks, self.results = open(task_w, "wb"), open(result_r, "rb")
 
-    def send(self, states, cfg: ChannelConfig, max_iter: int) -> None:
+    def send(self, task: tuple) -> None:
         try:
-            pickle.dump((states, cfg, max_iter), self.tasks,
-                        pickle.HIGHEST_PROTOCOL)
+            pickle.dump(task, self.tasks, pickle.HIGHEST_PROTOCOL)
             self.tasks.flush()
         except OSError as ex:  # a broken pipe: the child is gone
             raise RuntimeError(f"decoding worker {self.pid} died") from ex
@@ -596,11 +600,10 @@ def _serve(ws: _SpaWorkspace, tasks, out) -> None:
     try:
         while True:
             try:
-                states, cfg, max_iter = pickle.load(tasks)
+                task = pickle.load(tasks)
             except EOFError:
                 return
-            pickle.dump(ws.decode(states, cfg, max_iter), out,
-                        pickle.HIGHEST_PROTOCOL)
+            pickle.dump(ws.decode(*task), out, pickle.HIGHEST_PROTOCOL)
             out.flush()
     except BaseException as ex:
         pickle.dump(f"{type(ex).__name__}: {ex}", out)
@@ -615,22 +618,23 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
 
     Frame f of SNR point i draws its noise from
     SeedSequence(seed, spawn_key=(i, f)), independent of scheduling; its
-    LLRs are byte-identical to ``transmit`` with that generator. The PCG64
-    states of up to ``_SEED_CHUNK`` frames (no more than the stop rule's
-    frame cap leaves) are hashed in one numpy pass, and the first frame of
-    each chunk is checked against numpy's own seeding. Each lane's reused
-    PCG64 takes a frame's state and draws its row of the lane's batch, and
-    the LLR scaling runs once per batch.
+    LLRs are byte-identical to ``transmit`` with that generator. Frames are
+    dealt to lanes in rounds of contiguous shares (see the module
+    docstring). Each lane hashes its share's PCG64 states in one numpy pass,
+    checking the first against numpy's own seeding; its reused PCG64 takes
+    a frame's state and draws its row of the lane's batch, and the LLR
+    scaling runs once per batch.
 
-    Frames are decoded in batches, dealt to lanes in rounds (see the module
-    docstring), and counted in frame order, so the sweep stops at exactly
-    the frame that brings in the last frame error it needs and discards any
+    Frames are counted in frame order, so the sweep stops at exactly the
+    frame that brings in the last frame error it needs and discards any
     decoded past it; the records do not depend on the batch size or the
-    lane count. ``seed`` must be a non-negative integer and ``max_iter``
-    one of at most ``_ITER_CAP``; a ``bool`` is rejected.
+    lane count. ``rate`` must be a real number in (0, 1], even for no SNR
+    point, ``seed`` a non-negative integer and ``max_iter`` one of at most
+    ``_ITER_CAP``; a ``bool`` is rejected.
     """
     max_iter = _integer(max_iter, "max_iter", 0, high=_ITER_CAP)
     seed = _integer(seed, "seed", 0)
+    ChannelConfig(0.0, rate)  # checks rate for an empty ebn0_list too
     cfgs = [ChannelConfig(e, rate) for e in _iterable(ebn0_list, "ebn0_list")]
     stop = _or_default(stop, StopRule, "stop")
     # columns bound the batch too: a workspace holds O(edges + columns)
@@ -642,11 +646,9 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     try:
         for _ in range(_lane_count(edges, stop.max_frames if cfgs else 0) - 1):
             workers.append(_Worker(ws, workers))
-        # one lane sends no messages, so its share stays one batch
-        cap = batch if not workers else max(
-            1, _SHARE_BATCHES * _EDGE_BUDGET // edges // batch) * batch
-        return [_sweep_point(ws, workers, batch, cap, cfg, stop,
-                             _frame_states(seed, snr_idx, stop.max_frames),
+        cap = max(1, min(_SHARE_BATCHES * _EDGE_BUDGET // edges,
+                         _SEED_CHUNK) // batch) * batch
+        return [_sweep_point(ws, workers, batch, cap, cfg, stop, seed, snr_idx,
                              max_iter)
                 for snr_idx, cfg in enumerate(cfgs)]
     except BaseException:
@@ -658,60 +660,56 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
             w.close()
 
 
-def _sweep_point(ws, workers, batch, cap, cfg, stop, states,
+def _sweep_point(ws, workers, batch, cap, cfg, stop, seed, snr_idx,
                  max_iter) -> BerRecord:
     """One SNR point of ``ber_sweep``: rounds that deal each lane a share of
     whole batches, the first to ``ws`` in this process and the rest to
-    ``workers``, counted in frame order."""
-    bits = errors = frames = frame_errors = undetected = 0
+    ``workers``, counted in frame order. A lane that stops short of its share
+    holds the round's ``need`` frame errors by itself, so the lanes' frames,
+    joined in lane order, run unbroken up to the stopping frame."""
+    errors = frames = frame_errors = undetected = 0
     noise_s = decode_s = 0.0
     iterations = np.zeros(max_iter + 1, dtype=np.int64)
     lanes = 1 + len(workers)
     floor = batch
-    # a round lists and pipes no more states than one hashing pass holds
-    limit = max(cap, _SEED_CHUNK) if workers else cap
     while frame_errors < stop.min_frame_errors and frames < stop.max_frames:
         left = stop.max_frames - frames
         need = stop.min_frame_errors - frame_errors
-        share = _share(min(left, need), lanes, batch, floor, limit)
+        share = _share(min(left, need), lanes, batch, floor, cap)
         floor = min(2 * floor, cap)
-        # islice takes no state past a share
-        chunks = [list(islice(states, min(share, left - start)))
-                  for start in range(0, min(left, share * lanes), share)]
-        for w, chunk in zip(workers, chunks[1:]):
-            w.send(chunk, cfg, max_iter)
-        results = [ws.decode(chunks[0], cfg, max_iter)]
-        results += [w.result() for w in workers[:len(chunks) - 1]]
-        for nerr, converged, iters, noise, decode in results:
-            # every lane's time counts, frames past the stopping frame too
-            noise_s += noise
-            decode_s += decode
-            # the frame errors still needed; the sweep ends at the last one
-            need = stop.min_frame_errors - frame_errors
-            if not need:
-                continue
-            failed = np.flatnonzero(nerr)[:need]
-            used = int(failed[-1]) + 1 if failed.size == need else len(nerr)
-            bits += used * ws.n
-            errors += int(nerr[:used].sum())
-            frames += used
-            frame_errors += failed.size
-            undetected += int(converged[failed].sum())
-            iterations += np.bincount(iters[:used], minlength=max_iter + 1)
+        tasks = [(seed, snr_idx, frames + lo, min(share, left - lo), need, cfg,
+                  max_iter) for lo in range(0, left, share)[:lanes]]
+        for w, task in zip(workers, tasks[1:]):
+            w.send(task)
+        results = [ws.decode(*tasks[0])]
+        results += [w.result() for w in workers[:len(tasks) - 1]]
+        nerr, converged, iters, noise, decode = zip(*results)
+        # every lane's time counts, frames past the stopping frame too
+        noise_s += sum(noise)
+        decode_s += sum(decode)
+        # the sweep ends at the need-th frame error
+        nerr, converged, iters = map(np.concatenate, (nerr, converged, iters))
+        failed = np.flatnonzero(nerr)[:need]
+        used = int(failed[-1]) + 1 if failed.size == need else len(nerr)
+        errors += int(nerr[:used].sum())
+        frames += used
+        frame_errors += failed.size
+        undetected += int(converged[failed].sum())
+        iterations += np.bincount(iters[:used], minlength=max_iter + 1)
     return BerRecord(
-        ebn0_db=cfg.ebn0_db, bits=bits, bit_errors=errors, frames=frames,
-        frame_errors=frame_errors,
+        ebn0_db=cfg.ebn0_db, bits=frames * ws.n, bit_errors=errors,
+        frames=frames, frame_errors=frame_errors,
         stats={"iterations": iterations.tolist(),
                "undetected_errors": undetected,
                "noise_s": noise_s, "decode_s": decode_s})
 
 
 def _share(counted: int, lanes: int, batch: int, floor: int,
-           limit: int) -> int:
+           cap: int) -> int:
     """Frames per lane in one round, in whole batches: an even split of the
     ``counted`` frames that the stop rule counts whatever they decode to,
-    but no fewer than ``floor`` and no more than ``limit`` rounded up."""
-    return -(-min(limit, max(floor, -(-counted // lanes))) // batch) * batch
+    but no fewer than ``floor`` and no more than ``cap`` rounded up."""
+    return -(-min(cap, max(floor, -(-counted // lanes))) // batch) * batch
 
 
 def write_ber_csv(records, path) -> None:

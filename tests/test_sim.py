@@ -492,6 +492,84 @@ class TestLanes:
         assert _sweep_without_timings(*args, **kwargs) == default
         assert default[0][0].frames == 24
 
+    def test_one_lane_decodes_the_batches_up_to_the_stopping_frame(
+            self, code_360, monkeypatch):
+        # a lane stops after the batch that gives it the frame errors still
+        # needed, so one lane decodes the batches up to the one holding the
+        # stopping frame, or max_frames, however large its share grows
+        from fsscode import sim
+
+        decoded, decode, sweep_point = [], sim._decode_frames, sim._sweep_point
+
+        def kernel(ws, count, max_iter):
+            decoded[-1] += count
+            decode(ws, count, max_iter)
+
+        def spy_point(*args):
+            decoded.append(0)
+            return sweep_point(*args)
+
+        monkeypatch.setattr(sim, "_decode_frames", kernel)
+        monkeypatch.setattr(sim, "_sweep_point", spy_point)
+        _pinned_lanes(monkeypatch, 1)
+        batch = sim._EDGE_BUDGET // code_360.nnz
+        recs = []
+        for stop, snrs in ((StopRule(1001, 1000), [4.5]),
+                           (StopRule(5, 48), [4.0]),
+                           (StopRule(20, 700), [2.0, 3.0]),
+                           (StopRule(7, 90), [2.5, 3.5])):
+            decoded.clear()
+            got = ber_sweep(code_360, snrs, rate=0.7, stop=stop, seed=1)
+            assert decoded == [min(-(-r.frames // batch) * batch,
+                                   stop.max_frames) for r in got]
+            recs += [(r, stop) for r in got]
+        # stops at the k-th error after the share has outgrown one batch,
+        # and at max_frames
+        assert any(r.frame_errors == stop.min_frame_errors
+                   and r.frames > 3 * batch for r, stop in recs)
+        assert any(r.frames == stop.max_frames
+                   and r.frame_errors < stop.min_frame_errors
+                   for r, stop in recs)
+
+    @two_cpus
+    def test_each_lane_hashes_its_own_frames(self, code_360, monkeypatch):
+        # the caller hashes only its own shares and pipes each worker a
+        # frame range, not a list of frame states
+        from fsscode import sim
+
+        parent, states, send = os.getpid(), sim._pcg64_states, sim._Worker.send
+        hashed, sent = [], []
+
+        def spy_states(seed, snr_idx, start, count):
+            if os.getpid() == parent:
+                hashed.append((snr_idx, start, count))
+            return states(seed, snr_idx, start, count)
+
+        def spy_send(worker, task):
+            sent.append(task)
+            send(worker, task)
+
+        monkeypatch.setattr(sim, "_pcg64_states", spy_states)
+        monkeypatch.setattr(sim._Worker, "send", spy_send)
+        _pinned_lanes(monkeypatch, 2)
+        recs = ber_sweep(code_360, [2.0, 3.0], rate=0.7,
+                         stop=StopRule(12, 400), seed=1)
+        assert sent
+        assert not any(isinstance(x, (list, tuple, np.ndarray))
+                       for task in sent for x in task)
+        # the caller's frames and the workers' tile each point from frame
+        # 0, without overlap, up to at least its stopping frame
+        for i, rec in enumerate(recs):
+            ranges = sorted([(start, count) for j, start, count in hashed
+                             if j == i] + [task[2:4] for task in sent
+                                           if task[1] == i])
+            end = 0
+            for start, count in ranges:
+                assert start == end
+                end += count
+            assert rec.frames <= end
+        assert len(hashed) > len(recs)  # points of more than one round
+
     def test_dealing_rule(self):
         from fsscode.sim import _share
 
@@ -502,9 +580,11 @@ class TestLanes:
         # while few errors are needed, the doubling floor sets the share
         assert _share(3, 2, 24, 96, 1024) == 96
         assert _share(0, 2, 24, 24, 1024) == 24
-        # the limit bounds a round, in whole batches; one lane's is one batch
+        # the cap bounds a round, in whole batches
         assert _share(10**6, 2, 24, 24, 1024) == 1032
-        assert _share(100, 1, 24, 24, 24) == 24
+        # one lane's share doubles like any other lane's
+        assert [_share(3, 1, 24, f, 768) for f in (24, 48, 96, 768)] == \
+            [24, 48, 96, 768]
 
     @pytest.mark.parametrize("case", ["one-cpu", "live-thread", "one-batch",
                                       "short-sweep"])
@@ -623,8 +703,8 @@ class TestLanes:
 
         parent, decode, own = os.getpid(), sim._SpaWorkspace.decode, [0.0, 0.0]
 
-        def spy(ws, states, cfg, max_iter):
-            out = decode(ws, states, cfg, max_iter)
+        def spy(ws, *task):
+            out = decode(ws, *task)
             if os.getpid() == parent:
                 own[0] += out[3]
                 own[1] += out[4]
@@ -750,7 +830,11 @@ class TestBatchedSeeding:
         recs = ber_sweep(code_360, [1.0, 2.5], rate=0.7, stop=stop, seed=4)
         assert all(r.frame_errors == 5 and r.frames < sim._SEED_CHUNK
                    for r in recs)
-        assert chunks == [(0, 0, sim._SEED_CHUNK), (1, 0, sim._SEED_CHUNK)]
+        # each point's first hashing pass begins at its frame 0
+        firsts = {}
+        for snr_idx, start, _ in chunks:
+            firsts.setdefault(snr_idx, start)
+        assert firsts == {0: 0, 1: 0}
         # a per-frame replay seeded by numpy gives the same records
         for i, rec in enumerate(recs):
             cfg = ChannelConfig(rec.ebn0_db, 0.7)
@@ -880,7 +964,7 @@ class TestBoundaries:
     def test_sweep_rejects_bad_seed(self, code_312, monkeypatch, seed):
         from fsscode import sim
 
-        monkeypatch.setattr(sim, "_frame_states", None)  # no frame is made
+        monkeypatch.setattr(sim, "_pcg64_states", None)  # no frame is made
         with pytest.raises(ValueError, match="seed"):
             ber_sweep(code_312, [2.0], rate=0.75, stop=StopRule(1, 5),
                       seed=seed)
@@ -923,6 +1007,25 @@ class TestBoundaries:
         with pytest.raises(ValueError, match=field):
             ber_sweep(code_312, [ebn0], rate=rate, stop=StopRule(1, 5))
 
+    @pytest.mark.parametrize("ebn0", [4000.0, -4000.0, np.float64(4000.0),
+                                      np.float64(-4000.0)],
+                             ids=["4000", "-4000", "np-4000", "np--4000"])
+    def test_unusable_noise_variance_rejected(self, code_312, ebn0):
+        # 10 ** 400 overflows; 10 ** -400 is 0.0, a division by zero
+        with pytest.raises(ValueError, match="ebn0_db"):
+            ChannelConfig(ebn0_db=ebn0, rate=0.5)
+        with pytest.raises(ValueError, match="ebn0_db"):
+            ber_sweep(code_312, [2.0, ebn0], rate=0.75, stop=StopRule(1, 5))
+
+    @pytest.mark.parametrize("ebn0", [3000.0, -3000.0])
+    def test_extreme_snr_keeps_a_noise_variance(self, ebn0):
+        assert 0.0 < ChannelConfig(ebn0_db=ebn0, rate=0.5).noise_var < np.inf
+
+    @pytest.mark.parametrize("rate", ["x", 5.0, 0.0, None, True])
+    def test_sweep_checks_rate_without_points(self, code_312, rate):
+        with pytest.raises(ValueError, match="rate"):
+            ber_sweep(code_312, [], rate=rate)
+
     def test_channel_takes_numpy_reals(self):
         assert np.array_equal(
             transmit(16, ChannelConfig(np.float64(2.0), np.int64(1), seed=3)),
@@ -937,7 +1040,8 @@ class TestBoundaries:
     @pytest.mark.parametrize("flag, value", [
         ("--min-frame-errors", "0"), ("--max-frames", "-1"),
         ("--max-iter", "-1"), ("--snr", "nan"), ("--snr", "2,inf"),
-        ("--seed", "-1"), ("--max-iter", "10001"),
+        ("--seed", "-1"), ("--max-iter", "10001"), ("--snr", "4000"),
+        ("--snr", "-4000"),
     ])
     def test_simulate_exits_1_with_json_error(self, capsys, tmp_path, flag,
                                               value):
