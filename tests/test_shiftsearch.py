@@ -325,7 +325,12 @@ class TestTrajectoryPinned:
          [0, 0, 1, 3, 5, 13, 12, 29, 32, 68, 50, 109, 72, 155, 102, 284, 226,
           373, 346, 270],
          "b2db728eea4f1132d710f45a8f120c8e8cb4190e944fe6d5a8c71ac6176072d2"),
-    ], ids=["m40-ascending", "m40-random-seed5", "m477-girth10"])
+        # even m: 780 forms have gcd(own, 480) > 1, so the d > 1 groups run
+        (480, 10, None, (3963, 3933, 0),
+         [0, 0, 1, 3, 5, 13, 12, 29, 32, 68, 50, 109, 72, 155, 102, 323, 145,
+          401, 201, 337],
+         "3d9ee645e4dd659f501195cdcc8362d4f62e43f4afdf3cf91647afa237210038"),
+    ], ids=["m40-ascending", "m40-random-seed5", "m477-girth10", "m480-girth10"])
     def test_pinned(self, m, target, policy, counts, free, digest):
         res = search_shifts(TEN_TRIPLES, m, target, policy=policy)
         assert res.ok
