@@ -193,18 +193,20 @@ def tanner_girth(H: BinaryMatrix, cap: int = _TANNER_CAP) -> GirthReport:
 
     The adjacency is one flat CSR built in numpy: the neighbours of vertex
     u are ``nbr[ptr[u]:ptr[u + 1]]``, a check's bits by ascending column,
-    then a bit's checks by ascending row, and a vertex's slice is read only
-    when the BFS expands it.  Most vertices never are: once a cycle bounds
-    the depth, each root of ``fss-3-10-m2570`` reaches 3.8-4.5 k of its
-    33,410 vertices and expands at most 896, so building one list per
-    vertex would cost more than the search.
+    then a bit's checks by ascending row.  A vertex's slice becomes a list
+    in ``adj`` on its first expansion and is reused by later roots.  Most
+    vertices are never expanded: once a cycle bounds the depth, each root
+    of ``fss-3-10-m2570`` reaches 3.8-4.5 k of its 33,410 vertices and
+    expands at most 896, so converting the whole adjacency up front costs
+    more than the search.
     """
     cap = _integer(cap, "cap", 4, even=True)
     m, n = H.rows, H.cols
     order, col_ptr = H.column_order()
-    nbr = np.concatenate((H.edge_cols + m, H.edge_rows[order])).tolist()
-    ptr = np.concatenate((H.row_ptr, H.nnz + col_ptr[1:])).tolist()
+    nbr = np.concatenate((H.edge_cols + m, H.edge_rows[order]))
+    ptr = np.concatenate((H.row_ptr, H.nnz + col_ptr[1:]))
     nv = m + n
+    adj = [None] * nv  # a vertex's neighbour list, built on its first expansion
     dist = [-1] * nv
     parent = [-1] * nv
     best = None
@@ -220,7 +222,10 @@ def tanner_girth(H: BinaryMatrix, cap: int = _TANNER_CAP) -> GirthReport:
             du = dist[u]
             if du >= maxdepth:
                 continue
-            for w in nbr[ptr[u]:ptr[u + 1]]:
+            nu = adj[u]
+            if nu is None:
+                nu = adj[u] = nbr[ptr[u]:ptr[u + 1]].tolist()
+            for w in nu:
                 if w == parent[u]:
                     continue
                 if dist[w] >= 0:

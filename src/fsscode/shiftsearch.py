@@ -12,9 +12,9 @@ template), so extending a prefix is a handful of modular evaluations
 rather than a graph search.  The residue tables of those
 evaluations (forms grouped by the gcd of their own coefficient with the
 modulus, with that coefficient inverted) are compiled once per modulus, so
-filtering the candidates of a node is one matrix-vector product and one
-numpy scatter per group.  Any returned sequence is re-verified against the
-Tanner-girth oracle.
+filtering the candidates of a node is one column update of its parent's
+partial sum, kept per bucket, and one numpy scatter per group.  Any
+returned sequence is re-verified against the Tanner-girth oracle.
 """
 
 from __future__ import annotations
@@ -179,11 +179,17 @@ class ShiftSearchState:
         order, are reordered into one contiguous group per d, each with its
         ``-inv`` array; ``own`` is their column e of ``forms`` and ``C``
         their columns before e.  ``C`` is float64 so that the product runs
-        through BLAS; for m below 2**28 every sum and product here is exact
-        in float64 and int64.
+        through BLAS, and column-major so that its last column, the one a
+        sibling adds, is contiguous; for m below 2**28 every sum and product
+        here is exact in float64 and int64.  ``_partials`` and ``_mask`` are
+        the filter's scratch, reset here.
         """
         m = self.m
-        self._compiled = {}
+        # every bucket has e >= 1: a form has two nonzero positions, and a
+        # balanced walk departs from two; ``allowed_values`` reads column e-1
+        assert (self.ends >= 1).all()
+        self._compiled, self._partials = {}, {}
+        self._mask = np.empty(m, dtype=bool)
         by_end = np.argsort(self.ends, kind="stable")
         ends, cuts = np.unique(self.ends[by_end], return_index=True)
         for e, rows in zip(ends.tolist(), np.split(by_end, cuts[1:])):
@@ -191,7 +197,7 @@ class ShiftSearchState:
             d = np.gcd(own, m)
             by_d = np.argsort(d, kind="stable")
             rows, own, d = rows[by_d], own[by_d], d[by_d]
-            C = self.forms[rows, :e].astype(np.float64)
+            C = np.asfortranarray(self.forms[rows, :e], dtype=np.float64)
             groups = []
             for g in sorted(set(d.tolist())):
                 lo, hi = np.searchsorted(d, [g, g + 1]).tolist()
@@ -204,14 +210,27 @@ class ShiftSearchState:
 
     def allowed_values(self, e):
         """Candidate shifts for position ``e`` given the current prefix,
-        ascending."""
+        ascending.
+
+        Siblings, calls at ``e`` under one parent, differ only in
+        ``prefix[e - 1]``, so the bucket keeps the parent's partial sum
+        ``C[:, :e-1] @ prefix[:e-1]`` keyed by the values of
+        ``prefix[:e-1]`` and each sibling adds ``C[:, e-1] * prefix[e-1]``.
+        The key is the values, so any prefix a caller sets gets its own
+        sum.  The result is a new list; the mask behind it is reused."""
         tables = self._compiled.get(e)
         if tables is None:
             return list(range(self.m))
-        m = self.m
+        m, prefix = self.m, self.prefix
         C, groups = tables
-        base = (C @ np.asarray(self.prefix[:e], dtype=np.float64)).astype(np.int64)
-        ok = np.ones(m, dtype=bool)
+        key, partial = self._partials.get(e, (None, None))
+        if key != prefix[:e - 1]:
+            key = prefix[:e - 1]
+            partial = C[:, :e - 1] @ np.asarray(key, dtype=np.float64)
+            self._partials[e] = key, partial
+        base = (partial + C[:, e - 1] * prefix[e - 1]).astype(np.int64)
+        ok = self._mask
+        ok.fill(True)
         for d, lo, hi, neg_inv in groups:
             b = base[lo:hi]
             if d == 1:

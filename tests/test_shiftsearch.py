@@ -180,6 +180,41 @@ class TestAllowedValuesDifferential:
         assert dead_zero > 0 and dead_live > 0
         assert repeated > 0
 
+    def test_kept_partial_sums_follow_the_prefix(self):
+        """Call sequences over a bucket's kept partial sum: every sibling
+        value at one position, then one earlier value changed with the
+        length and last value kept (a sum kept for the old parent would be
+        stale), then the prefix replaced by a new list and every bucket
+        asked in random order."""
+        rng = random.Random(31)
+        calls = stale = 0
+        while calls < 3_000:
+            fss = _random_system(rng)
+            m = rng.choice(self.MODULI)
+            state = ShiftSearchState.create(fss, m, rng.choice((6, 8, 10)))
+            buckets = state.buckets
+            deep = [e for e in buckets if e >= 2]
+            if not deep:
+                continue
+            e = rng.choice(deep)
+            state.prefix[:] = [rng.randrange(m) for _ in range(e)]
+            for s in range(m):
+                state.prefix[e - 1] = s
+                assert state.allowed_values(e) == _reference_allowed(
+                    buckets[e], state.prefix, m), (fss.blocks, m, e, state.prefix)
+            before = state.allowed_values(e)
+            p = rng.randrange(e - 1)
+            state.prefix[p] = (state.prefix[p] + 1) % m
+            want = _reference_allowed(buckets[e], state.prefix, m)
+            assert state.allowed_values(e) == want, (fss.blocks, m, e, state.prefix)
+            stale += want != before
+            state.prefix = [rng.randrange(m) for _ in range(len(state.order))]
+            for e in rng.sample(sorted(buckets), len(buckets)):
+                assert state.allowed_values(e) == _reference_allowed(
+                    buckets[e], state.prefix[:e], m), (fss.blocks, m, e)
+            calls += m + 2 + len(buckets)
+        assert stale > 50
+
     def test_modulus_one_allows_nothing_in_a_bucket(self):
         fss = validate_fss(3, [[1, 2, 3], [1, 2, 3], [1, 3]])
         state = ShiftSearchState.create(fss, 1, 8)
