@@ -206,7 +206,7 @@ def tanner_girth(H: BinaryMatrix, cap: int = _TANNER_CAP) -> GirthReport:
     nbr = np.concatenate((H.edge_cols + m, H.edge_rows[order]))
     ptr = np.concatenate((H.row_ptr, H.nnz + col_ptr[1:]))
     nv = m + n
-    adj = [None] * nv  # a vertex's neighbour list, built on its first expansion
+    adj = [None] * nv
     dist = [-1] * nv
     parent = [-1] * nv
     best = None

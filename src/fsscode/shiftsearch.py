@@ -185,8 +185,8 @@ class ShiftSearchState:
         the filter's scratch, reset here.
         """
         m = self.m
-        # every bucket has e >= 1: a form has two nonzero positions, and a
-        # balanced walk departs from two; ``allowed_values`` reads column e-1
+        # a form spans two positions and a balanced walk departs from two,
+        # so every bucket has e >= 1: ``allowed_values`` reads column e-1
         assert (self.ends >= 1).all()
         self._compiled, self._partials = {}, {}
         self._mask = np.empty(m, dtype=bool)
@@ -210,14 +210,10 @@ class ShiftSearchState:
 
     def allowed_values(self, e):
         """Candidate shifts for position ``e`` given the current prefix,
-        ascending.
-
-        Siblings, calls at ``e`` under one parent, differ only in
-        ``prefix[e - 1]``, so the bucket keeps the parent's partial sum
-        ``C[:, :e-1] @ prefix[:e-1]`` keyed by the values of
-        ``prefix[:e-1]`` and each sibling adds ``C[:, e-1] * prefix[e-1]``.
-        The key is the values, so any prefix a caller sets gets its own
-        sum.  The result is a new list; the mask behind it is reused."""
+        ascending.  Siblings (calls at ``e`` that differ only in
+        ``prefix[e-1]``) share the partial sum ``C[:, :e-1] @ prefix[:e-1]``,
+        kept per bucket and keyed by those values, so each adds one column;
+        the list returned is new, the mask behind it reused."""
         tables = self._compiled.get(e)
         if tables is None:
             return list(range(self.m))
