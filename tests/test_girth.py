@@ -1303,11 +1303,12 @@ class TestVisitOrderPinned:
     """
 
     DIGEST = "d1e4da31c33a1c57d6f982a2d95380a378a1be80ce23653e6577e094f0d12a92"
+    SPARSE_DIGEST = "c3c33a58616586ccea14ea6b810e08bf51765236a6d30df19b080adb1d99addc"
 
-    def test_visit_sequence_digest(self):
-        digest = hashlib.sha256()
-        visits = balanced_visits = 0
-
+    @staticmethod
+    def _recorder(digest):
+        """``run(sc, max_len, first, balanced)``: one ``closed_walks`` pass,
+        its visits fed to ``digest``; returns how many there were."""
         def run(sc, max_len, first, balanced):
             seen = []
 
@@ -1318,6 +1319,13 @@ class TestVisitOrderPinned:
             closed_walks(sc, max_len, visit, first, balanced=balanced)
             digest.update(repr(seen).encode())
             return len(seen)
+
+        return run
+
+    def test_visit_sequence_digest(self):
+        digest = hashlib.sha256()
+        visits = balanced_visits = 0
+        run = self._recorder(digest)
 
         rng = random.Random(20261019)
         for i in range(300):
@@ -1336,6 +1344,29 @@ class TestVisitOrderPinned:
                     balanced_visits += run(sc, max_len, pinned, True)
         assert (visits, balanced_visits) == (236_983, 7_328)
         assert digest.hexdigest() == self.DIGEST
+
+    def test_sparse_visit_sequence_digest(self):
+        # 60 sparse systems, 8-14 points in 4-10 blocks of 2-3: unlike the
+        # small dense ones above, their points lie up to several co-block
+        # steps apart, so many branches wander off and never close
+        digest = hashlib.sha256()
+        visits = balanced_visits = 0
+        run = self._recorder(digest)
+        rng = random.Random(20261032)
+        for _ in range(60):
+            v = rng.randint(8, 14)
+            blocks = [sorted(rng.sample(range(1, v + 1), rng.randint(2, 3)))
+                      for _ in range(rng.randint(4, 10))]
+            sc = WalkScaffold(blocks)
+            steps = [(x, k, y) for k, blk in enumerate(blocks, start=1)
+                     for x in blk for y in blk if x != y]
+            first = rng.sample(steps, 3)
+            for pinned in (None, first):
+                visits += run(sc, 6, pinned, False)
+                for max_len in (6, 7, 8):
+                    balanced_visits += run(sc, max_len, pinned, True)
+        assert (visits, balanced_visits) == (12_963, 480)
+        assert digest.hexdigest() == self.SPARSE_DIGEST
 
 
 class TestScaffoldNumbering:
