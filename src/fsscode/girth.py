@@ -231,7 +231,7 @@ def tanner_girth(H: BinaryMatrix, cap: int = _TANNER_CAP) -> GirthReport:
                 if dist[w] >= 0:
                     cand = du + dist[w] + 1
                     if best is None or cand < best:
-                        nodes = _cycle_nodes(u, w, parent, dist)
+                        nodes = _cycle_nodes(u, w, parent)
                         if nodes is not None:
                             best = cand
                             best_nodes = nodes
@@ -277,7 +277,7 @@ def _circulant_size(H: BinaryMatrix) -> int:
     return 1
 
 
-def _cycle_nodes(u, w, parent, dist):
+def _cycle_nodes(u, w, parent):
     """Cycle node list through the non-tree edge (u, w), or None when the two
     tree paths merge before the root (the closed walk is then not simple and
     a shorter cycle will be found instead)."""
@@ -306,8 +306,7 @@ class WalkScaffold:
     position, members)``: ``members`` is block k's ``(position, point)``
     pairs, one list shared by the block's points.  The ``size`` incidence
     positions go block-major, points in block order, as in
-    ``SetSystem.incidences`` and the shift search's assignment.  Co-block
-    distances to a start point are computed on first use and cached.
+    ``SetSystem.incidences`` and the shift search's assignment.
 
     ``push(x)`` appends a point to the last block as the last incidence, so
     the positions stay block-major, and ``pop()`` takes it off again: the
@@ -324,7 +323,6 @@ class WalkScaffold:
                 self.steps.setdefault(x, []).append((k, a, members))
             self.size += len(members)
             self._last = k, members
-        self._dist: dict[int, dict[int, int]] = {}
 
     def push(self, x):
         """Append ``x``, a point not in it, to the last block."""
@@ -332,7 +330,6 @@ class WalkScaffold:
         members.append((self.size, x))
         self.steps.setdefault(x, []).append((k, self.size, members))
         self.size += 1
-        self._dist.clear()
 
     def pop(self):
         """Take the last block's last point off again."""
@@ -341,29 +338,6 @@ class WalkScaffold:
         if not self.steps[x]:
             del self.steps[x]
         self.size -= 1
-        self._dist.clear()
-
-    def distances(self, source):
-        """BFS distances to ``source`` in the co-block graph; unreachable
-        points are absent.  Each block is expanded once, from the first of
-        its points the BFS pops: every member is then at most one further,
-        so a later expansion would find them all placed."""
-        dist = self._dist.get(source)
-        if dist is None:
-            dist = self._dist[source] = {source: 0}
-            expanded = set()
-            queue = deque([source])
-            while queue:
-                u = queue.popleft()
-                for k, _, members in self.steps[u]:
-                    if k in expanded:
-                        continue
-                    expanded.add(k)
-                    for _, w in members:
-                        if w not in dist:
-                            dist[w] = dist[u] + 1
-                            queue.append(w)
-        return dist
 
 
 def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
@@ -404,8 +378,7 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
     result is None.  Each walk is visited as it closes, so a pass at
     ``max_len`` visits walks of 2..``max_len`` steps; with ``balanced``
     only the balanced ones, and a branch is cut once its norm exceeds twice
-    the steps left (a step changes it by at most 2).  Every branch is cut
-    once its point is further from i1 than the steps left.  A step leaves a
+    the steps left (a step changes it by at most 2).  A step leaves a
     position other than the one it reaches, and moves the norm by exactly 1
     at each end, so a block is skipped whole when even the arrival that
     lowers the norm would leave it over that bound.  A step that leaves a
@@ -461,8 +434,7 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
             # i1 is out of bounds like the points below it
             floor = i1 + 1 if a < arr0 else lo
             for b, w in members:
-                # unreachable points count as too far to close the walk
-                if w == u or w < floor or dist.get(w, left) >= left:
+                if w == u or w < floor:
                     continue
                 cb = coef[b]
                 n = norm_a + 1 if cb >= 0 else norm_a - 1
@@ -489,7 +461,6 @@ def closed_walks(sc: WalkScaffold, max_len, visit, first=None, balanced=False):
     found = None
     for i1, k1, i2 in starts:
         lo = 0 if first is not None else i1
-        dist = sc.distances(i1)
         closing = {k: a for k, a, _ in steps[i1]}
         a = closing[k1]
         b = next(p for k, p, _ in steps[i2] if k == k1)
@@ -537,8 +508,7 @@ def min_edge_walk(scaffold: WalkScaffold, max_len, steps=None, *, shortest=True)
     """(points, block_idx) of the first balanced closed walk of the
     smallest length L <= ``max_len`` in ``closed_walks`` order, or None.
     With ``steps``, only walks opening with one of those (x, k, y) steps
-    count.  Every length is searched through one scaffold, which keeps the
-    distances it caches.
+    count.  Every length is searched through one scaffold.
 
     With ``shortest=False`` the query asks only whether such a walk exists:
     passes at L = 8, 16, ... below ``max_len``, then at ``max_len``, return
