@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -215,8 +216,17 @@ def read_alist(path) -> BinaryMatrix:
     rows = section(row_deg, maxes[1], n)
     if pos != len(lines):
         raise ValueError(f"alist line {lines[pos][0]}: text after the row section")
-    H = BinaryMatrix(m, n, [(r - 1, c) for c, adj in enumerate(cols) for r in adj])
-    if H.row_support != [sorted(c - 1 for c in adj) for adj in rows]:
+
+    def edges(section):
+        """(line, index - 1) arrays of a section's edges."""
+        line = np.repeat(np.arange(len(section)),
+                         np.fromiter(map(len, section), np.int64, len(section)))
+        index = np.fromiter(chain.from_iterable(section), np.int64, len(line))
+        return line, index - 1
+
+    c, r = edges(cols)
+    H = BinaryMatrix(m, n, np.column_stack((r, c)))
+    if H != BinaryMatrix(m, n, np.column_stack(edges(rows))):
         raise ValueError("alist column and row sections describe different edges")
     return H
 

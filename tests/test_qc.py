@@ -252,6 +252,18 @@ class TestAlist:
         again = read_alist(path)
         assert again == H
 
+    def test_sections_compared_without_support_lists(self, tmp_path):
+        # the check compares edge arrays: the matrix read builds no
+        # per-row or per-column Python lists until a caller asks for them
+        from fsscode import reference_code
+
+        H = expand(reference_code("fss-3-10-m36"))
+        path = tmp_path / "h.alist"
+        write_alist(H, path)
+        again = read_alist(path)
+        assert again == H
+        assert not {"row_support", "col_support"} & set(vars(again))
+
     def test_header_is_cols_rows(self, pair_system, tmp_path):
         S = shift_sequence_from_list(pair_system, 3, [0, 1, 2])
         H = expand(assemble(pair_system, S))
