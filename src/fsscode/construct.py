@@ -71,13 +71,11 @@ class ConstructionResult:
         return self.status == "ok"
 
 
-def method1_lift(primitive: SetSystem, m: int, S: ShiftSequence) -> SetSystem:
-    """Read the circulant expansion of ``primitive`` back as a set system.
-
-    The expansion (untransposed: one row group per point, one column group
-    per block) is interpreted as a fresh incidence pattern whose columns are
-    the new blocks, giving v*m points and b*m blocks.  Block sizes equal the
-    originating block sizes.
+def method1_lift(primitive: SetSystem, S: ShiftSequence) -> SetSystem:
+    """Read the circulant expansion of ``primitive`` by ``S`` back as a set
+    system: the untransposed expansion (one row group per point, one column
+    group per block, m = ``S.m``) is read as an incidence pattern whose
+    columns are the new blocks, so v*m points and b*m blocks of the old sizes.
     """
     H = _lift(assemble(primitive, S))
     blocks = [[r + 1 for r in sup] for sup in H.col_support]
@@ -130,7 +128,7 @@ def method1(
                 break
         if not res.ok:
             return ConstructionResult(status=res.status, expansions=total_exp)
-        current = method1_lift(current, m, res.shifts)
+        current = method1_lift(current, res.shifts)
         report = inevitable_girth(current, cap=cap)
     if not report.unbounded and report.girth < target_g:
         raise ConstructionError(

@@ -138,7 +138,7 @@ def bsg_shortest_closed_walk(q: QCProtoMatrix, cap: int) -> GirthReport:
             limit = cap if best is None else min(cap, best - 1)
             if limit < 2:
                 break
-            start = (w0, k0, s0 % m)
+            start = (w0, k0, s0)
             parent = {start: None}
             queue = deque([(start, 1)])
             found = None
@@ -245,7 +245,7 @@ def tanner_girth(H: BinaryMatrix, cap: int = _TANNER_CAP) -> GirthReport:
         for t in touched:
             dist[t] = -1
             parent[t] = -1
-    if best is None or best > cap:
+    if best is None:
         return GirthReport(girth=None, cap=cap)
     return GirthReport(girth=best, cap=cap, witness=CycleWitness(tuple(best_nodes)))
 

@@ -57,7 +57,9 @@ class SearchPolicy:
 @dataclass(frozen=True)
 class SearchResult:
     """status is 'ok', 'infeasible' (search space exhausted) or 'unknown'
-    (budget ran out before the space was exhausted)."""
+    (budget ran out before the space was exhausted).  ``verified_girth`` is
+    the oracle's Tanner girth of the shifts' expansion, checked up to the
+    target girth only: None without shifts or when it is above the target."""
 
     status: str
     shifts: ShiftSequence | None = None

@@ -147,7 +147,7 @@ def test_criterion_06_recursive_lift(capsys):
     ex = TABLES["lift_example"]
     prim = validate_fss(ex["primitive"]["v"], ex["primitive"]["blocks"])
     S = shift_sequence_from_list(prim, ex["m"], ex["shifts"])
-    lifted = method1_lift(prim, ex["m"], S)
+    lifted = method1_lift(prim, S)
     want = sorted(tuple(sorted(b)) for b in ex["result_blocks"])
     rep = inevitable_girth(lifted, cap=12)
     ok = sorted(lifted.blocks) == want and rep.girth == ex["result_girth"]

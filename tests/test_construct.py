@@ -14,7 +14,7 @@ from fsscode.construct import (
     method2,
 )
 from fsscode.girth import WalkScaffold, closed_walks, inevitable_girth
-from fsscode.qc import shift_sequence_from_list
+from fsscode.qc import ShiftSequence, shift_sequence_from_list
 from fsscode.setsystem import validate_fss
 from fsscode.shiftsearch import SearchPolicy
 
@@ -37,7 +37,7 @@ class TestWeightProfile:
 class TestMethod1Lift:
     def test_table_row_example(self, three_pairs):
         S = shift_sequence_from_list(three_pairs, 3, [0, 1, 2])
-        lifted = method1_lift(three_pairs, 3, S)
+        lifted = method1_lift(three_pairs, S)
         assert (lifted.v, lifted.b) == (6, 9)
         expected = [
             (1, 4), (2, 5), (3, 6), (1, 5), (2, 6), (3, 4),
@@ -48,13 +48,13 @@ class TestMethod1Lift:
 
     def test_identity_lift(self, three_pairs):
         S = shift_sequence_from_list(three_pairs, 1, [0, 0, 0])
-        lifted = method1_lift(three_pairs, 1, S)
+        lifted = method1_lift(three_pairs, S)
         assert sorted(lifted.blocks) == sorted(three_pairs.blocks)
 
     def test_preserves_block_sizes(self):
         fss = validate_fss(3, [[1, 2, 3], [1, 2], [2, 3]])
         S = shift_sequence_from_list(fss, 2, [1, 1, 1, 0])
-        lifted = method1_lift(fss, 2, S)
+        lifted = method1_lift(fss, S)
         assert sorted(len(b) for b in lifted.blocks) == [2, 2, 2, 2, 3, 3]
         assert (lifted.v, lifted.b) == (6, 6)
 
@@ -62,7 +62,25 @@ class TestMethod1Lift:
         other = validate_fss(2, [[1, 2]] * 4)
         S = shift_sequence_from_list(other, 3, [0, 1, 2, 0])
         with pytest.raises(ValueError):
-            method1_lift(three_pairs, 3, S)
+            method1_lift(three_pairs, S)
+
+    def test_matches_the_closed_form(self):
+        # lifted block (j, t), t = 0..m-1, holds (i-1)*m + (t - s[i,j]) % m + 1
+        # for the points i of block j, in order
+        rng = random.Random(20261104)
+        sizes = set()
+        for _ in range(200):
+            v = rng.randint(2, 7)
+            fss = validate_fss(v, [rng.sample(range(1, v + 1), rng.randint(2, min(4, v)))
+                                   for _ in range(rng.randint(1, 6))])
+            m = rng.randint(1, 13)
+            s = {inc: rng.randrange(m) for inc in fss.incidences}
+            want = [tuple((i - 1) * m + (t - s[i, j]) % m + 1 for i in block)
+                    for j, block in enumerate(fss.blocks, 1) for t in range(m)]
+            lifted = method1_lift(fss, ShiftSequence(m, s))
+            assert (lifted.v, lifted.blocks) == (v * m, tuple(want)), (fss.blocks, m, s)
+            sizes.update(map(len, fss.blocks))
+        assert sizes == {2, 3, 4}
 
 
 class TestMethod1:

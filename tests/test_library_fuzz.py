@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fsscode.construct import WeightProfile, method1, method1_lift, method2
+from fsscode.construct import WeightProfile, method1, method2
 from fsscode.girth import bsg_shortest_closed_walk, inevitable_girth, tanner_girth
 from fsscode.qc import (
     ShiftSequence,
@@ -91,7 +91,6 @@ TARGETS = {
     "method1": (method1, dict(primitive=FSS, target_g=12, m_schedule=[3, 5],
                               policy=POLICY),
                 ["target_g", "m_schedule", "policy"]),
-    "method1_lift": (method1_lift, dict(primitive=FSS, m=3, S=SHIFTS), ["m"]),
     "method2": (method2, dict(v=5, profile=WeightProfile((2, 3, 2)),
                               target_g=6, policy=POLICY),
                 ["v", "target_g", "policy"]),
@@ -135,12 +134,14 @@ def time_limit(seconds):
 
 
 def _call(fn, kwargs):
-    """``fn(**kwargs)``; only ValueError may escape, within the limit."""
+    """``fn(**kwargs)``; only ValueError may escape, within the limit.
+    True iff it raised one."""
     with time_limit(LIMIT_S):
         try:
             fn(**kwargs)
         except ValueError:
-            pass
+            return True
+    return False
 
 
 def _resized(data, x):
@@ -303,3 +304,12 @@ def test_mutated_argument(name, data):
     else:
         new = _resized(data, x)
     _call(fn, {**kwargs, arg: new})
+
+
+def test_every_fuzzed_argument_is_checked():
+    # an argument that no value of another type can make raise is one the
+    # function never reads, such as a modulus it takes from elsewhere
+    unchecked = [(name, arg) for name, (fn, kwargs, mutable) in TARGETS.items()
+                 for arg in mutable
+                 if not any(_call(fn, {**kwargs, arg: x}) for x in OTHER_TYPES)]
+    assert not unchecked
