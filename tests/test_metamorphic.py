@@ -95,3 +95,17 @@ def test_offsets_and_unit_scaling_keep_the_tanner_girth():
                       {inc: u * s % m for inc, s in shifts.items()}):
             assert _lifted_girth(fss, m, moved, 16) == want, (fss.blocks, m, shifts)
     assert len(girths) >= 4, girths
+
+
+def test_no_search_returns_ok_above_the_ceiling():
+    # no shifts lift a system past its inevitable girth.  Random systems at
+    # girth <= 8 never need the filter's d = m residue group (forms whose own
+    # coefficient is 0 mod m); a target above the ceiling at these m does
+    policy = SearchPolicy(budget=5_000)
+    for v, blocks, ceiling in ((3, [[1, 2, 3]] * 2, 12), (2, [[1, 2]] * 3, 12),
+                               (3, [[1, 2], [1, 2, 3], [2, 3]], 14)):
+        fss = validate_fss(v, blocks)
+        assert inevitable_girth(fss, ceiling).girth == ceiling
+        for m in (13, 40, 101):
+            res = search_shifts(fss, m, ceiling + 2, policy)
+            assert res.status in ("infeasible", "unknown"), (blocks, m)
