@@ -5,13 +5,12 @@ a circulant expansion and reads the result back as a new, larger system; the
 lifted Tanner girth multiplies up, so a few rounds reach large girths.
 ``method2`` grows a system point-by-point under a prescribed block-size
 profile, accepting a point only when no balanced closed walk shorter than
-the target appears, with the chronological backtracking loop
-``shiftsearch.backtrack`` that the shift search also runs.
+the target appears, under the search driver ``shiftsearch.backtrack``
+that the shift search also runs, restarts of random order included.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from math import ceil
@@ -57,8 +56,8 @@ class ConstructionResult:
     """status is 'ok', 'infeasible' or 'unknown' (budget exhausted).
 
     ``method2`` fills ``stats``: its walk queries, the points they
-    accepted and their wall time in seconds (``walk_s``).  Timings never
-    compare."""
+    accepted, their wall time in seconds (``walk_s``), and the driver's
+    ``backtracks`` and ``restarts``.  Stats never compare."""
 
     status: str
     system: SetSystem | None = None
@@ -172,7 +171,6 @@ def method2(
     if v < max(profile.K):
         raise ValueError(f"v={v} is smaller than the largest block size")
     policy = _or_default(policy, SearchPolicy, "policy")
-    rng = random.Random(policy.seed)
     max_len = target_g // 2 - 1
 
     K = profile.K
@@ -196,11 +194,11 @@ def method2(
                 yield x
             sc.pop()
 
-    def candidates(e):
+    def candidates(e, rng):
         j, i = slots[e]
         if i == 0:
             cands = list(range(1, v + 1))
-            if policy.order == "random":
+            if rng is not None:
                 rng.shuffle(cands)
             return cands
         if i == 1:
@@ -208,8 +206,8 @@ def method2(
                 [points[a:b] for a, b in zip(starts, [*starts[1:j + 1], e])])
         return grown(scaffolds[j])
 
-    status, expansions, _ = backtrack(len(slots), candidates, points,
-                                      policy.budget)
+    status, expansions, stats["backtracks"], stats["restarts"] = backtrack(
+        len(slots), candidates, points, policy)
     if status != "ok":
         return ConstructionResult(status=status, expansions=expansions,
                                   stats=stats)

@@ -2,8 +2,9 @@
 
 The shifts are assigned block-major, points ascending within each block,
 with the first shift of every block pinned to zero (a code-equivalence
-normalization), by ``backtrack``: one chronological backtracking loop
-drawing candidates on demand, which ``construct.method2`` shares.
+normalization), by ``backtrack``, the search driver that
+``construct.method2`` shares: chronological backtracking that draws
+candidates on demand and, in random order, restarts on a seeded schedule.
 Before the search starts, every closed walk of the mother structure short
 enough to threaten the target girth is enumerated once, by the closed-walk
 search of ``girth`` that also finds inevitable walks.  Each walk carries
@@ -22,6 +23,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
+from itertools import count
 from time import perf_counter
 
 import numpy as np
@@ -241,38 +243,52 @@ class ShiftSearchState:
         return np.flatnonzero(ok).tolist()
 
 
-def backtrack(n, candidates, prefix, budget):
-    """Chronological backtracking over positions ``0..n-1``, shared by the
-    shift search and ``construct.method2``.
+def backtrack(n, candidates, prefix, policy):
+    """Chronological backtracking over positions ``0..n-1``, the search
+    driver of the shift search and ``construct.method2``.
 
-    ``candidates(e)`` returns an iterable of position ``e``'s values (ints)
-    in trial order.  It is called each time the search enters ``e`` and is
-    drawn from only while ``prefix`` holds positions ``0..e-1``, which
-    chronological backtracking guarantees.  The search fills ``prefix`` in
-    place and makes at most ``budget`` expansions (values appended).
-    Returns ``(status, expansions, backtracks)``: status is ``'ok'`` with
-    ``prefix`` complete, ``'infeasible'`` once the first position runs out
-    of values, or ``'unknown'`` when the budget stops the search first.
+    ``candidates(e, rng)`` returns position ``e``'s values (ints) in trial
+    order.  It is called on each entry to ``e`` and drawn from only while
+    ``prefix`` holds positions ``0..e-1``.  The search fills ``prefix`` in
+    place and makes at most ``policy.budget`` expansions (values appended)
+    in all.  Ascending order runs one pass, with ``rng=None``.  Random order
+    restarts from an empty prefix each time a pass spends its tranche, the
+    remedy for backtracking's heavy tail (Luby, Sinclair and Zuckerman, IPL
+    1993): pass p gets ``rng = random.Random(seed * 1_000_003 + p)`` and
+    2,000 expansions, doubled every third pass.  Returns ``(status,
+    expansions, backtracks, restarts)``: 'ok' with ``prefix`` complete,
+    'infeasible' once the first position runs out of values, or 'unknown'
+    when the budget stops the search first; restarts are the later passes.
     """
-    prefix.clear()
-    stack: list = []  # one iterator per position entered
+    shuffled = policy.order == "random"
+    tranche = 2_000 if shuffled else policy.budget
     expansions = backtracks = 0
-    while len(prefix) < n:
-        if len(stack) == len(prefix):
-            stack.append(iter(candidates(len(prefix))))
-        value = next(stack[-1], None)
-        if value is not None:
-            if expansions == budget:
-                return "unknown", expansions, backtracks
-            prefix.append(value)
-            expansions += 1
+    for restarts in count():
+        rng = random.Random(policy.seed * 1_000_003 + restarts) if shuffled else None
+        stop = min(expansions + tranche, policy.budget)
+        prefix.clear()
+        stack: list = []  # one iterator per position entered
+        while len(prefix) < n:
+            if len(stack) == len(prefix):
+                stack.append(iter(candidates(len(prefix), rng)))
+            value = next(stack[-1], None)
+            if value is None:
+                stack.pop()
+                if not prefix:
+                    return "infeasible", expansions, backtracks, restarts
+                prefix.pop()
+                backtracks += 1
+            elif expansions == stop:
+                break
+            else:
+                prefix.append(value)
+                expansions += 1
         else:
-            stack.pop()
-            if not prefix:
-                return "infeasible", expansions, backtracks
-            prefix.pop()
-            backtracks += 1
-    return "ok", expansions, backtracks
+            return "ok", expansions, backtracks, restarts
+        if expansions == policy.budget:
+            return "unknown", expansions, backtracks, restarts
+        if restarts % 3 == 2:
+            tranche *= 2
 
 
 def search_shifts(
@@ -290,7 +306,7 @@ def search_shifts(
     # the first incidence of every block
     pinned = {e for e, (i, j) in enumerate(state.order) if i == fss.blocks[j - 1][0]}
 
-    def candidates(e):
+    def candidates(e, rng):
         cands = state.allowed_values(e)
         if e in pinned:
             return [0] if 0 in cands else []
@@ -298,23 +314,9 @@ def search_shifts(
             rng.shuffle(cands)
         return cands
 
-    # geometric restarts tame the heavy-tailed runtime distribution of
-    # chronological backtracking; seeds advance deterministically.  Ascending
-    # order is deterministic, so its first pass gets the whole budget and a
-    # second would only repeat it
-    shuffled = policy.order == "random"
-    tranche = 2_000 if shuffled else policy.budget
-    status, restarts = "unknown", -1
-    while status == "unknown" and state.expansions < policy.budget:
-        restarts += 1
-        rng = random.Random(policy.seed * 1_000_003 + restarts) if shuffled else None
-        status, spent, undone = backtrack(
-            len(state.order), candidates, state.prefix,
-            min(tranche, policy.budget - state.expansions))
-        state.expansions += spent
-        state.backtracks += undone
-        if (restarts + 1) % 3 == 0:
-            tranche *= 2
+    # perfbench's traced run reads the counters off the state it created
+    status, state.expansions, state.backtracks, restarts = backtrack(
+        len(state.order), candidates, state.prefix, policy)
     counts = dict(expansions=state.expansions, backtracks=state.backtracks,
                   restarts=restarts, stats=state.stats)
     if status != "ok":

@@ -159,12 +159,10 @@ class TestConstructors:
                      "K": [3, 3, 3, 3], "girth": 12, "order": "random",
                      "budget": 10_000_000, "seed": 1},
             "status": "ok",
-            "expansions": 13,
+            "expansions": 14,
             "system": {"v": 8, "t": 2,
-                       "blocks": [[4, 5, 6], [3, 4, 5], [3, 4, 5], [4, 5, 6]]},
-            "verification": {"girth": 12, "cap": 6,
-                             "witness": _walk([3, 4, 5, 3, 4, 5],
-                                              [2, 3, 2, 3, 2, 3])},
+                       "blocks": [[3, 4, 5], [5, 6, 7], [4, 5, 6], [6, 7, 8]]},
+            "verification": {"girth": "unbounded", "cap": 6},
         }, indent=2) + "\n"
 
 

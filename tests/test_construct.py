@@ -182,14 +182,25 @@ class TestMethod2:
 
     def test_heavy_random_trajectory_pinned(self):
         # random order with seed 3 falls into v10-b19-g14's heavy tail: its
-        # first 1,500 expansions pin the verdicts of 3,791 walk queries,
-        # each asked of a scaffold grown and shrunk in place
+        # first 1,500 expansions, all in the first pass, pin the verdicts of
+        # 3,617 walk queries, each asked of a scaffold grown and shrunk in place
         p = next(p for p in load_paper_tables()["weight_profiles"]
                  if p["name"] == "v10-b19-g14")
         res = method2(p["v"], WeightProfile(tuple(p["K"])), p["target_girth"],
                       policy=SearchPolicy(order="random", seed=3, budget=1500))
         assert (res.status, res.expansions) == ("unknown", 1500)
-        assert (res.stats["walk_queries"], res.stats["accepted"]) == (3791, 1137)
+        assert (res.stats["walk_queries"], res.stats["accepted"]) == (3617, 1034)
+
+    def test_random_order_restarts(self):
+        # seed 4's first pass spends its 2,000-expansion tranche; the second,
+        # reshuffled, finishes.  The driver's counters land in ``stats``
+        p = next(p for p in load_paper_tables()["weight_profiles"]
+                 if p["name"] == "v10-b19-g14")
+        res = method2(p["v"], WeightProfile(tuple(p["K"])), p["target_girth"],
+                      policy=SearchPolicy(order="random", seed=4))
+        assert (res.status, res.expansions, res.stats["restarts"]) == ("ok", 2232, 1)
+        assert 0 < res.stats["backtracks"] < res.expansions
+        assert inevitable_girth(res.system, cap=7).girth == 14
 
     def test_every_query_sees_a_fresh_scaffold(self, monkeypatch):
         # a block's scaffold is grown and shrunk across its candidate lists,
@@ -201,9 +212,9 @@ class TestMethod2:
         real_accepts, real_backtrack = construct._accepts, construct.backtrack
         placed, checked = [], []
 
-        def backtrack(n, candidates, prefix, budget):
+        def backtrack(n, candidates, prefix, policy):
             placed.append(prefix)
-            return real_backtrack(n, candidates, prefix, budget)
+            return real_backtrack(n, candidates, prefix, policy)
 
         def accepts(sc, beta, max_len):
             trial = placed[0] + [beta]
@@ -239,11 +250,11 @@ class TestMethod2:
             events.append(("approve" if ok else "reject", sc.size - 1, beta))
             return ok
 
-        def backtrack(n, candidates, prefix, budget):
-            def entered(e):
+        def backtrack(n, candidates, prefix, policy):
+            def entered(e, rng):
                 events.append(("enter", e, prefix[-1] if prefix else None))
-                return candidates(e)
-            return real_backtrack(n, entered, prefix, budget)
+                return candidates(e, rng)
+            return real_backtrack(n, entered, prefix, policy)
 
         monkeypatch.setattr(construct, "_accepts", accepts)
         monkeypatch.setattr(construct, "backtrack", backtrack)

@@ -9,6 +9,7 @@ normalisation in the shift search, say, makes one variant of a system
 """
 
 import random
+from collections import Counter
 from math import gcd
 
 from fsscode.girth import inevitable_girth, tanner_girth
@@ -52,27 +53,44 @@ def test_relabelling_keeps_the_inevitable_girth():
     assert {None, 12, 14, 16} <= girths, girths
 
 
+def _verdicts(rng, fss, m, target, policy):
+    """The search statuses of ``fss`` and of a relabelled variant.  ``ok``
+    for one and ``infeasible`` for the other would mean the search skipped
+    part of the space; ``unknown`` (budget spent) is neither."""
+    variant, label, order = _relabelled(rng, fss)
+    res, moved = (search_shifts(f, m, target, policy) for f in (fss, variant))
+    assert {res.status, moved.status} != {"ok", "infeasible"}, (fss.blocks, m, target)
+    if moved.ok:
+        # the variant's shifts, carried back, lift the original system
+        back = {(i, order[p] + 1): moved.shifts.entries[label[i], p + 1]
+                for p in range(fss.b) for i in fss.blocks[order[p]]}
+        girth = _lifted_girth(fss, m, back, target)
+        assert girth is None or girth >= target, (fss.blocks, m, back)
+    return res.status, moved.status
+
+
 def test_relabelling_keeps_the_search_verdict():
-    # ``ok`` for one variant and ``infeasible`` for another would mean the
-    # search skipped part of the space; ``unknown`` (budget spent) is neither
     rng = random.Random(20261102)
     policy = SearchPolicy(budget=50_000)
-    statuses = {"ok": 0, "infeasible": 0, "unknown": 0}
+    statuses = Counter()
     for _ in range(100):
         fss = _system(rng, (3, 6), (2, 6))
         m, target = rng.randint(2, 9), rng.choice((6, 8))
-        variant, label, order = _relabelled(rng, fss)
-        res, moved = (search_shifts(f, m, target, policy) for f in (fss, variant))
-        assert {res.status, moved.status} != {"ok", "infeasible"}, (fss.blocks, m, target)
-        statuses[res.status] += 1
-        statuses[moved.status] += 1
-        if moved.ok:
-            # the variant's shifts, carried back, lift the original system
-            back = {(i, order[p] + 1): moved.shifts.entries[label[i], p + 1]
-                    for p in range(fss.b) for i in fss.blocks[order[p]]}
-            girth = _lifted_girth(fss, m, back, target)
-            assert girth is None or girth >= target, (fss.blocks, m, back)
+        statuses.update(_verdicts(rng, fss, m, target, policy))
     assert statuses["ok"] > 100 and statuses["infeasible"] > 20, statuses
+
+
+def test_relabelling_keeps_the_search_verdict_at_girth_10():
+    # a periodic walk, such as a 2-step walk run twice, has form 2f, so at
+    # even m it rules out f = m/2; girth 10 is the first target whose
+    # templates hold walks of 4 steps
+    rng = random.Random(20261104)
+    policy = SearchPolicy(budget=20_000)
+    statuses = Counter()
+    for _ in range(60):
+        fss = _system(rng, (3, 5), (2, 4))
+        statuses.update(_verdicts(rng, fss, rng.choice((2, 4, 6, 8)), 10, policy))
+    assert statuses["ok"] > 10 and statuses["infeasible"] > 10, statuses
 
 
 def test_offsets_and_unit_scaling_keep_the_tanner_girth():

@@ -272,7 +272,8 @@ def _ref_backtrack(n, candidates, budget):
 
 class TestBacktrack:
     """``backtrack`` against the recursive reference on toy candidate
-    functions: random value lists in random order, seeded by the prefix."""
+    functions: random value lists in random order, seeded by the prefix.
+    An ascending policy runs the single pass the reference makes."""
 
     @staticmethod
     def _toy(seed, width, calls):
@@ -290,15 +291,18 @@ class TestBacktrack:
             n = seed % 6
             width = 1 + seed % 4
             full = _ref_backtrack(n, self._toy(seed, width, []), 10**9)
-            budgets = sorted({1, 2, full[1], full[1] + 1,
+            # a policy's budget is positive; a search of no expansions
+            # reads the same at budget 1
+            budgets = sorted({1, 2, max(1, full[1]), full[1] + 1,
                               max(1, full[1] - 1), max(1, full[1] // 2)})
             for budget in budgets:
                 want_calls, got_calls = [], []
                 want = _ref_backtrack(n, self._toy(seed, width, want_calls), budget)
                 toy = self._toy(seed, width, got_calls)
                 prefix = [99]
-                got = backtrack(n, lambda e: toy(e, prefix), prefix, budget)
-                assert (*got, prefix) == want, (seed, budget)
+                got = backtrack(n, lambda e, rng: toy(e, prefix), prefix,
+                                SearchPolicy(budget=budget))
+                assert (*got[:3], prefix) == want and got[3] == 0, (seed, budget)
                 assert got_calls == want_calls
                 assert got[1] <= budget
                 statuses.add(got[0])
@@ -312,13 +316,14 @@ class TestBacktrack:
             n = seed % 6
             width = 1 + seed % 4
             full = _ref_backtrack(n, self._toy(seed, width, []), 10**9)
-            for budget in sorted({1, 2, full[1], full[1] + 1,
+            for budget in sorted({1, 2, max(1, full[1]), full[1] + 1,
                                   max(1, full[1] // 2)}):
                 want = _ref_backtrack(n, self._toy(seed, width, []), budget)
                 toy = self._toy(seed, width, [])
                 prefix, drawn = [99], []
 
-                def candidates(e):
+                def candidates(e, rng):
+                    assert rng is None
                     at_entry, values = prefix[:], toy(e, prefix)
 
                     def draw():
@@ -329,16 +334,35 @@ class TestBacktrack:
                         assert prefix == at_entry
                     return draw()
 
-                got = backtrack(n, candidates, prefix, budget)
-                assert (*got, prefix) == want, (seed, budget)
+                got = backtrack(n, candidates, prefix, SearchPolicy(budget=budget))
+                assert (*got[:3], prefix) == want and got[3] == 0, (seed, budget)
                 assert len(drawn) == got[1] + (got[0] == "unknown")
 
     def test_budget_cuts_before_the_next_expansion(self):
         prefix = []
-        got = backtrack(3, lambda e: [0, 1], prefix, 2)
-        assert got == ("unknown", 2, 0) and prefix == [0, 0]
-        assert backtrack(3, lambda e: [0, 1], prefix, 3) == ("ok", 3, 0)
-        assert prefix == [0, 0, 0]
+        got = backtrack(3, lambda e, rng: [0, 1], prefix, SearchPolicy(budget=2))
+        assert got == ("unknown", 2, 0, 0) and prefix == [0, 0]
+        got = backtrack(3, lambda e, rng: [0, 1], prefix, SearchPolicy(budget=3))
+        assert got == ("ok", 3, 0, 0) and prefix == [0, 0, 0]
+
+    def test_random_passes_reseed_and_double_their_tranche(self):
+        # a search too deep to finish spends every pass's tranche: 2,000
+        # expansions three times, then 4,000, each pass with its own rng
+        for budget, restarts, depth in ((6_000, 2, 2_000), (10_000, 3, 4_000),
+                                        (10_001, 4, 1)):
+            firsts, prefix = [], []
+
+            def candidates(e, rng):
+                if e == 0:
+                    firsts.append(rng.random())
+                return [0]
+
+            got = backtrack(10**6, candidates, prefix,
+                            SearchPolicy(order="random", seed=7, budget=budget))
+            assert got == ("unknown", budget, 0, restarts)
+            assert len(prefix) == depth
+            assert firsts == [random.Random(7 * 1_000_003 + p).random()
+                              for p in range(restarts + 1)]
 
 
 TEN_TRIPLES = validate_fss(3, [[1, 2, 3]] * 10)
