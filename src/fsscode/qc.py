@@ -44,7 +44,11 @@ class ShiftSequence:
         _integer(self.m, "modulus", 1)
         if not isinstance(self.entries, dict):
             raise ValueError(f"entries must be a dict, got {self.entries!r}")
-        for (i, j), s in self.entries.items():
+        for key, s in self.entries.items():
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(map(_is_integer, key))):
+                raise ValueError(f"shift key {key!r} is not a pair of integers")
+            i, j = key
             if not _is_integer(s) or not 0 <= s < self.m:
                 raise ValueError(
                     f"shift s[{i},{j}]={s!r} is not an integer in 0..{self.m - 1}")
@@ -153,11 +157,11 @@ def write_alist(H: BinaryMatrix, path) -> None:
 def read_alist(path) -> BinaryMatrix:
     """Parse an alist file, rejecting any inconsistency with ValueError.
 
-    The header counts must match the degree lists, every adjacency line
-    must hold exactly its degree's worth of distinct in-range indices (zero
-    padding up to the maximum degree is optional), the file must end with
-    the row section, and the column and row sections must describe the
-    same edges.
+    The header counts must match the degree lists, no degree may be
+    negative, every adjacency line must hold exactly its degree's worth of
+    distinct in-range indices (zero padding up to the maximum degree is
+    optional), the file must end with the row section, and the column and
+    row sections must describe the same edges.
     """
     with open(path) as fh:
         lines = [(no, line.split()) for no, line in enumerate(fh, 1) if line.strip()]
@@ -181,13 +185,16 @@ def read_alist(path) -> BinaryMatrix:
     n, m = dims
     # write_alist writes an empty list as a blank line, and blank lines are
     # skipped: an empty degree list or a section of width 0 has no lines
-    col_deg = take()[1] if n else []
-    row_deg = take()[1] if m else []
+    col_no, col_deg = take() if n else (None, [])
+    row_no, row_deg = take() if m else (None, [])
     if len(col_deg) != n or len(row_deg) != m:
         raise ValueError(
             f"alist degree lists hold {len(col_deg)} and {len(row_deg)} "
             f"entries for {n} columns and {m} rows"
         )
+    for deg_no, degs in ((col_no, col_deg), (row_no, row_deg)):
+        if min(degs, default=0) < 0:
+            raise ValueError(f"alist line {deg_no}: negative degree {min(degs)}")
     if maxes != [max(col_deg, default=0), max(row_deg, default=0)]:
         raise ValueError(f"alist line {no}: maximum degrees {maxes} do not "
                          f"match the degree lists")

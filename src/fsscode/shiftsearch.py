@@ -86,7 +86,6 @@ class ShiftSearchState:
     forms: np.ndarray = field(repr=False, compare=False)
     ends: np.ndarray = field(repr=False, compare=False)
     prefix: list = field(default_factory=list)
-    expansions: int = 0
     backtracks: int = 0
     stats: dict = field(default_factory=dict)
 
@@ -314,10 +313,10 @@ def search_shifts(
             rng.shuffle(cands)
         return cands
 
-    # perfbench's traced run reads the counters off the state it created
-    status, state.expansions, state.backtracks, restarts = backtrack(
+    # perfbench's traced run reads backtracks off the state it created
+    status, expansions, state.backtracks, restarts = backtrack(
         len(state.order), candidates, state.prefix, policy)
-    counts = dict(expansions=state.expansions, backtracks=state.backtracks,
+    counts = dict(expansions=expansions, backtracks=state.backtracks,
                   restarts=restarts, stats=state.stats)
     if status != "ok":
         return SearchResult(status=status, **counts)

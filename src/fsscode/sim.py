@@ -43,8 +43,9 @@ the process use, but on no more lanes than the blocks of ``_LANE_BATCHES``
 batches' worth of edges that the stop rule's ``max_frames`` begins; no
 parameter sets the count. The calling process is the first lane. Each
 other lane is a worker process forked at the start of the ``ber_sweep``
-call and reaped at its end, on return or on raise, that decodes on its
-copy-on-write copy of the caller's workspace (``_Worker``). A fork happens
+call that decodes on its copy-on-write copy of the caller's workspace
+(``_Worker``). When the call ends, whether it returns or raises, one
+``finally`` kills every worker, busy or idle, and reaps it. A fork happens
 only where ``os.fork`` exists and no other thread is alive; otherwise, and
 on one usable CPU, the sweep runs the same rounds on one lane in process.
 
@@ -75,6 +76,7 @@ import math
 import numbers
 import os
 import pickle
+import signal
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -516,16 +518,17 @@ class _Worker:
     The child decodes on its copy-on-write copy of the caller's workspace
     ``ws``, which no decode has touched before the fork: it reads each task
     from its pipe, the arguments of one ``_SpaWorkspace.decode`` call, and
-    writes back what that call returns, until the pipe closes. Tasks and
-    results alternate, so neither side writes while the other is writing,
-    and a result larger than the pipe's buffer cannot deadlock. The child
-    leaves only through ``os._exit``: it never returns into the caller's
-    stack, runs no ``atexit`` handler and flushes none of the parent's
-    buffered output. A failure in the child is sent back as text;
-    ``result`` raises ``RuntimeError`` for it and for a child that died.
+    writes back what that call returns, or the text of its failure. Tasks
+    and results alternate, so neither side writes while the other is
+    writing, and a result larger than the pipe's buffer cannot deadlock.
+    The child leaves only through ``os._exit``: it never returns into the
+    caller's stack, runs no ``atexit`` handler and flushes none of the
+    parent's buffered output. ``result`` raises ``RuntimeError`` for a
+    failure and for a child that died, and ``close`` kills the child,
+    whether it is decoding or waiting for a task, and reaps it.
     """
 
-    def __init__(self, ws: _SpaWorkspace, others: list[_Worker]):
+    def __init__(self, ws: _SpaWorkspace):
         task_r, task_w = os.pipe()
         result_r, result_w = os.pipe()
         try:
@@ -535,22 +538,23 @@ class _Worker:
                 os.close(fd)
             raise
         if self.pid == 0:
-            code = 1
             try:
                 os.close(task_w)
                 os.close(result_r)
-                # the parent's ends of earlier workers' pipes: were a copy
-                # kept here, closing the parent's would not end those workers
-                for w in others:
-                    w.tasks.close()
-                    w.results.close()
                 with open(task_r, "rb") as tasks, open(result_w, "wb") as out:
-                    _serve(ws, tasks, out)
-                code = 0
-            except BaseException:  # noqa: BLE001 - _serve sent it to the parent
-                pass
+                    while True:
+                        try:
+                            task = pickle.load(tasks)
+                        except EOFError:
+                            break
+                        try:
+                            done = ws.decode(*task)
+                        except BaseException as ex:  # noqa: BLE001 - sent back
+                            done = f"{type(ex).__name__}: {ex}"
+                        pickle.dump(done, out, pickle.HIGHEST_PROTOCOL)
+                        out.flush()
             finally:
-                os._exit(code)
+                os._exit(0)
         os.close(task_r)
         os.close(result_w)
         self.tasks, self.results = open(task_w, "wb"), open(result_r, "rb")
@@ -571,17 +575,12 @@ class _Worker:
             raise RuntimeError(f"decoding worker {self.pid} failed: {out}")
         return out
 
-    def kill(self) -> None:
-        """End the child without waiting for its task (on an error path)."""
-        import signal  # loaded only here
-
+    def close(self) -> None:
+        """Kill the child, close the pipes and reap it."""
         try:
             os.kill(self.pid, signal.SIGKILL)
         except ProcessLookupError:  # reaped elsewhere
             pass
-
-    def close(self) -> None:
-        """Close the pipes, which ends an idle child, and reap it."""
         for f in (self.tasks, self.results):
             try:
                 f.close()
@@ -591,24 +590,6 @@ class _Worker:
             os.waitpid(self.pid, 0)
         except ChildProcessError:  # reaped elsewhere
             pass
-
-
-def _serve(ws: _SpaWorkspace, tasks, out) -> None:
-    """A worker's loop: decode every task read from ``tasks`` on ``ws`` and
-    write the result to ``out``, until ``tasks`` reaches its end. A failure
-    is written as text before it propagates."""
-    try:
-        while True:
-            try:
-                task = pickle.load(tasks)
-            except EOFError:
-                return
-            pickle.dump(ws.decode(*task), out, pickle.HIGHEST_PROTOCOL)
-            out.flush()
-    except BaseException as ex:
-        pickle.dump(f"{type(ex).__name__}: {ex}", out)
-        out.flush()
-        raise
 
 
 def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
@@ -645,16 +626,12 @@ def ber_sweep(H: BinaryMatrix, ebn0_list, rate: float,
     workers: list[_Worker] = []
     try:
         for _ in range(_lane_count(edges, stop.max_frames if cfgs else 0) - 1):
-            workers.append(_Worker(ws, workers))
+            workers.append(_Worker(ws))
         cap = max(1, min(_SHARE_BATCHES * _EDGE_BUDGET // edges,
                          _SEED_CHUNK) // batch) * batch
         return [_sweep_point(ws, workers, batch, cap, cfg, stop, seed, snr_idx,
                              max_iter)
                 for snr_idx, cfg in enumerate(cfgs)]
-    except BaseException:
-        for w in workers:
-            w.kill()
-        raise
     finally:
         for w in workers:
             w.close()

@@ -479,6 +479,18 @@ class TestTgirth:
         assert out == ""
         assert json.loads(err)["error"] == "ValueError"
 
+    def test_negative_degree_is_an_error(self, capsys, tmp_path):
+        # a section of maximum degree 0 reads no adjacency line, so only the
+        # degree check stops this file from reading as a 1 x 2 matrix
+        path = tmp_path / "h.alist"
+        path.write_text("2 1\n0 0\n0 -1\n0\n")
+        code, out, err = _run(capsys, ["tgirth", "--alist", str(path)])
+        assert code == EXIT_ERROR
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError"
+        assert "line 3" in doc["message"]
+
 
 class TestSimulateAndTables:
     def test_simulate_csv(self, capsys, fss_file, tmp_path):

@@ -39,6 +39,14 @@ class TestShiftSequence:
         with pytest.raises(ValueError, match="modulus"):
             ShiftSequence(m=m, entries={(1, 1): 0})
 
+    @pytest.mark.parametrize("key", [5, ("a", "b"), (1,), (1, 2, 3), (1.0, 1),
+                                     (True, 1), "ab"])
+    def test_rejects_non_pair_key(self, key):
+        # a key must be a (point, block) pair of integers, checked here and
+        # not first by assemble's cover check
+        with pytest.raises(ValueError, match="shift key"):
+            ShiftSequence(m=3, entries={key: 0})
+
     def test_takes_numpy_integers(self, pair_system):
         entries = {inc: np.int64(k) for k, inc in enumerate(pair_system.incidences)}
         S = ShiftSequence(m=np.int32(7), entries=entries)
@@ -313,6 +321,20 @@ class TestAlist:
         path = tmp_path / "h.alist"
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
+            read_alist(path)
+
+    @pytest.mark.parametrize("text, line", [
+        ("2 1\n0 0\n0 -1\n0\n", 3),
+        ("2 1\n0 0\n0 0\n-1\n", 4),
+        ("3 2\n2 3\n2 2 -2\n3 3\n", 3),
+    ])
+    def test_rejects_negative_degree(self, tmp_path, text, line):
+        # a negative degree passes the maximum-degree check when another
+        # entry of its list is the maximum, and a maximum of 0 reads no
+        # adjacency line that could reject it
+        path = tmp_path / "h.alist"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"line {line}: negative degree"):
             read_alist(path)
 
     def test_irregular_padding(self, tmp_path):

@@ -431,7 +431,8 @@ class TestLanes:
     """``ber_sweep`` on several decoding lanes, worker processes forked for
     the call, counts their frames in frame order, so records and counters
     equal a one-lane sweep's. No test starts more lanes than this process
-    may run on."""
+    may run on, save ``test_three_lanes_equal_one``, which runs three lanes
+    on two CPUs."""
 
     @two_cpus
     def test_two_lanes_equal_one(self, code_360, monkeypatch):
@@ -479,6 +480,23 @@ class TestLanes:
         # while few errors are needed, the share doubles from one batch
         batch = sim._EDGE_BUDGET // code_360.nnz
         assert [batch, 2 * batch, 4 * batch, 8 * batch] in shares_seen
+
+    @two_cpus
+    def test_three_lanes_equal_one(self, code_360, monkeypatch):
+        # two workers: the second is forked while the first one's pipes are
+        # open in the caller, and every worker is still killed and reaped
+        from fsscode import sim
+
+        args, kwargs = (code_360, [2.0, 3.0], 0.7), {"stop": StopRule(5, 600),
+                                                     "seed": 3}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        want = _sweep_without_timings(*args, **kwargs)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert sim._lane_count(code_360.nnz, 600) == 3
+        pids = _fork_spy(monkeypatch)
+        assert _sweep_without_timings(*args, **kwargs) == want
+        assert len(pids) == 2
+        _assert_reaped(pids)
 
     def test_long_code_default_lanes_equal_one(self, monkeypatch):
         from fsscode import sim
