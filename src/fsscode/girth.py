@@ -1,33 +1,37 @@
-"""Girth analysis at three levels.
+"""Girth analysis: two engines and three queries.
 
-* Shortest closed walks in the block-structure graph (BSG) of a lifted proto
-  matrix, read off its cells: length-L walks there correspond to length-2L
-  cycles in the Tanner graph of the expansion.
-* Exact Tanner-graph girth by truncated per-vertex BFS -- the ground-truth
-  oracle everything else is checked against.  It finds the circulant block
-  size of H itself, so quasi-cyclic input needs only one BFS root per
-  block-row and no caller declares the size.
-* Closed walks in a set system: alternating point/block walks whose symbolic
-  shift sum telescopes to sum_k sum_x (in_k(x) - out_k(x)) s_{x,k}, a linear
-  form over the incidences.  One scaffold of step tables (``WalkScaffold``)
-  and one depth-first search (``closed_walks``) serve every caller; its
-  balanced passes cut each branch that could no longer close balanced,
-  among them a tight one (every step left must cancel an earlier one)
-  stepping to a point not yet on the walk.  A walk is inevitable when its
-  form is identically zero (per-block degree balance; a balanced
-  multigraph always decomposes into per-block cycles, so the verifier
-  checks the balance alone).  One query, ``min_edge_walk``, finds
-  the shortest such walk, optionally among those opening with given steps:
-  its length L gives the maximum girth 2L achievable over all moduli and
-  shift sequences (``inevitable_girth``); its passes visit each balanced
-  walk as it closes, from six steps, the fewest one can take.  ``method2``
-  asks it, with ``shortest=False``, only whether some walk opening with a
-  step to a candidate point exists: passes at L = 8, 16, ... up to the cap
-  stop at the first one met.  It asks through one scaffold per block it
-  grows, pushing each candidate onto the last block and popping it off
-  once rejected, or once the search backtracks past it.  The shift search
-  keeps the forms of all short closed walks as the templates a shift
-  sequence must not zero.
+* ``tanner_girth``, the exact Tanner-graph girth by truncated per-vertex
+  BFS -- the ground-truth oracle everything else is checked against.  It
+  finds the circulant block size of H itself, so quasi-cyclic input needs
+  only one BFS root per block-row and no caller declares the size.
+* ``closed_walks``, one depth-first search over the closed walks of a set
+  system through one scaffold of step tables (``WalkScaffold``): walks
+  alternate points and blocks, and their symbolic shift sum telescopes to
+  sum_k sum_x (in_k(x) - out_k(x)) s_{x,k}, a linear form over the
+  incidences.  Its balanced passes cut each branch that could no longer
+  close balanced, among them a tight one (every step left must cancel an
+  earlier one) stepping to a point not yet on the walk.
+
+The walk engine answers three queries:
+
+* ``bsg_shortest_closed_walk``: the shortest walk with a zero shift sum
+  for the shifts of a lifted proto matrix, read off its cells with its
+  columns as blocks.  A walk of L steps there is a 2L-cycle in the Tanner
+  graph of the expansion.
+* ``min_edge_walk``: the shortest walk that is inevitable, its form
+  identically zero (per-block degree balance; a balanced multigraph always
+  decomposes into per-block cycles, so the verifier checks the balance
+  alone), optionally among those opening with given steps.  Its length L
+  gives the maximum girth 2L achievable over all moduli and shift
+  sequences (``inevitable_girth``); its passes visit each balanced walk as
+  it closes, from six steps, the fewest one can take.  ``method2`` asks
+  it, with ``shortest=False``, only whether some walk opening with a step
+  to a candidate point exists: passes at L = 8, 16, ... up to the cap stop
+  at the first one met.  It asks through one scaffold per block it grows,
+  pushing each candidate onto the last block and popping it off once
+  rejected, or once the search backtracks past it.
+* The shift search keeps the forms of all short closed walks as the
+  templates a shift sequence must not zero.
 """
 
 from __future__ import annotations
@@ -114,62 +118,31 @@ class GirthReport:
 def bsg_shortest_closed_walk(q: QCProtoMatrix, cap: int) -> GirthReport:
     """Shortest closed walk of the block-structure graph (BSG) of ``q`` whose
     successive column indices differ, cyclically, and whose shift sum is 0
-    mod m, by BFS over (vertex, last column, accumulated shift) states per
-    starting edge.  The BSG has an edge (u -> w, k, s_w - s_u mod m) for any
-    two points u != w of block-column k; each point's edges go in sorted
-    order."""
-    cap = _integer(cap, "cap", 2)
-    m = q.m
-    cols: dict[int, list[tuple[int, int]]] = {}
-    for (i, k), s in q.cells.items():
-        cols.setdefault(k, []).append((i, s))
-    adj: dict[int, list[tuple[int, int, int]]] = {u: [] for u in range(1, q.v + 1)}
-    for k, col in cols.items():
-        for u, su in col:
-            adj[u] += [(w, k, (sw - su) % m) for w, sw in col if w != u]
-    for lst in adj.values():
-        lst.sort()
-    best = None
-    best_witness = None
-    for v0 in range(1, q.v + 1):
-        for w0, k0, s0 in adj[v0]:
-            if w0 < v0:
-                continue  # v0 is the minimal vertex of the walk
-            limit = cap if best is None else min(cap, best - 1)
-            if limit < 2:
-                break
-            start = (w0, k0, s0)
-            parent = {start: None}
-            queue = deque([(start, 1)])
-            found = None
-            while queue and found is None:
-                (u, lastk, acc), d = queue.popleft()
-                if d >= limit:
-                    continue
-                for w, k, s in adj[u]:
-                    if k == lastk or w < v0:
-                        continue
-                    nacc = (acc + s) % m
-                    if w == v0 and nacc == 0 and k != k0:
-                        found = ((u, lastk, acc), k, d + 1)
-                        break
-                    state = (w, k, nacc)
-                    if state not in parent:
-                        parent[state] = (u, lastk, acc)
-                        queue.append((state, d + 1))
-            if found is not None:
-                state, klast, length = found
-                verts, labels = [], []
-                while state is not None:
-                    verts.append(state[0])
-                    labels.append(state[1])
-                    state = parent[state]
-                verts.reverse()
-                labels.reverse()
-                best = length  # limit kept it below any earlier best
-                best_witness = WalkWitness(tuple([v0] + verts),
-                                           tuple(labels + [klast]))
-    return GirthReport(girth=best, cap=cap, witness=best_witness)
+    mod m.  The BSG has an edge (u -> w, k, s_w - s_u mod m) for any two
+    points u != w of block-column k, so its closed walks are those of the
+    set system whose blocks are ``q``'s columns, and a walk's shift sum is
+    its arrival shifts less its departure shifts.  ``closed_walks`` deepens
+    over L = 2..``cap`` (at most ``_MAX_WALK``) in open mode: a zero sum
+    survives rotation and reversal, so one walk per class is enough, and
+    after shorter passes that found none the first zero-sum walk met has
+    exactly L steps."""
+    cap = _integer(cap, "cap", 2, high=_MAX_WALK)
+    cols = {k: [] for k in range(1, q.b + 1)}  # a column off the grid raises
+    for i, k in sorted(q.cells):
+        cols[k].append(i)
+    shift = [q.cells[i, k] for k, col in cols.items() for i in col]
+
+    def zero_sum(points, ks, touched, _):
+        if sum(shift[p] for p in touched[1::2]) % q.m == (
+                sum(shift[p] for p in touched[::2]) % q.m):
+            return tuple(points), tuple(ks)
+
+    sc = WalkScaffold(cols.values())
+    for L in range(2, cap + 1):
+        found = closed_walks(sc, L, zero_sum)
+        if found is not None:
+            return GirthReport(girth=L, cap=cap, witness=WalkWitness(*found))
+    return GirthReport(girth=None, cap=cap)
 
 
 # ----------------------------------------------------------------------

@@ -106,10 +106,12 @@ class ShiftSearchState:
         sign, so a repeated row is the form of a distinct walk.  A form and
         its negation are one template: rows are compared with their first
         nonzero coefficient negative, and the first of each is kept, in
-        walk order, with its own sign.  A balanced walk has the empty form;
-        its bucket is the largest position it leaves from, and it forbids
-        every value once its incidences exist, which is right when the
-        target exceeds the maximum achievable girth.
+        walk order, with its own sign.  A balanced walk has the empty form,
+        which vanishes for every assignment, so it can sit in any bucket:
+        it sits in bucket 1, the first the filter reads, and forbids every
+        value there.  That is right, since the target then exceeds the
+        maximum achievable girth, and the search ends ``infeasible`` after
+        one expansion.
 
         ``stats`` records the walks visited, the templates kept, counted by
         the length of the walk that gave each first, and wall times in
@@ -141,10 +143,9 @@ class ShiftSearchState:
         first = np.sort(np.unique(keys, return_index=True)[1])
         forms, steps = K[first, :E], steps[first]
         np.negative(forms, out=forms, where=flip[first, None])
-        # the last position of the form, or the largest departure of an empty one
+        # the last position of the form; an empty one vanishes anywhere
         last = E - 1 - (forms[:, ::-1] != 0).argmax(axis=1)
-        departs = np.max(steps[:, ::2], axis=1, where=steps[:, ::2] < E, initial=-1)
-        ends = np.where(forms.any(axis=1), last, departs)
+        ends = np.where(forms.any(axis=1), last, 1)
         lengths, kept = np.unique((steps < E).sum(axis=1) // 2, return_counts=True)
         state = cls(m=m, order=fss.incidences, forms=forms, ends=ends)
         compiled = perf_counter()
@@ -188,8 +189,8 @@ class ShiftSearchState:
         the filter's scratch, reset here.
         """
         m = self.m
-        # a form spans two positions and a balanced walk departs from two,
-        # so every bucket has e >= 1: ``allowed_values`` reads column e-1
+        # a form spans two positions and an empty one sits in bucket 1, so
+        # every bucket has e >= 1: ``allowed_values`` reads column e-1
         assert (self.ends >= 1).all()
         self._compiled, self._partials = {}, {}
         self._mask = np.empty(m, dtype=bool)

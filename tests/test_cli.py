@@ -292,6 +292,16 @@ class TestShiftPipeline:
         ])
         assert code == EXIT_INFEASIBLE
 
+    def test_shifts_above_the_ceiling(self, capsys, tmp_path):
+        # two parallel triples lift to girth 12 at most
+        path = tmp_path / "two.json"
+        path.write_text(validate_fss(3, [[1, 2, 3]] * 2).to_json())
+        code, out, _ = _run(capsys, [
+            "shifts", "--fss", str(path), "--m", "101", "--girth", "14",
+        ])
+        assert code == EXIT_INFEASIBLE
+        assert json.loads(out)["expansions"] == 1
+
     def test_expand_shift_list(self, capsys, fss_file, tmp_path):
         alist_path = tmp_path / "h.alist"
         code, out, _ = _run(capsys, [

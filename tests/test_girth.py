@@ -568,6 +568,25 @@ def _ref_bsg_shortest_closed_walk(g, cap):
     return GirthReport(girth=best, cap=cap, witness=best_witness)
 
 
+def _assert_zero_sum_walk(q, rep):
+    """``rep``'s witness, if any, is a closed BSG walk of ``rep.girth``
+    steps: step j joins two distinct points of column ``block_idx[j]``,
+    successive columns differ (the last and the first too), and the shifts
+    sum to 0 mod m."""
+    if rep.girth is None:
+        assert rep.witness is None
+        return
+    points, ks = rep.witness.points, rep.witness.block_idx
+    L = len(points)
+    assert L == len(ks) == rep.girth
+    total = 0
+    for j in range(L):
+        u, w, k = points[j], points[(j + 1) % L], ks[j]
+        assert u != w and k != ks[(j + 1) % L]
+        total += q.cells[w, k] - q.cells[u, k]
+    assert total % q.m == 0
+
+
 class TestBsg:
     def test_matches_tanner_girth(self):
         fss = validate_fss(2, [[1, 2], [1, 2], [1, 2]])
@@ -598,10 +617,16 @@ class TestBsg:
                 or 2 * walk.girth == cycle.girth
             )
 
+    # every witness of test_matches_reference_search, as to_json() lines
+    DIGEST = "6247cb4f23ba690617fc8bf6619a94e49945052dca5affcb84cb6896eaeb53ee"
+
     def test_matches_reference_search(self):
-        """Girth and witness equal the graph-object search's on random
-        systems at caps 2, 3 and 8 and on two bundled codes."""
+        """Girth equals the graph-object search's on random systems at caps
+        2, 3 and 8 and on two bundled codes.  Every witness is a zero-sum
+        walk of that many steps, and a digest pins which one among
+        equal-length walks the engine returns."""
         rng = random.Random(20261019)
+        digest = hashlib.sha256()
         outcomes = set()
         for case in range(600):
             fss = _random_system(rng)
@@ -610,15 +635,41 @@ class TestBsg:
             for cap in (2, 3, 8):
                 got = bsg_shortest_closed_walk(q, cap)
                 want = _ref_bsg_shortest_closed_walk(ref, cap)
-                assert got.to_json() == want.to_json(), (case, cap)
+                assert got.girth == want.girth, (case, cap)
+                _assert_zero_sum_walk(q, got)
+                digest.update(got.to_json().encode() + b"\n")
                 outcomes.add((cap, got.girth))
         # every walk length up to the cap occurs, and so does none at all
         assert outcomes >= {(8, L) for L in range(2, 9)} | {
             (cap, None) for cap in (2, 3, 8)}
         for name in ("fss-3-11-m11", "fss-3-10-m36"):
             q = reference_code(name)
-            assert bsg_shortest_closed_walk(q, 8).to_json() == (
-                _ref_bsg_shortest_closed_walk(_ref_build_bsg(q), 8).to_json())
+            got = bsg_shortest_closed_walk(q, 8)
+            assert got.girth == _ref_bsg_shortest_closed_walk(
+                _ref_build_bsg(q), 8).girth
+            _assert_zero_sum_walk(q, got)
+            digest.update(got.to_json().encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("name, girth", [
+        (r["name"], r["girth"]) for r in load_paper_tables()["girth_codes"]])
+    def test_bundled_codes_at_half_their_girth(self, name, girth):
+        """A walk at cap girth/2, none at girth/2 - 1, as the reference."""
+        q = reference_code(name)
+        half = girth // 2
+        ref = _ref_build_bsg(q)
+        for cap, want in ((half, half), (half - 1, None)):
+            got = bsg_shortest_closed_walk(q, cap)
+            assert got.girth == _ref_bsg_shortest_closed_walk(ref, cap).girth
+            assert got.girth == want
+            _assert_zero_sum_walk(q, got)
+
+    def test_cap_bound(self):
+        # the engine recurses once per step: 64 steps at most
+        q = reference_code("fss-3-11-m11")
+        assert bsg_shortest_closed_walk(q, 64).girth == 3
+        with pytest.raises(ValueError, match="cap must be <= 64"):
+            bsg_shortest_closed_walk(q, 65)
 
     def test_cap_below_2_rejected(self):
         q = reference_code("fss-3-11-m11")

@@ -482,6 +482,46 @@ class TestSearchShifts:
         for j, blk in enumerate(fss.blocks, start=1):
             assert res.shifts.entries[(blk[0], j)] == 0
 
+    def test_random_order_pins_each_block_first_point(self):
+        """Random order on seeded systems of distinct blocks, so that the
+        pinned incidences differ from block to block: every ok result has
+        shift 0 at each block's first point, and the compressed list of its
+        other shifts gives the same sequence back."""
+        rng = random.Random(20261022)
+        oks = 0
+        for seed in range(30):
+            v, b = rng.randint(4, 7), rng.randint(3, 5)
+            blocks = []
+            while len(blocks) < b:
+                blk = sorted(rng.sample(range(1, v + 1), rng.randint(2, 4)))
+                if blk not in blocks:
+                    blocks.append(blk)
+            fss = validate_fss(v, blocks)
+            m = rng.randint(5, 13)
+            res = search_shifts(fss, m, 6, SearchPolicy(
+                order="random", seed=seed, budget=20_000))
+            if not res.ok:
+                continue
+            oks += 1
+            entries = res.shifts.entries
+            for j, blk in enumerate(fss.blocks, start=1):
+                assert entries[blk[0], j] == 0, (seed, j)
+            rest = [entries[i, j] for j, blk in enumerate(fss.blocks, start=1)
+                    for i in blk[1:]]
+            assert shift_sequence_from_list(fss, m, rest) == res.shifts
+        assert oks >= 20, oks
+
+    @pytest.mark.parametrize("order", ["ascending", "random"])
+    def test_above_the_ceiling_ends_after_one_expansion(self, order):
+        # two parallel triples lift to girth 12 at most: the empty form of
+        # their balanced 6-step walk sits in bucket 1 and forbids every value
+        fss = validate_fss(3, [[1, 2, 3]] * 2)
+        policy = SearchPolicy(order=order, budget=200_000)
+        for m, target in ((101, 14), (40, 16)):
+            res = search_shifts(fss, m, target, policy)
+            assert (res.status, res.expansions, res.backtracks) == (
+                "infeasible", 1, 1), (m, target)
+
     def test_infeasible_m1(self):
         fss = validate_fss(2, [[1, 2], [1, 2]])
         assert search_shifts(fss, 1, 6).status == "infeasible"
