@@ -57,12 +57,32 @@ class ShiftSequence:
 @dataclass(frozen=True)
 class QCProtoMatrix:
     """v x b grid of shifts in Z_m; cell (i,j) is the shift of point i in
-    block j, present only when i belongs to block j."""
+    block j, present only when i belongs to block j.  ``v``, ``b``, ``m``
+    and the shifts are ints or numpy integers, never bools; every cell lies
+    in the grid and holds a shift in 0..m-1, as ``expand`` and
+    ``bsg_shortest_closed_walk`` read them."""
 
     v: int
     b: int
     m: int
     cells: dict[tuple[int, int], int] = field(repr=False)  # 1-based (i, j)
+
+    def __post_init__(self):
+        v = _integer(self.v, "point count", 1)
+        b = _integer(self.b, "block count", 1)
+        m = _integer(self.m, "modulus", 1)
+        if not isinstance(self.cells, dict):
+            raise ValueError(f"cells must be a dict, got {self.cells!r}")
+        for key, s in self.cells.items():
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(map(_is_integer, key))):
+                raise ValueError(f"cell key {key!r} is not a pair of integers")
+            i, j = key
+            if not (1 <= i <= v and 1 <= j <= b):
+                raise ValueError(f"cell ({i},{j}) outside the {v}x{b} grid")
+            if not _is_integer(s) or not 0 <= s < m:
+                raise ValueError(
+                    f"shift s[{i},{j}]={s!r} is not an integer in 0..{m - 1}")
 
 
 def assemble(fss: SetSystem, S: ShiftSequence) -> QCProtoMatrix:

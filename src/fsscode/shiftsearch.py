@@ -12,10 +12,13 @@ its shift sum as a small integer linear form over the shift variables (a
 template), so extending a prefix is a handful of modular evaluations
 rather than a graph search.  The residue tables of those
 evaluations (forms grouped by the gcd of their own coefficient with the
-modulus, with that coefficient inverted) are compiled once per modulus, so
-filtering the candidates of a node is one column update of its parent's
-partial sum, kept per bucket, and one numpy scatter per group.  Any
-returned sequence is re-verified against the Tanner-girth oracle.
+modulus, with that coefficient inverted) are compiled once per modulus.  A
+form whose own coefficient is a unit forbids one value, ``(R + q * s) mod
+m``, where R is fixed by the parent and q by the form, and a bucket holds
+few distinct q.  So when the parent changes, each bucket scatters its R
+into one circular mask per q; a sibling then reads one rotated slice of
+each, and only the other gcd groups run per form.  Any returned sequence is
+re-verified against the Tanner-girth oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from itertools import count
+from math import gcd
 from time import perf_counter
 
 import numpy as np
@@ -69,7 +73,8 @@ class SearchResult:
     verified_girth: int | None = None
     backtracks: int = 0
     restarts: int = 0       # passes run after the first (ascending order runs one)
-    # template set-up, as ``ShiftSearchState.stats``; timings never compare
+    # template set-up, as ``ShiftSearchState.stats``, plus the filter's
+    # ``filter_calls`` and the ``candidates`` they returned; never compared
     stats: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -96,7 +101,7 @@ class ShiftSearchState:
         touch, and compile them for ``m``.  The target must be even and in
         4..128 (walks of at most 63 steps), and ``m`` in 1..2**24 // max(v,
         b), so that the oracle's expansion fits a ``BinaryMatrix``; the
-        residue tables are exact below 2**28 (``_compile``).
+        residue tables are exact under that bound (``_compile``).
 
         Each walk is recorded as the positions its steps leave and reach,
         padded with the sentinel E = ``len(order)``, and scattered into a
@@ -179,14 +184,37 @@ class ShiftSearchState:
         ``s0 = -inv * (base/d) mod m/d`` and ``inv = (own/d)^-1 mod m/d``.
         A form with ``own == 0 mod m`` has d = m and ``inv = 0`` (Python's
         ``pow(0, -1, 1)``), so its one class ``s0 + k`` forbids every value
-        exactly when its base is 0 mod m.  A bucket e's forms, in template
-        order, are reordered into one contiguous group per d, each with its
-        ``-inv`` array; ``own`` is their column e of ``forms`` and ``C``
-        their columns before e.  ``C`` is float64 so that the product runs
-        through BLAS, and column-major so that its last column, the one a
-        sibling adds, is contiguous; for m below 2**28 every sum and product
-        here is exact in float64 and int64.  ``_partials`` and ``_mask`` are
-        the filter's scratch, reset here.
+        exactly when its base is 0 mod m.  ``own`` is a bucket e's column e
+        of ``forms`` and ``C`` its columns before e.
+
+        For d = 1 the one forbidden value is ``-inv * base mod m``, that is
+        ``(R + q * s) mod m`` for ``s = prefix[e-1]``: ``R = -inv * partial
+        mod m``, with ``partial`` the form's sum before e-1, is fixed by the
+        parent, and ``q = -inv * c mod m``, with c its coefficient at e-1,
+        by the form.  A bucket has few distinct q (1-5 on ten triples), so
+        its d = 1 rows come first, sorted by q into classes, and ``C`` holds
+        them multiplied by ``-inv`` (the representative nearest 0): one
+        mat-vec per parent gives R for them and the raw partial sums of the
+        rest.  Each class owns one row of a doubled ``(classes, 2m)`` bool
+        mask ``D``, False in both halves at its forms' residues R, so the
+        values the class allows at sibling s are the slice
+        ``D[j, m - q*s % m : 2m - q*s % m]``.  The d > 1 rows follow, one
+        contiguous group per d.  Rows keep template order within a class and
+        a group.  A bucket's tables are ``(C, qs, bounds, D, groups)``: the
+        classes' q, their row bounds (``bounds[-1]`` d = 1 rows in all), the
+        mask, and one ``(d, lo, hi, -inv)`` entry per d > 1 group, its rows
+        counted from ``bounds[-1]``.
+
+        ``C`` is float64 so that the product runs through BLAS, and
+        column-major so that the column a sibling reads is contiguous.  A
+        form's coefficients sum to at most 126 in size (two per step of a
+        walk of at most 63), each scaled by at most m/2, and the prefix is
+        below m, so every partial sum is below ``63 * m**2`` in size.  A
+        closed walk visits two points and two blocks at least, so
+        ``create``'s bound gives m <= 2**23 wherever a template exists, and
+        every sum is below 2**52: exact in float64 and in its int64
+        conversion.  ``_partials`` and ``_mask`` are the filter's scratch,
+        reset here.
         """
         m = self.m
         # a form spans two positions and an empty one sits in bucket 1, so
@@ -197,50 +225,75 @@ class ShiftSearchState:
         by_end = np.argsort(self.ends, kind="stable")
         ends, cuts = np.unique(self.ends[by_end], return_index=True)
         for e, rows in zip(ends.tolist(), np.split(by_end, cuts[1:])):
-            own = self.forms[rows, e].astype(np.int64) % m
-            d = np.gcd(own, m)
-            by_d = np.argsort(d, kind="stable")
-            rows, own, d = rows[by_d], own[by_d], d[by_d]
+            # d and -inv per distinct own coefficient, then per row; d = 1
+            # takes the -inv nearest 0, as it scales C
+            coefs, which = np.unique(self.forms[rows, e], return_inverse=True)
+            d, neg_inv = [], []
+            for c in coefs.tolist():
+                g = gcd(c % m, m)
+                md = m // g
+                x = -pow(c % m // g, -1, md)
+                d.append(g)
+                neg_inv.append(x + md if g == 1 and 2 * x < -md else x)
+            d, neg_inv = np.array(d)[which], np.array(neg_inv)[which]
+            # sort key: q for d = 1 rows, m + d after them; stable, so
+            # template order holds within a class and within a group
+            key = np.where(d == 1, neg_inv * self.forms[rows, e - 1] % m, m + d)
+            by_key = np.argsort(key, kind="stable")
+            rows, key, neg_inv = rows[by_key], key[by_key], neg_inv[by_key]
+            ones = int(np.searchsorted(key, m))
             C = np.asfortranarray(self.forms[rows, :e], dtype=np.float64)
+            C[:ones] *= neg_inv[:ones, None]
+            qs, starts = np.unique(key[:ones], return_index=True)
+            D = np.zeros((len(qs), 2 * m), dtype=bool)
+            d, neg_inv = key[ones:] - m, neg_inv[ones:]
             groups = []
             for g in sorted(set(d.tolist())):
                 lo, hi = np.searchsorted(d, [g, g + 1]).tolist()
-                md = m // g
-                units, which = np.unique(own[lo:hi] // g, return_inverse=True)
-                neg_inv = np.array([-pow(c, -1, md) for c in units.tolist()],
-                                   dtype=np.int64)
-                groups.append((g, lo, hi, neg_inv[which]))
-            self._compiled[e] = (C, groups)
+                groups.append((g, lo, hi, neg_inv[lo:hi]))
+            self._compiled[e] = (C, qs.tolist(), starts.tolist() + [ones], D,
+                                 groups)
 
     def allowed_values(self, e):
         """Candidate shifts for position ``e`` given the current prefix,
         ascending.  Siblings (calls at ``e`` that differ only in
         ``prefix[e-1]``) share the partial sum ``C[:, :e-1] @ prefix[:e-1]``,
-        kept per bucket and keyed by those values, so each adds one column;
-        the list returned is new, the mask behind it reused."""
+        kept per bucket and keyed by those values, and the class masks
+        filled from it, so a sibling ANDs one rotated slice per class (the
+        values no form of the class forbids) and runs the d > 1 groups over
+        their own rows only.  The list returned is new, the masks behind it
+        reused."""
         tables = self._compiled.get(e)
         if tables is None:
             return list(range(self.m))
         m, prefix = self.m, self.prefix
-        C, groups = tables
+        C, qs, bounds, D, groups = tables
+        ones = bounds[-1]
         key, partial = self._partials.get(e, (None, None))
         if key != prefix[:e - 1]:
             key = prefix[:e - 1]
             partial = C[:, :e - 1] @ np.asarray(key, dtype=np.float64)
             self._partials[e] = key, partial
-        base = (partial + C[:, e - 1] * prefix[e - 1]).astype(np.int64)
+            R = partial[:ones].astype(np.intp) % m
+            D.fill(True)
+            for j in range(len(qs)):
+                D[j, R[bounds[j]:bounds[j + 1]]] = False
+            D[:, m:] = D[:, :m]
+        s = prefix[e - 1]
         ok = self._mask
         ok.fill(True)
+        for j, q in enumerate(qs):
+            t = q * s % m
+            ok &= D[j, m - t:2 * m - t]
+        if groups:
+            base = (partial[ones:] + C[ones:, e - 1] * s).astype(np.int64)
         for d, lo, hi, neg_inv in groups:
             b = base[lo:hi]
-            if d == 1:
-                ok[neg_inv * b % m] = False
-                continue
             hit = b % d == 0
             md = m // d
             s0 = neg_inv[hit] * (b[hit] // d) % md
             ok[(s0[:, None] + np.arange(0, m, md)).ravel()] = False
-        return np.flatnonzero(ok).tolist()
+        return ok.nonzero()[0].tolist()
 
 
 def backtrack(n, candidates, prefix, policy):
@@ -305,9 +358,12 @@ def search_shifts(
     state = ShiftSearchState.create(fss, m, target_girth)
     # the first incidence of every block
     pinned = {e for e, (i, j) in enumerate(state.order) if i == fss.blocks[j - 1][0]}
+    filtered = [0, 0]  # filter calls, and the candidates they returned
 
     def candidates(e, rng):
         cands = state.allowed_values(e)
+        filtered[0] += 1
+        filtered[1] += len(cands)
         if e in pinned:
             return [0] if 0 in cands else []
         if rng is not None:
@@ -317,8 +373,9 @@ def search_shifts(
     # perfbench's traced run reads backtracks off the state it created
     status, expansions, state.backtracks, restarts = backtrack(
         len(state.order), candidates, state.prefix, policy)
+    stats = dict(state.stats, filter_calls=filtered[0], candidates=filtered[1])
     counts = dict(expansions=expansions, backtracks=state.backtracks,
-                  restarts=restarts, stats=state.stats)
+                  restarts=restarts, stats=stats)
     if status != "ok":
         return SearchResult(status=status, **counts)
 

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from fsscode.construct import WeightProfile, method1, method2
 from fsscode.girth import bsg_shortest_closed_walk, inevitable_girth, tanner_girth
 from fsscode.qc import (
+    QCProtoMatrix,
     ShiftSequence,
     assemble,
     expand,
@@ -69,6 +70,9 @@ TARGETS = {
                          ["min_replication"]),
     "ShiftSequence": (ShiftSequence, dict(m=3, entries=SHIFTS.entries),
                       ["m", "entries"]),
+    "QCProtoMatrix": (QCProtoMatrix, dict(v=3, b=4, m=3,
+                                          cells=assemble(FSS, SHIFTS).cells),
+                      ["v", "b", "m", "cells"]),
     "shifts_from_json": (shifts_from_json,
                          dict(fss=FSS, text=shifts_to_json(FSS, SHIFTS)),
                          ["text"]),

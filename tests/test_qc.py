@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from fsscode.girth import bsg_shortest_closed_walk
 from fsscode.qc import (
+    QCProtoMatrix,
     ShiftSequence,
     assemble,
     exact_rate,
@@ -146,6 +148,56 @@ class TestShiftSequence:
         assert q == again
         assert q != assemble(pair_system,
                              shift_sequence_from_list(pair_system, 5, [1, 2, 4]))
+
+
+# a full 2x2 grid at m=3: its 2-step walk sums 1, so going round it three
+# times, 6 steps, is the shortest walk with a zero shift sum
+GRID = {(1, 1): 0, (2, 1): 0, (1, 2): 0, (2, 2): 1}
+
+
+class TestQCProtoMatrix:
+    """The grid is checked where it is built, so ``expand`` and the BSG
+    query never read a cell outside it or a shift outside 0..m-1."""
+
+    @pytest.mark.parametrize("read", [expand, lambda q: bsg_shortest_closed_walk(q, 6)],
+                             ids=["expand", "bsg"])
+    @pytest.mark.parametrize("cells, match", [
+        # a cell in column 0 made expand raise "entry (0,-3) outside 6x6"
+        # and the BSG query raise KeyError
+        ({(1, 0): 0, (2, 0): 0, **GRID}, r"cell \(1,0\) outside the 2x2 grid"),
+        ({**GRID, (3, 1): 0}, r"cell \(3,1\) outside the 2x2 grid"),
+        ({**GRID, (0, 2): 0}, r"cell \(0,2\) outside"),
+        # a shift of 7 at m=3 expanded and read girth as shift 1 would
+        ({**GRID, (2, 2): 7}, r"s\[2,2\]=7 is not an integer in 0..2"),
+        ({**GRID, (2, 2): -1}, r"s\[2,2\]=-1"),
+        ({**GRID, (2, 2): 1.0}, r"s\[2,2\]=1.0"),
+        ({**GRID, (2, 2): True}, r"s\[2,2\]=True"),
+        ({**GRID, (2, "2"): 1}, r"cell key \(2, '2'\) is not a pair"),
+        ({**GRID, 5: 1}, r"cell key 5 is not a pair"),
+        ({**GRID, (1, 2, 3): 1}, r"cell key \(1, 2, 3\) is not a pair"),
+        ([((1, 1), 0)], r"cells must be a dict"),
+    ])
+    def test_rejects_malformed_cells(self, read, cells, match):
+        with pytest.raises(ValueError, match=match):
+            read(QCProtoMatrix(2, 2, 3, cells))
+
+    @pytest.mark.parametrize("v, b, m, name", [
+        (0, 2, 3, "point count"), (2.0, 2, 3, "point count"),
+        (2, True, 3, "block count"), (2, -1, 3, "block count"),
+        (2, 2, 0, "modulus"), (2, 2, "3", "modulus"),
+    ])
+    def test_rejects_bad_dimensions(self, v, b, m, name):
+        with pytest.raises(ValueError, match=name):
+            QCProtoMatrix(v, b, m, {})
+
+    def test_numpy_integers_read_as_ints(self):
+        q = QCProtoMatrix(2, 2, 3, GRID)
+        again = QCProtoMatrix(np.int64(2), np.uint8(2), np.int32(3),
+                              {(np.int64(i), j): np.int8(s)
+                               for (i, j), s in GRID.items()})
+        assert expand(again) == expand(q)
+        assert bsg_shortest_closed_walk(again, 6) == bsg_shortest_closed_walk(q, 6)
+        assert bsg_shortest_closed_walk(q, 6).girth == 6
 
 
 class TestExpand:

@@ -215,6 +215,45 @@ class TestAllowedValuesDifferential:
             calls += m + 2 + len(buckets)
         assert stale > 50
 
+    def test_sibling_masks_survive_other_buckets(self):
+        """Every sibling of one parent per bucket, all buckets' siblings in
+        one shuffled sequence, with a bucket's parent replaced now and
+        then: each bucket's class masks are filled from its own parent and
+        must survive the calls at every other bucket in between. Moduli
+        with d > 1 and d = m groups, m = 1 and balanced (empty) forms all
+        occur."""
+        rng = random.Random(47)
+        seen = dict.fromkeys(("d > 1", "d = m", "m = 1", "empty", "classes"), 0)
+        calls = refills = 0
+        while calls < 6_000:
+            if rng.random() < 0.15:  # three parallel pairs close a balanced walk
+                fss, target = validate_fss(2, [[1, 2]] * 3), 14
+            else:
+                fss, target = _random_system(rng), rng.choice((6, 8, 10))
+            m = rng.choice(self.MODULI)
+            state = ShiftSearchState.create(fss, m, target)
+            buckets = state.buckets
+            parents = {e: [rng.randrange(m) for _ in range(e - 1)] for e in buckets}
+            visits = [(e, s) for e in buckets for s in range(m)]
+            rng.shuffle(visits)
+            for e, s in visits:
+                if rng.random() < 0.05:
+                    parents[e] = [rng.randrange(m) for _ in range(e - 1)]
+                    refills += 1
+                state.prefix[:] = parents[e] + [s]
+                assert state.allowed_values(e) == _reference_allowed(
+                    buckets[e], state.prefix, m), (fss.blocks, m, e, state.prefix)
+            calls += len(visits)
+            for e, forms in buckets.items():
+                owns = [dict(form).get(e, 0) % m for form in forms]
+                seen["d > 1"] += any(1 < gcd(c, m) < m for c in owns)
+                seen["d = m"] += m > 1 and 0 in owns
+                seen["m = 1"] += m == 1
+                seen["empty"] += [] in forms
+                seen["classes"] += len(state._compiled[e][1]) > 1
+        assert all(seen.values()), seen
+        assert refills > 100
+
     def test_modulus_one_allows_nothing_in_a_bucket(self):
         fss = validate_fss(3, [[1, 2, 3], [1, 2, 3], [1, 3]])
         state = ShiftSearchState.create(fss, 1, 8)
@@ -399,38 +438,51 @@ class TestTrajectoryPinned:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def _feed_setup(h, state):
-    """Feed ``h`` what ``create`` built: the buckets, the walk and template
-    counts, and every residue table, bucket by bucket."""
+def _feed_templates(h, state):
+    """Feed ``h`` the templates ``create`` kept: the buckets, and the walk
+    and template counts."""
     h.update(repr(state.buckets).encode())
     h.update(repr((state.stats["walks"], state.stats["templates"])).encode())
+
+
+def _feed_tables(h, state):
+    """Feed ``h`` every residue table ``_compile`` built, bucket by bucket:
+    the scaled and sorted ``C``, the classes' q and row bounds, the mask's
+    shape, and each d > 1 group."""
     for e in sorted(state._compiled):
-        C, groups = state._compiled[e]
-        h.update(repr((e, C.shape, C.dtype.str)).encode() + C.tobytes())
+        C, qs, bounds, D, groups = state._compiled[e]
+        h.update(repr((e, C.shape, C.dtype.str, qs, bounds, D.shape)).encode()
+                 + C.tobytes())
         for d, lo, hi, neg_inv in groups:
             h.update(repr((d, lo, hi, neg_inv.dtype.str)).encode()
                      + neg_inv.tobytes())
 
 
 class TestSetupPinned:
-    """Template set-up pinned to a SHA-256 digest of its buckets, counts and
-    residue tables: a rebuilt ``create`` or ``_compile`` must reproduce them
-    byte for byte, bucket order and form signs included."""
+    """Template set-up pinned to two SHA-256 digests: one of the templates
+    (the buckets, bucket order and form signs included, and the walk and
+    template counts), one of the residue tables. A rebuilt ``create`` must
+    reproduce the first byte for byte and a rebuilt ``_compile`` the
+    second; a new table layout re-pins only the second."""
 
-    @pytest.mark.parametrize("m, target, digest", [
+    @pytest.mark.parametrize("m, target, templates, tables", [
         (40, 8,
-         "3aa2bbbe300b0acc1cc990b2f415be2ce0ac336b78c4cd87f9b7e231c18eabc4"),
+         "a10e74d5c902cca56b16bbb13599de8596ec135d670d2108078ce987ab5987b4",
+         "78fc9b27e3632fdc069040cf6e2a8bbc2b47bf631fae8e4cdf091b741cd8b59e"),
         (477, 10,
-         "2351a8313771757ca47457cd389eae0f06b968a1fda6d763da7121e27ede75cd"),
+         "70bdc3039b224ee4523d904116b1fe3d2ab6e504d8207e60ccf0d1951f6cfe0f",
+         "ef90bdbfce57da61800294df7d9ee16167c78374ed53518f554b7d434ef4263d"),
     ], ids=["m40-girth8", "m477-girth10"])
-    def test_ten_triples(self, m, target, digest):
-        h = hashlib.sha256()
-        _feed_setup(h, ShiftSearchState.create(TEN_TRIPLES, m, target))
-        assert h.hexdigest() == digest
+    def test_ten_triples(self, m, target, templates, tables):
+        state = ShiftSearchState.create(TEN_TRIPLES, m, target)
+        h, t = hashlib.sha256(), hashlib.sha256()
+        _feed_templates(h, state)
+        _feed_tables(t, state)
+        assert (h.hexdigest(), t.hexdigest()) == (templates, tables)
 
     def test_seeded_systems(self):
         rng = random.Random(19)
-        h = hashlib.sha256()
+        h, t = hashlib.sha256(), hashlib.sha256()
         repeated = walks = 0
         for _ in range(300):
             fss = _random_system(rng)
@@ -439,11 +491,16 @@ class TestSetupPinned:
                 m = rng.choice((1, 2, 4, 6, 7, 9, 12, 16, 30))
                 state = ShiftSearchState.create(fss, m, target)
                 walks += state.stats["walks"]
-                h.update(repr((fss.blocks, m, target)).encode())
-                _feed_setup(h, state)
+                case = repr((fss.blocks, m, target)).encode()
+                h.update(case)
+                _feed_templates(h, state)
+                t.update(case)
+                _feed_tables(t, state)
         assert repeated > 100 and walks > 50_000
         assert h.hexdigest() == (
-            "b545e6404050f406bebda25d43e737c0a5dc3a8e6961a74b5ba8590469171018")
+            "f002947d1fded211c8de35b830ad87bd91fb29768b4062c7b475bd1354566ce9")
+        assert t.hexdigest() == (
+            "6647352bd6e57aed829c99c79bf801e68471831ac5a8df7749b59d1e5e46a959")
 
     def test_system_closing_no_walk(self):
         state = ShiftSearchState.create(validate_fss(4, [[1, 2], [3, 4]]), 5, 8)
@@ -608,7 +665,11 @@ class TestSetupStats:
         res = search_shifts(TEN_TRIPLES, 477, 10)
         state = ShiftSearchState.create(TEN_TRIPLES, 477, 10)
         assert set(res.stats) == {"walks", "templates", "walks_s", "compile_s",
-                                  "setup_s"}
+                                  "setup_s", "filter_calls", "candidates"}
+        # one filter call per position entered: the first, and one after
+        # every expansion but the last
+        assert (res.stats["filter_calls"], res.stats["candidates"]) == (1365, 62_362)
+        assert res.expansions == 1365
         # one walk per rotation/reversal class, of 2..4 steps
         assert res.stats["walks"] == state.stats["walks"] == 15_705
         assert res.stats["templates"] == state.stats["templates"] == {
@@ -618,6 +679,33 @@ class TestSetupStats:
         # the walk search and the compile are phases of the set-up
         assert 0 < res.stats["walks_s"] and 0 < res.stats["compile_s"]
         assert res.stats["walks_s"] + res.stats["compile_s"] < res.stats["setup_s"]
+
+    def test_filter_counters(self, monkeypatch):
+        """``filter_calls`` is the number of filter calls and ``candidates``
+        the summed length of the lists they returned, on the m40-ascending
+        pinned run; both repeat for a fixed seed."""
+        lengths = []
+        real = ShiftSearchState.allowed_values
+
+        def counting(state, e):
+            out = real(state, e)
+            lengths.append(len(out))
+            return out
+
+        monkeypatch.setattr(ShiftSearchState, "allowed_values", counting)
+        res = search_shifts(TEN_TRIPLES, 40, 8)
+        monkeypatch.undo()
+        assert (res.expansions, res.backtracks, res.restarts) == (1526, 1496, 0)
+        assert res.stats["filter_calls"] == len(lengths) == 1526
+        assert res.stats["candidates"] == sum(lengths) == 14_347
+        policy = SearchPolicy(order="random", seed=5, budget=5000)
+        counters = {(r.stats["filter_calls"], r.stats["candidates"])
+                    for r in (search_shifts(TEN_TRIPLES, 40, 8, policy),
+                              search_shifts(TEN_TRIPLES, 40, 8, policy))}
+        assert len(counters) == 1
+        (calls, cands), = counters
+        # restarts re-enter position 0, so calls exceed the 4,062 expansions
+        assert calls > 4062 and cands > calls
 
     def test_templates_by_walk_length(self):
         # two parallel pairs close one 2-step walk and, going round it
